@@ -246,7 +246,7 @@ def _json_artifact(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _run_mixing(P: TransitionMatrix, f: Permutation, params: dict, threads: int) -> str:
+def _run_mixing(P: TransitionMatrix, f: Permutation, params: dict) -> str:
     kmax = params["kmax"]
     epsilon = params.get("epsilon")
     want_spectral = bool(params.get("spectral_bound", False))
@@ -418,7 +418,7 @@ def run(config: ExperimentConfig, *, only_type: str | None = None,
             P, _report = chain_cache
             f = build_bijection(config, P.n)
             if kind == "mixing":
-                text = _run_mixing(P, f, entry, threads)
+                text = _run_mixing(P, f, entry)
             elif kind == "spectral":
                 text = _run_spectral(P, f, entry, threads)
             elif kind == "expansion":
@@ -465,7 +465,7 @@ def run_validate(config: ExperimentConfig, out_override: str | None) -> int:
 
 
 def run_compare(config_a: ExperimentConfig, config_b: ExperimentConfig,
-                out_override: str | None, threads: int) -> None:
+                out_override: str | None) -> None:
     """Side-by-side worst-start mixing table for two configs."""
 
     def mixing_entry(cfg: ExperimentConfig) -> dict:
@@ -506,37 +506,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config: bool = True) -> None:
-        if config:
-            p.add_argument("--config", required=True, help="experiment config JSON")
+    def common(p: argparse.ArgumentParser, threads: bool = False) -> None:
+        p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output artifact path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for subset enumerations")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads for subset enumerations")
 
     common(sub.add_parser("validate", help="check the standing chain assumptions"))
     common(sub.add_parser("mix", help="worst-start mixing profile CSV"))
-    common(sub.add_parser("spectral", help="spectral/bottleneck report JSON"))
-    common(sub.add_parser("expansion", help="expansion scan JSON"))
-    common(sub.add_parser("scan", help="random-bijection scan CSV"))
+    common(sub.add_parser("spectral", help="spectral/bottleneck report JSON"), threads=True)
+    common(sub.add_parser("expansion", help="expansion scan JSON"), threads=True)
+    common(sub.add_parser("scan", help="random-bijection scan CSV"), threads=True)
 
     fib = sub.add_parser("fibonacci", help="recurrence-walk distance curve CSV")
     fib.add_argument("--n", type=int, required=True, help="modulus")
     fib.add_argument("--kmax", type=int, required=True, help="largest step count")
     fib.add_argument("--c", type=float, default=0.0, help="guarantee strength")
     fib.add_argument("--out", default=None)
-    fib.add_argument("--threads", type=int, default=1)
 
     hof = sub.add_parser("hof", help="verify a higher-order register chain")
     hof.add_argument("--config", required=True,
                      help="register-chain spec JSON (base_n, order, update, base_kernel_csv)")
     hof.add_argument("--out", default=None)
-    hof.add_argument("--threads", type=int, default=1)
 
     cmp_p = sub.add_parser("compare", help="side-by-side mixing table for two configs")
     cmp_p.add_argument("--config-a", required=True)
     cmp_p.add_argument("--config-b", required=True)
     cmp_p.add_argument("--out", default=None)
-    cmp_p.add_argument("--threads", type=int, default=1)
 
     return parser
 
@@ -548,32 +545,32 @@ _SUBCOMMAND_TYPE = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    threads = getattr(args, "threads", 1)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {threads}")
         if args.command == "validate":
             return run_validate(load_config(args.config), args.out)
         if args.command in _SUBCOMMAND_TYPE:
             run(load_config(args.config), only_type=_SUBCOMMAND_TYPE[args.command],
-                out_override=args.out, threads=args.threads)
+                out_override=args.out, threads=threads)
             return 0
         if args.command == "fibonacci":
             entry = {"type": "fibonacci", "n": args.n, "kmax": args.kmax, "c": args.c}
             _validate_analysis_entry(entry, "fibonacci")
             config = ExperimentConfig(source=Path("<cli>"), chain=None, bijection=None,
                                       analyses=(entry,), output=None)
-            run(config, out_override=args.out, threads=args.threads)
+            run(config, out_override=args.out)
             return 0
         if args.command == "hof":
             entry = {"type": "hof", "spec_path": args.config}
             _validate_analysis_entry(entry, "hof")
             config = ExperimentConfig(source=Path(args.config), chain=None, bijection=None,
                                       analyses=(entry,), output=None)
-            run(config, out_override=args.out, threads=args.threads)
+            run(config, out_override=args.out)
             return 0
         if args.command == "compare":
-            run_compare(load_config(args.config_a), load_config(args.config_b),
-                        args.out, args.threads)
+            run_compare(load_config(args.config_a), load_config(args.config_b), args.out)
             return 0
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:

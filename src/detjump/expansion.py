@@ -28,7 +28,7 @@ from .chains import (
     min_positive_entry,
     random_permutation,
 )
-from .errors import CapacityError, InvariantError
+from .errors import CapacityError, InvariantError, StructureError
 
 # Exhaustive subset enumeration cap (2^23 masks of size <= n/2 at n = 24).
 EXHAUSTIVE_CAP = 24
@@ -240,6 +240,8 @@ def check_expansion(P: TransitionMatrix, f: Permutation, epsilon: float | None =
     n = P.n
     if f.n != n:
         raise ValueError(f"permutation on {f.n} states, matrix on {n}")
+    if n < 2:
+        raise StructureError(f"expansion needs at least two states, got n={n}")
     if epsilon is not None and epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
@@ -411,6 +413,8 @@ def scan_random_bijections(P: TransitionMatrix, epsilon: float, trials: int,
     expansion scan, so every failing seed can be replayed exactly.
     With trials = 0 the fraction is undefined and reported as None.
     """
+    if P.n < 2:
+        raise StructureError(f"expansion needs at least two states, got n={P.n}")
     if P.n > EXHAUSTIVE_CAP:
         raise CapacityError(
             f"scan needs exhaustive checks, capped at n <= {EXHAUSTIVE_CAP}, got n={P.n}"

@@ -40,18 +40,31 @@ from .chains import (
 )
 from .errors import BijectionError, CapacityError, InvariantError
 
-# Exact pair-chain evolution cap: n^2 joint states stay dense-friendly.
-PAIR_STATE_CAP = 200
+# Exact pair-chain evolution cap: one step gathers and averages n^2 doubles.
+PAIR_STATE_CAP = 1000
 
 
-def _pair_step(joint: np.ndarray) -> np.ndarray:
-    """One move of the pair chain: (a, b) -> (b, a + b + e) with e in {-1, 0, 1}."""
-    n = joint.shape[0]
-    nxt = np.empty_like(joint)
-    for b in range(n):
-        col = joint[:, b]
-        nxt[b] = (np.roll(col, b - 1) + np.roll(col, b) + np.roll(col, b + 1)) / 3.0
-    return nxt
+def _pair_index(n: int) -> np.ndarray:
+    """Flat index into an n-by-n joint array for the gather in ``_pair_step``.
+
+    Entry [b, j] addresses joint[(j - 1 - b) mod n, b]: column j - 1 of
+    the skewed array, padded with one wrapped column on each side.
+    """
+    b = np.arange(n)[:, None]
+    j = np.arange(n + 2)[None, :]
+    return ((j - 1 - b) % n) * n + b
+
+
+def _pair_step(joint: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """One move of the pair chain: (a, b) -> (b, a + b + e) with e in {-1, 0, 1}.
+
+    With skew[b, c] = joint[(c - b) mod n, b] the new law is
+    (skew[b, c + 1] + skew[b, c] + skew[b, c - 1]) / 3 (indices mod n),
+    summed in that order; ``index`` from ``_pair_index`` gathers skew with
+    one wrapped column on each side.
+    """
+    ext = joint.take(index)
+    return (ext[:, 2:] + ext[:, 1:-1] + ext[:, :-2]) / 3.0
 
 
 def _check_pair_args(n: int, k: int) -> None:
@@ -66,39 +79,46 @@ def _check_pair_args(n: int, k: int) -> None:
 
 
 def fibonacci_walk_distribution(n: int, k: int) -> Distribution:
-    """Exact law of X_k for the recurrence walk on Z_n.
-
-    Evolves the joint law of (X_{k-1}, X_k) from the point mass at
-    (0, 1) and marginalizes the current coordinate.
-    """
-    _check_pair_args(n, k)
-    joint = np.zeros((n, n))
-    joint[0, 1 % n] = 1.0
-    for _ in range(k - 1):
-        joint = _pair_step(joint)
-    return Distribution(joint.sum(axis=0))
+    """Exact law of X_k for the recurrence walk on Z_n."""
+    return fibonacci_walk_marginals(n, k)[k - 1]
 
 
 def fibonacci_walk_marginals(n: int, k_max: int) -> list[Distribution]:
-    """Exact laws of X_1, ..., X_{k_max} in one incremental pass."""
+    """Exact laws of X_1, ..., X_{k_max} in one incremental pass.
+
+    Evolves the joint law of (X_{k-1}, X_k) from the point mass at
+    (0, 1) and marginalizes the current coordinate after every step.
+    """
     _check_pair_args(n, k_max)
+    index = _pair_index(n)
     joint = np.zeros((n, n))
     joint[0, 1 % n] = 1.0
     out = [Distribution(joint.sum(axis=0))]
     for _ in range(k_max - 1):
-        joint = _pair_step(joint)
+        joint = _pair_step(joint, index)
         out.append(Distribution(joint.sum(axis=0)))
     return out
 
 
+# Entries per factor array in _fib_cos_factors (16 MiB of indices), so a
+# large n * k costs time, not memory.
+_FACTOR_BLOCK = 1 << 21
+
+
 def _fib_cos_factors(n: int, k: int, a: np.ndarray) -> np.ndarray:
-    """prod_{b=1}^{k-1} (1/3 + (2/3) cos(2 pi a F_b / n)) for each frequency a."""
-    prod = np.ones(a.shape)
-    f_prev, f_cur = 0, 1  # F_0, F_1
-    for _ in range(1, k):
-        prod *= 1.0 / 3.0 + 2.0 / 3.0 * np.cos(2.0 * np.pi * ((a * f_cur) % n) / n)
-        f_prev, f_cur = f_cur, (f_prev + f_cur) % n
-    return prod
+    """prod_{b=1}^{k-1} (1/3 + (2/3) cos(2 pi a F_b / n)) for each frequency a.
+
+    Factor b depends on a only through the residue a * F_b mod n, so it is
+    read from a table over Z_n. Row b - 1 of a factor array holds factor
+    b for a block of frequencies; the product over axis 0 multiplies the
+    rows in order, exactly as a running product would.
+    """
+    residues = _fib_residues(n)
+    fib = residues[np.arange(1, k) % residues.size][:, None]
+    factor = 1.0 / 3.0 + 2.0 / 3.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    width = max(1, _FACTOR_BLOCK // max(1, k - 1))
+    return np.concatenate([factor[(fib * a[i:i + width]) % n].prod(axis=0)
+                           for i in range(0, a.size, width)])
 
 
 def fourier_tv_bound(n: int, k: int) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Distribution, Permutation, TransitionMatrix, min_positive_entry
-from .errors import CapacityError, InvariantError
+from .errors import CapacityError, InvariantError, StructureError
 from .expansion import StateSet
 
 # Symmetry tolerance for kernels fed to the eigensolver.
@@ -117,7 +117,7 @@ def cheeger_constant(R: TransitionMatrix, *, threads: int = 1) -> tuple[float, S
             "use cheeger_constant_sampled"
         )
     if n < 2:
-        raise ValueError("need at least two states")
+        raise StructureError(f"bottleneck ratio needs at least two states, got n={n}")
     a = R.entries
     total = 1 << n
     chunks = [(lo, min(lo + _CHEEGER_CHUNK, total)) for lo in range(1, total, _CHEEGER_CHUNK)]
@@ -144,6 +144,8 @@ def cheeger_constant_sampled(R: TransitionMatrix, num_samples: int, seed: int) -
     used by the acceptance checks.
     """
     n = R.n
+    if n < 2:
+        raise StructureError(f"bottleneck ratio needs at least two states, got n={n}")
     if num_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(seed))

@@ -113,3 +113,23 @@ def jacobi_eigenvalues(matrix, sweeps=100, tol=1e-13):
 def tv_to_uniform(vec):
     n = len(vec)
     return 0.5 * sum(abs(v - 1.0 / n) for v in vec)
+
+
+def pair_step_loop(joint):
+    """One pair-chain move, column by column: (a, b) -> (b, a + b + e)."""
+    n = joint.shape[0]
+    nxt = np.empty_like(joint)
+    for b in range(n):
+        col = joint[:, b]
+        nxt[b] = (np.roll(col, b - 1) + np.roll(col, b) + np.roll(col, b + 1)) / 3.0
+    return nxt
+
+
+def fib_cos_factors_loop(n, k, a):
+    """Running product over b = 1 .. k-1 of 1/3 + (2/3) cos(2 pi a F_b / n)."""
+    prod = np.ones(a.shape)
+    f_prev, f_cur = 0, 1  # F_0, F_1
+    for _ in range(1, k):
+        prod *= 1.0 / 3.0 + 2.0 / 3.0 * np.cos(2.0 * np.pi * ((a * f_cur) % n) / n)
+        f_prev, f_cur = f_cur, (f_prev + f_cur) % n
+    return prod

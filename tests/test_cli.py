@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detjump as dj
 from detjump.cli import main
@@ -325,3 +329,95 @@ def test_output_format_mismatch_rejected(tmp_path, capsys):
     })
     assert main(["mix", "--config", cfg]) == 2
     assert "csv" in capsys.readouterr().err
+
+
+def test_single_state_file_chain_exits_2(tmp_path, capsys):
+    matrix = tmp_path / "one.csv"
+    dj.save_matrix_csv(matrix, dj.TransitionMatrix(np.ones((1, 1))))
+    for analysis in ({"type": "expansion", "mode": "sampled", "num_samples": 4, "seed": 1},
+                     {"type": "expansion"}):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "chain": {"family": "file", "path": str(matrix)}, "analysis": [analysis]})
+        assert main(["expansion", "--config", cfg]) == 2
+        assert "at least two states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--config", "c.json"], ["mix", "--config", "c.json"],
+    ["hof", "--config", "c.json"], ["fibonacci", "--n", "5", "--kmax", "3"],
+    ["compare", "--config-a", "a.json", "--config-b", "b.json"],
+])
+def test_threads_flag_only_on_subset_commands(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def _run_quietly(argv):
+    """Exit code and stderr of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(-2, 60), kmax=st.integers(-1, 60), c=st.integers(-1, 3))
+def test_fuzz_fibonacci_arguments_never_crash(n, kmax, c):
+    code, err = _run_quietly(["fibonacci", "--n", str(n), "--kmax", str(kmax), "--c", str(c)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert (code == 0) == (n >= 2 and kmax >= 1 and c >= 0)
+
+
+_TINY_ROWS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+_CHAIN_ANALYSIS = {
+    "validate": st.just({"type": "mixing", "kmax": 1}),
+    "mix": st.fixed_dictionaries({"type": st.just("mixing"), "kmax": st.integers(0, 4),
+                                  "epsilon": st.sampled_from([0.5, 1.0]),
+                                  "spectral_bound": st.booleans(),
+                                  "single_start": st.booleans()}),
+    "compare": st.fixed_dictionaries({"type": st.just("mixing"), "kmax": st.integers(0, 4)}),
+    "spectral": st.fixed_dictionaries({"type": st.just("spectral"),
+                                       "compute_epsilon": st.booleans()}),
+    "expansion": st.one_of(
+        st.fixed_dictionaries({"type": st.just("expansion"), "include": st.just([[0]])}),
+        st.fixed_dictionaries({"type": st.just("expansion"), "mode": st.just("sampled"),
+                               "num_samples": st.integers(0, 3), "seed": st.integers(0, 9)})),
+    "scan": st.fixed_dictionaries({"type": st.just("scan"), "epsilon": st.sampled_from([0, 0.5]),
+                                   "trials": st.integers(0, 2), "seed": st.integers(0, 9)}),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_CHAIN_ANALYSIS)),
+       size=st.sampled_from([1, 2]))
+def test_fuzz_tiny_file_chains_never_crash(tmp_path_factory, data, command, size):
+    root = tmp_path_factory.mktemp("fuzz")
+    if size == 1:
+        rows = [[1.0]]
+    else:
+        p, q = data.draw(_TINY_ROWS), data.draw(_TINY_ROWS)
+        rows = [[p, 1.0 - p], [q, 1.0 - q]]
+    matrix = root / "chain.csv"
+    matrix.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in rows))
+    bijection = data.draw(st.sampled_from(["identity", "inversion"]))
+    cfg = write_config(root, "cfg.json", {
+        "chain": {"family": "file", "path": str(matrix)},
+        "bijection": {"kind": bijection},
+        "analysis": [data.draw(_CHAIN_ANALYSIS[command])]})
+    if command == "compare":
+        argv = ["compare", "--config-a", cfg, "--config-b", cfg]
+    else:
+        argv = [command, "--config", cfg]
+    code, err = _run_quietly(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if size == 1 and command in ("spectral", "expansion", "scan"):
+        assert code == 2
+        if bijection == "identity":
+            assert "at least two states" in err

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detjump as dj
-from detjump.errors import CapacityError
+from detjump.errors import CapacityError, StructureError
 from oracles import (
     brute_boundary_count,
     brute_epsilon_star,
@@ -174,6 +174,17 @@ def test_check_expansion_sampled_reproducible():
                                        dj.random_permutation(12, 3),
                                        mode="sampled", num_samples=50, seed=4)
     assert sampled_small.epsilon_star >= exhaustive_on_small.epsilon_star - 1e-12
+
+
+def test_single_state_chain_is_rejected_up_front():
+    P = dj.TransitionMatrix(np.ones((1, 1)))
+    f = dj.identity_permutation(1)
+    for kwargs in ({}, {"mode": "sampled", "num_samples": 5, "seed": 0},
+                   {"mode": "sampled", "num_samples": 0, "seed": 0}):
+        with pytest.raises(StructureError, match="at least two states"):
+            dj.check_expansion(P, f, **kwargs)
+    with pytest.raises(StructureError, match="at least two states"):
+        dj.scan_random_bijections(P, 0.5, 0, seed=1)
 
 
 def test_check_expansion_threads_match():

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 import detjump as dj
+from detjump import fibonacci
 from detjump.errors import BijectionError, CapacityError, InvariantError
-from detjump.fibonacci import _fib_residues, _pisano_period
+from detjump.fibonacci import (
+    _fib_cos_factors,
+    _fib_residues,
+    _pair_index,
+    _pair_step,
+    _pisano_period,
+)
+from oracles import fib_cos_factors_loop, pair_step_loop
+
+BIT_IDENTITY_MODULI = (2, 3, 5, 22, 50, 199, 200)
 
 
 def tv_to_uniform(dist):
@@ -31,14 +41,36 @@ def test_walk_argument_validation():
     with pytest.raises(ValueError):
         dj.fibonacci_walk_distribution(5, 0)
     with pytest.raises(CapacityError):
-        dj.fibonacci_walk_distribution(201, 3)
+        dj.fibonacci_walk_distribution(1001, 3)
 
 
 def test_marginals_match_single_shot():
-    margs = dj.fibonacci_walk_marginals(11, 12)
-    for k in (1, 5, 12):
-        assert np.array_equal(margs[k - 1].probs,
-                              dj.fibonacci_walk_distribution(11, k).probs)
+    for n, k_max in ((2, 3), (11, 12), (200, 17)):
+        margs = dj.fibonacci_walk_marginals(n, k_max)
+        for k in sorted({1, 2, k_max // 2, k_max}):
+            assert np.array_equal(margs[k - 1].probs,
+                                  dj.fibonacci_walk_distribution(n, k).probs), (n, k)
+
+
+@pytest.mark.parametrize("n", BIT_IDENTITY_MODULI)
+def test_pair_step_matches_column_loop_bitwise(n):
+    index = _pair_index(n)
+    joint = np.zeros((n, n))
+    joint[0, 1 % n] = 1.0
+    for step in range(120):
+        expected = pair_step_loop(joint)
+        joint = _pair_step(joint, index)
+        assert np.array_equal(joint, expected), (n, step)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("n", BIT_IDENTITY_MODULI)
+def test_fourier_factors_match_running_product_bitwise(n, block, monkeypatch):
+    if block is not None:  # many frequency blocks per call
+        monkeypatch.setattr(fibonacci, "_FACTOR_BLOCK", block)
+    a = np.arange(1, n, dtype=np.int64)
+    for k in (1, 2, 3, 10, 97, 400, 1500):
+        assert np.array_equal(_fib_cos_factors(n, k, a), fib_cos_factors_loop(n, k, a)), (n, k)
 
 
 def test_walk_tv_monotone_nonincreasing():
@@ -175,6 +207,17 @@ def test_guarantee_holds_at_n22():
     g = dj.mixing_guarantee(22, 0.0)
     tv = tv_to_uniform(dj.fibonacci_walk_distribution(22, g.k))
     assert tv <= g.tv_bound
+
+
+def test_guarantee_holds_at_n257():
+    # a prime modulus: the pair chain has 66049 joint states
+    n = 257
+    guarantees = [dj.mixing_guarantee(n, c) for c in (0.0, 1.0, 2.0, 3.0)]
+    marginals = dj.fibonacci_walk_marginals(n, max(g.k for g in guarantees))
+    for g in guarantees:
+        tv = tv_to_uniform(marginals[g.k - 1])
+        assert tv <= g.tv_bound, g
+        assert tv <= dj.fourier_tv_bound(n, g.k) + 1e-9, g
 
 
 # --- higher order register chains ----------------------------------------------------

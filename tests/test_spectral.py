@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import detjump as dj
-from detjump.errors import CapacityError, InvariantError
+from detjump.errors import CapacityError, InvariantError, StructureError
 from oracles import brute_cheeger, jacobi_eigenvalues
 
 # Frozen from the Jacobi-rotation oracle (tests/oracles.py); the two
@@ -130,6 +130,14 @@ def test_cheeger_sampled_mode_upper_estimates():
     assert witness.size >= 1
     again, _ = dj.cheeger_constant_sampled(R, 64, seed=5)
     assert sampled == again
+
+
+def test_cheeger_rejects_single_state_kernel():
+    R = dj.TransitionMatrix(np.ones((1, 1)))
+    with pytest.raises(StructureError, match="at least two states"):
+        dj.cheeger_constant(R)
+    with pytest.raises(StructureError, match="at least two states"):
+        dj.cheeger_constant_sampled(R, 3, seed=0)
 
 
 def test_cheeger_sampled_handles_wide_state_spaces():
