@@ -6,7 +6,8 @@ analyses; each analysis writes one CSV or JSON artifact atomically
 and the seeds it contains, so identical runs produce identical bytes.
 
 Exit codes: 0 success, 2 config error, 3 capacity error, 4 invariant
-violation detected during analysis.
+violation detected during analysis, including a chain that fails the
+standing assumptions.
 """
 
 from __future__ import annotations
@@ -230,6 +231,13 @@ def build_chain(config: ExperimentConfig) -> tuple[TransitionMatrix, ValidationR
     return P, validate(P)
 
 
+def _require_standing_assumptions(config: ExperimentConfig, report: ValidationReport) -> None:
+    """Chain analyses rely on the standing assumptions; a failed one exits 4, as in `validate`."""
+    if not report.ok:
+        failed = ", ".join(f"{name} at {pair}" for name, pair in sorted(report.violations.items()))
+        raise InvariantError(f"{config.source}: chain fails the standing assumptions: {failed}")
+
+
 def build_bijection(config: ExperimentConfig, n: int) -> Permutation:
     """The configured bijection, defaulting to the identity."""
     if config.bijection is None:
@@ -335,18 +343,30 @@ def _run_fibonacci(params: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _run_hof(params: dict) -> str:
     spec_path = Path(params["spec_path"])
     raw = _load_json(spec_path)
     _require(isinstance(raw, dict), f"{spec_path}: hof spec must be an object")
     for key in ("base_n", "order", "update", "base_kernel_csv"):
         _require(key in raw, f"{spec_path}: hof spec missing {key!r}")
+    for key in ("base_n", "order"):
+        _require(_is_int(raw[key]), f"{spec_path}: {key} must be an integer")
+    update = raw["update"]
+    _require(isinstance(update, str)
+             or (isinstance(update, list) and all(_is_int(v) for v in update)),
+             f"{spec_path}: update must be a builtin name or a list of integers")
+    _require(isinstance(raw["base_kernel_csv"], str),
+             f"{spec_path}: base_kernel_csv must be a string")
     kernel_path = Path(raw["base_kernel_csv"])
     _require(kernel_path.exists(), f"{spec_path}: base kernel file not found: {kernel_path}")
     base, _report = load_matrix_csv(kernel_path)
     _require(base.n == raw["base_n"],
              f"{spec_path}: base kernel has {base.n} states, spec says {raw['base_n']}")
-    spec = higher_order_spec(base, order=raw["order"], update=raw["update"])
+    spec = higher_order_spec(base, order=raw["order"], update=update)
     result = verify_uniform_ergodicity(spec)
     return _json_artifact({
         "states": spec.states,
@@ -415,16 +435,18 @@ def run(config: ExperimentConfig, *, only_type: str | None = None,
         if kind in _CHAIN_ANALYSES:
             if chain_cache is None:
                 chain_cache = build_chain(config)
+                _require_standing_assumptions(config, chain_cache[1])
             P, _report = chain_cache
-            f = build_bijection(config, P.n)
-            if kind == "mixing":
-                text = _run_mixing(P, f, entry)
-            elif kind == "spectral":
-                text = _run_spectral(P, f, entry, threads)
-            elif kind == "expansion":
-                text = _run_expansion(P, f, entry, threads)
-            else:
+            if kind == "scan":  # each trial draws its own bijection
                 text = _run_scan(P, entry, threads)
+            else:
+                f = build_bijection(config, P.n)
+                if kind == "mixing":
+                    text = _run_mixing(P, f, entry)
+                elif kind == "spectral":
+                    text = _run_spectral(P, f, entry, threads)
+                else:
+                    text = _run_expansion(P, f, entry, threads)
         elif kind == "fibonacci":
             text = _run_fibonacci(entry)
         else:
@@ -482,7 +504,8 @@ def run_compare(config_a: ExperimentConfig, config_b: ExperimentConfig,
         )
 
     def profile(cfg: ExperimentConfig, entry: dict) -> list[tuple[int, float]]:
-        P, _report = build_chain(cfg)
+        P, report = build_chain(cfg)
+        _require_standing_assumptions(cfg, report)
         f = build_bijection(cfg, P.n)
         return mixing_profile(compose(f, P), entry["kmax"],
                               single_start=bool(entry.get("single_start", False)))

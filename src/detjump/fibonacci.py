@@ -12,14 +12,16 @@ Fibonacci numbers, and summing the squared products over a = 1 .. n-1
 bounds 4 * TV^2. The quantitative engine behind the (log n)^2 mixing
 guarantee is a window property of Fibonacci-type residue sequences:
 every stretch of 8 + 3*log_{3/2}(n) consecutive indices contains a
-residue in [n/3, 2n/3], checked here exactly over full periods.
+residue in [n/3, 2n/3], checked here exactly over full periods, for all
+frequencies of a modulus at once.
 
 The walk generalizes to shift registers: a state in X^r advances to
 (x_2, ..., x_r, f(x_1, ..., x_r)) followed by a base-kernel step in the
 last coordinate. Whenever f is a bijection in its first argument and the
 base kernel is lazy, ergodic, and doubly stochastic, the register chain
-is ergodic with uniform stationary law; this module verifies that by
-brute force on the explicit matrix.
+is ergodic with uniform stationary law; this module verifies that
+exactly on the chain's successor table (n^r states, n^r * deg edges),
+without building the n^r-by-n^r matrix.
 """
 
 from __future__ import annotations
@@ -31,17 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import (
-    MATRIX_SIZE_CAP,
-    Distribution,
-    TransitionMatrix,
-    _reachable_from,
-    validate,
-)
+from .chains import MATRIX_SIZE_CAP, Distribution, TransitionMatrix, validate
 from .errors import BijectionError, CapacityError, InvariantError
 
 # Exact pair-chain evolution cap: one step gathers and averages n^2 doubles.
 PAIR_STATE_CAP = 1000
+# Register-chain cap (base 16, order 4): specs and verification hold
+# n^r-entry tables and n^r * deg successor edges, never an n^r-square matrix.
+REGISTER_STATE_CAP = 65536
 
 
 def _pair_index(n: int) -> np.ndarray:
@@ -100,8 +99,8 @@ def fibonacci_walk_marginals(n: int, k_max: int) -> list[Distribution]:
     return out
 
 
-# Entries per factor array in _fib_cos_factors (16 MiB of indices), so a
-# large n * k costs time, not memory.
+# Entries per factor array in _fib_cos_factors and per residue-window
+# table (16 MiB of int64), so a large n * k costs time, not memory.
 _FACTOR_BLOCK = 1 << 21
 
 
@@ -220,6 +219,54 @@ class WindowCheck:
     worst_gap: int
 
 
+def _window_gaps(n: int, a: np.ndarray, horizon: np.ndarray) -> np.ndarray:
+    """Worst first-hit gap of a * F_k mod n for each frequency in ``a``.
+
+    Row i covers indices k < horizon[i] + wlen + 1 (its own length); a hit
+    is an index whose residue b satisfies 3*b >= n and 3*b <= 2*n, read
+    from a table over Z_n. The next hit at or after each index comes from
+    a reversed running minimum of hit positions. Starts 0 .. horizon[i]
+    count; a start with no later hit in its row, as in a row with no hit
+    at all, scores the row length.
+    """
+    wlen = int(math.floor(residue_window_length(n)))
+    length = horizon + wlen + 1
+    cols = np.arange(int(length.max()), dtype=np.int32)
+    r = np.arange(n)
+    middle = (3 * r >= n) & (3 * r <= 2 * n)
+    hit = middle[(a[:, None] * r) % n][:, np.resize(_fib_residues(n), cols.size)]
+    hit &= cols < length[:, None]
+    # A missing hit sits past every row, so its gap exceeds any real one.
+    none = 2 * cols.size
+    nxt = np.minimum.accumulate(np.where(hit, cols, none)[:, ::-1], axis=1)[:, ::-1]
+    worst = np.max(nxt - cols, axis=1, where=cols <= horizon[:, None], initial=0)
+    return np.where(worst < cols.size, worst, length)
+
+
+def _default_horizons(n: int, a: np.ndarray) -> np.ndarray:
+    """One full period of a * F_k mod n plus the window length, for each a."""
+    divisors, inverse = np.unique(np.gcd(a, n), return_inverse=True)
+    periods = np.array([_pisano_period(n // int(d)) for d in divisors], dtype=np.int64)
+    return periods[inverse] + int(math.floor(residue_window_length(n)))
+
+
+@lru_cache(maxsize=None)
+def _window_table(n: int) -> np.ndarray | None:
+    """Default-horizon worst gaps for a = 1 .. n-1, or None when too large.
+
+    The widest row (a = 1) spans the full Pisano period of n plus twice
+    the window length; the table is built only while all n - 1 rows fit
+    in one block of _FACTOR_BLOCK entries.
+    """
+    wlen = int(math.floor(residue_window_length(n)))
+    if (n - 1) * (_pisano_period(n) + 2 * wlen + 1) > _FACTOR_BLOCK:
+        return None
+    a = np.arange(1, n, dtype=np.int64)
+    out = _window_gaps(n, a, _default_horizons(n, a))
+    out.setflags(write=False)
+    return out
+
+
 def check_residue_window(n: int, a: int, horizon: int | None = None) -> WindowCheck:
     """Check the middle-third window property of a * F_k mod n.
 
@@ -228,30 +275,23 @@ def check_residue_window(n: int, a: int, horizon: int | None = None) -> WindowCh
     3*b_k >= n and 3*b_k <= 2*n. The horizon defaults to one full period
     of the pair sequence plus the window length, which covers every j by
     periodicity. worst_gap is the largest distance from a start to its
-    first in-window index.
+    first in-window index. Default-horizon answers for all a come from
+    one cached per-modulus table.
     """
     if n < 2:
         raise ValueError(f"need modulus n >= 2, got {n}")
     if not 0 < a < n:
         raise ValueError(f"need 1 <= a < n, got a={a}")
-    w = residue_window_length(n)
-    wlen = int(math.floor(w))
-    period = _pisano_period(n // math.gcd(a, n))
-    if horizon is None:
-        horizon = period + wlen
-    if horizon < 0:
+    if horizon is not None and horizon < 0:
         raise ValueError(f"need horizon >= 0, got {horizon}")
-    length = horizon + wlen + 1
-    b = (a * np.resize(_fib_residues(n), length)) % n
-    in_window = (3 * b >= n) & (3 * b <= 2 * n)
-    hits = np.flatnonzero(in_window)
-    if hits.size == 0:
-        return WindowCheck(holds=False, worst_gap=length)
-    starts = np.arange(horizon + 1)
-    idx = np.searchsorted(hits, starts)
-    gaps = np.where(idx < hits.size, hits[np.minimum(idx, hits.size - 1)] - starts, length)
-    worst = int(gaps.max())
-    return WindowCheck(holds=bool(worst <= w), worst_gap=worst)
+    table = _window_table(n) if horizon is None else None
+    if table is not None:
+        worst = int(table[a - 1])
+    else:
+        row = np.array([a], dtype=np.int64)
+        horizons = _default_horizons(n, row) if horizon is None else np.array([horizon])
+        worst = int(_window_gaps(n, row, horizons)[0])
+    return WindowCheck(holds=bool(worst <= residue_window_length(n)), worst_gap=worst)
 
 
 @dataclass(frozen=True)
@@ -279,28 +319,46 @@ def mixing_guarantee(n: int, c: float) -> MixingGuarantee:
     )
 
 
+def _register_states(n: int, order: int) -> int:
+    """n^order after the argument checks, without building anything.
+
+    Multiplies one factor at a time, so an order far over the cap fails
+    at once with CapacityError.
+    """
+    if n < 2:
+        raise ValueError(f"need base_n >= 2, got {n}")
+    if order < 2:
+        raise ValueError(f"need order >= 2, got {order}")
+    states = 1
+    for _ in range(order):
+        states *= n
+        if states > REGISTER_STATE_CAP:
+            raise CapacityError(
+                f"register chain has {n}^{order} states, "
+                f"over REGISTER_STATE_CAP={REGISTER_STATE_CAP}"
+            )
+    return states
+
+
+def _digit_sum(s: np.ndarray, n: int, digits: int) -> np.ndarray:
+    """Sum of the lowest ``digits`` base-n digits of each entry of s."""
+    total = np.zeros_like(s)
+    for _ in range(digits):
+        total += s % n
+        s = s // n
+    return total
+
+
 def _additive_table(n: int, order: int) -> tuple[int, ...]:
-    table = []
-    for s in range(n**order):
-        digits, t = [], s
-        for _ in range(order):
-            digits.append(t % n)
-            t //= n
-        table.append(sum(digits) % n)
-    return tuple(table)
+    s = np.arange(n**order)
+    return tuple((_digit_sum(s, n, order) % n).tolist())
 
 
 def _cubing_table(n: int, order: int) -> tuple[int, ...]:
-    table = []
     pw = n ** (order - 1)
-    for s in range(n**order):
-        first = s // pw
-        rest, t = 0, s % pw
-        while t:
-            rest += t % n
-            t //= n
-        table.append((pow(first, 3, n) + rest) % n)
-    return tuple(table)
+    s = np.arange(n**order)
+    first = s // pw
+    return tuple(((first**3 % n + _digit_sum(s % pw, n, order - 1)) % n).tolist())
 
 
 _BUILTIN_UPDATES = {"additive": _additive_table, "cubing": _cubing_table}
@@ -314,7 +372,8 @@ class HigherOrderChainSpec:
     (x_1, ..., x_r) -> x_1 * n^(r-1) + ... + x_r to the new last symbol
     f(x_1, ..., x_r). For every fixed tail (x_2, ..., x_r) the map
     x_1 -> f(x_1, ..., x_r) must be a bijection on Z_n; violations are
-    rejected with a witness tail and colliding pair.
+    rejected with a witness tail and colliding pair. At most
+    REGISTER_STATE_CAP states.
     """
 
     base_n: int
@@ -324,36 +383,31 @@ class HigherOrderChainSpec:
 
     def __post_init__(self) -> None:
         n, r = self.base_n, self.order
-        if n < 2:
-            raise ValueError(f"need base_n >= 2, got {n}")
-        if r < 2:
-            raise ValueError(f"need order >= 2, got {r}")
+        states = _register_states(n, r)
         if self.base_kernel.n != n:
             raise ValueError(
                 f"base kernel has {self.base_kernel.n} states, expected {n}"
             )
-        states = n**r
         if len(self.update) != states:
             raise ValueError(f"update table has {len(self.update)} entries, expected {states}")
-        if any(not 0 <= v < n for v in self.update):
+        try:
+            table = np.fromiter(self.update, dtype=np.int64, count=states)
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError("update table value out of range") from None
+        if np.any((table < 0) | (table >= n)):
             raise ValueError("update table value out of range")
-        pw = n ** (r - 1)
-        for tail in range(pw):
-            seen: dict[int, int] = {}
-            for x1 in range(n):
-                img = self.update[x1 * pw + tail]
-                if img in seen:
-                    digits = []
-                    t = tail
-                    for _ in range(r - 1):
-                        digits.append(t % n)
-                        t //= n
-                    tail_tuple = tuple(reversed(digits))
-                    raise BijectionError(
-                        f"update is not a bijection in the first coordinate: "
-                        f"inputs {seen[img]} and {x1} collide at tail {tail_tuple}"
-                    )
-                seen[img] = x1
+        images = table.reshape(n, states // n)  # images[x1, tail]
+        ordered = np.sort(images, axis=0)
+        collided = np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
+        if collided.size:
+            tail = int(collided[0])
+            column = images[:, tail].tolist()
+            x1 = next(i for i in range(n) if column[i] in column[:i])
+            tail_tuple = tuple(int(d) for d in np.unravel_index(tail, (n,) * (r - 1)))
+            raise BijectionError(
+                f"update is not a bijection in the first coordinate: "
+                f"inputs {column.index(column[x1])} and {x1} collide at tail {tail_tuple}"
+            )
 
     @property
     def states(self) -> int:
@@ -364,6 +418,7 @@ def higher_order_spec(base_kernel: TransitionMatrix, order: int = 2,
                       update: str | Sequence[int] = "additive") -> HigherOrderChainSpec:
     """Build a register-chain spec from a builtin update name or a table."""
     n = base_kernel.n
+    _register_states(n, order)
     if isinstance(update, str):
         if update not in _BUILTIN_UPDATES:
             raise ValueError(
@@ -387,40 +442,54 @@ def build_higher_order_chain(spec: HigherOrderChainSpec) -> TransitionMatrix:
         raise CapacityError(
             f"register chain has {N} states, over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
         )
-    P = spec.base_kernel.entries
-    pw = N // n
-    T = np.zeros((N, N))
-    for s in range(N):
-        tail = s % pw
-        z = spec.update[s]
-        T[s, tail * n:(tail + 1) * n] = P[z]
-    return TransitionMatrix(T)
+    s = np.arange(N)
+    T = np.zeros((N, N // n, n))  # T[s, tail, j] is entry (s, tail * n + j)
+    T[s, s % (N // n)] = spec.base_kernel.entries[np.asarray(spec.update)]
+    return TransitionMatrix(T.reshape(N, N))
 
 
-def _digraph_period(supp: np.ndarray) -> int:
-    """gcd of directed cycle lengths, via BFS level differences from state 0.
+def _successor_edges(spec: HigherOrderChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges u -> v of the register chain and their probabilities.
 
-    Valid for strongly connected digraphs: each edge (u, v) contributes
-    label d(u) + 1 - d(v), and the gcd of the labels equals the period.
+    State u moves to (u mod n^(r-1)) * n + j, with probability
+    P[update[u], j], for each j in the support of that base-kernel row.
     """
-    n = supp.shape[0]
-    dist = np.full(n, -1, dtype=np.int64)
+    n = spec.base_n
+    rows = spec.base_kernel.entries[np.asarray(spec.update)]
+    us, js = np.nonzero(rows > 0.0)
+    vs = (us % (spec.states // n)) * n + js
+    return us, vs, rows[us, js]
+
+
+def _bfs_levels(states: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from state 0 over the edges us -> vs; -1 if unreached."""
+    dist = np.full(states, -1, dtype=np.int64)
     dist[0] = 0
-    frontier = np.zeros(n, dtype=bool)
+    frontier = np.zeros(states, dtype=bool)
     frontier[0] = True
     level = 0
-    while frontier.any():
+    while True:
         level += 1
-        reach = supp[frontier].any(axis=0) & (dist < 0)
-        dist[reach] = level
-        frontier = reach
-    us, vs = np.nonzero(supp)
-    labels = dist[us] + 1 - dist[vs]
-    g = 0
-    for lab in labels:
-        g = math.gcd(g, int(lab))
-        if g == 1:
-            break
+        reached = vs[frontier[us]]
+        reached = reached[dist[reached] < 0]
+        if reached.size == 0:
+            return dist
+        dist[reached] = level
+        frontier = np.zeros(states, dtype=bool)
+        frontier[reached] = True
+
+
+def _successor_period(states: int, us: np.ndarray, vs: np.ndarray) -> int:
+    """Period of the digraph with edges us -> vs; 0 if not strongly connected.
+
+    Forward and backward BFS from state 0 decide strong connectivity. Then
+    each edge (u, v) contributes the label d(u) + 1 - d(v), with d the
+    forward levels, and the gcd of the labels equals the period.
+    """
+    dist = _bfs_levels(states, us, vs)
+    if np.any(dist < 0) or np.any(_bfs_levels(states, vs, us) < 0):
+        return 0
+    g = int(np.gcd.reduce(np.abs(dist[us] + 1 - dist[vs])))
     return g if g else 1
 
 
@@ -431,12 +500,13 @@ class ErgodicityReport:
 
 
 def verify_uniform_ergodicity(spec: HigherOrderChainSpec) -> ErgodicityReport:
-    """Brute-force check that the register chain is ergodic and doubly stochastic.
+    """Exact check that the register chain is ergodic and doubly stochastic.
 
-    Requires a lazy (positive diagonal) irreducible base kernel; ergodicity
-    of the register chain is decided on the explicit matrix by strong
-    connectivity plus gcd of cycle lengths, with no use of the theory that
-    predicts the outcome.
+    Requires a lazy (positive diagonal) irreducible base kernel. Ergodicity
+    is decided on the successor table by strong connectivity plus the gcd
+    of cycle lengths, and the column sums are accumulated edge by edge,
+    with no use of the theory that predicts the outcome and without the
+    explicit matrix.
     """
     base_report = validate(spec.base_kernel)
     if not base_report.positive_diagonal:
@@ -446,12 +516,8 @@ def verify_uniform_ergodicity(spec: HigherOrderChainSpec) -> ErgodicityReport:
         )
     if not base_report.irreducible:
         raise ValueError("base kernel must be irreducible")
-    T = build_higher_order_chain(spec)
-    supp = T.entries > 0.0
-    strongly_connected = bool(_reachable_from(supp, 0).all()
-                              and _reachable_from(supp.T, 0).all())
-    aperiodic = strongly_connected and _digraph_period(supp) == 1
-    colsums = T.entries.sum(axis=0)
+    us, vs, probs = _successor_edges(spec)
+    colsums = np.bincount(vs, weights=probs, minlength=spec.states)
     uniform = bool(np.all(np.abs(colsums - 1.0) <= 1e-9))
-    return ErgodicityReport(ergodic=strongly_connected and aperiodic,
+    return ErgodicityReport(ergodic=_successor_period(spec.states, us, vs) == 1,
                             uniform_stationary=uniform)

@@ -7,6 +7,7 @@ implementations are checked against.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -133,3 +134,129 @@ def fib_cos_factors_loop(n, k, a):
         prod *= 1.0 / 3.0 + 2.0 / 3.0 * np.cos(2.0 * np.pi * ((a * f_cur) % n) / n)
         f_prev, f_cur = f_cur, (f_prev + f_cur) % n
     return prod
+
+
+@lru_cache(maxsize=None)
+def fib_residues_period(n):
+    """F_k mod n over one full Pisano period, by the plain recurrence."""
+    out = [0, 1 % n]
+    while len(out) < 3 or (out[-2], out[-1]) != (0, 1 % n):
+        out.append((out[-2] + out[-1]) % n)
+    return np.array(out[:-2], dtype=np.int64)
+
+
+def residue_window_searchsorted(n, a, horizon=None):
+    """(holds, worst_gap) of the middle-third window check for one (n, a) pair.
+
+    Hits of a * F_k mod n are listed once, then the first hit at or after
+    each start is found by searchsorted; a start with no later hit, as in
+    a sequence with no hit at all, scores the sequence length.
+    """
+    w = 8.0 + 3.0 * math.log(n) / math.log(1.5)
+    wlen = int(math.floor(w))
+    if horizon is None:
+        horizon = fib_residues_period(n // math.gcd(a, n)).size + wlen
+    length = horizon + wlen + 1
+    b = (a * np.resize(fib_residues_period(n), length)) % n
+    hits = np.flatnonzero((3 * b >= n) & (3 * b <= 2 * n))
+    if hits.size == 0:
+        return False, length
+    starts = np.arange(horizon + 1)
+    idx = np.searchsorted(hits, starts)
+    gaps = np.where(idx < hits.size, hits[np.minimum(idx, hits.size - 1)] - starts, length)
+    worst = int(gaps.max())
+    return worst <= w, worst
+
+
+def reachable_dense(adj, start):
+    """BFS reachability over a boolean adjacency matrix."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = [start]
+    while frontier:
+        nxt = adj[frontier].any(axis=0) & ~seen
+        frontier = list(np.flatnonzero(nxt))
+        seen |= nxt
+    return seen
+
+
+def digraph_period_dense(supp):
+    """gcd of cycle lengths of a strongly connected digraph, from BFS levels.
+
+    Each edge (u, v) contributes the label d(u) + 1 - d(v) with d the BFS
+    level from state 0; the gcd of the labels equals the period.
+    """
+    n = supp.shape[0]
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[0] = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[0] = True
+    level = 0
+    while frontier.any():
+        level += 1
+        reach = supp[frontier].any(axis=0) & (dist < 0)
+        dist[reach] = level
+        frontier = reach
+    g = 0
+    for u, v in zip(*np.nonzero(supp)):
+        g = math.gcd(g, int(dist[u] + 1 - dist[v]))
+    return g if g else 1
+
+
+def dense_period(supp):
+    """Period of the digraph with adjacency supp, or 0 if not strongly connected."""
+    if not (reachable_dense(supp, 0).all() and reachable_dense(supp.T, 0).all()):
+        return 0
+    return digraph_period_dense(supp)
+
+
+def register_ergodicity_dense(T):
+    """(ergodic, uniform_stationary) of an explicit register-chain matrix."""
+    a = T.entries
+    return (dense_period(a > 0.0) == 1,
+            bool(np.all(np.abs(a.sum(axis=0) - 1.0) <= 1e-9)))
+
+
+def register_digits(s, n, r):
+    """Base-n digits (x_1, ..., x_r) of an encoded register state."""
+    digits = []
+    for _ in range(r):
+        digits.append(s % n)
+        s //= n
+    return tuple(reversed(digits))
+
+
+def additive_table_loop(n, r):
+    return tuple(sum(register_digits(s, n, r)) % n for s in range(n**r))
+
+
+def cubing_table_loop(n, r):
+    out = []
+    for s in range(n**r):
+        first, *rest = register_digits(s, n, r)
+        out.append((pow(first, 3, n) + sum(rest)) % n)
+    return tuple(out)
+
+
+def first_collision_loop(table, n, r):
+    """First (earlier x1, later x1, tail) with equal images, scanning tails in order."""
+    pw = n ** (r - 1)
+    for tail in range(pw):
+        seen = {}
+        for x1 in range(n):
+            img = table[x1 * pw + tail]
+            if img in seen:
+                return seen[img], x1, register_digits(tail, n, r - 1)
+            seen[img] = x1
+    return None
+
+
+def register_matrix_loop(P, table, n, r):
+    """Explicit register-chain matrix, one row per state."""
+    N = n**r
+    pw = N // n
+    T = np.zeros((N, N))
+    for s in range(N):
+        tail = s % pw
+        T[s, tail * n:(tail + 1) * n] = P.entries[table[s]]
+    return T

@@ -243,6 +243,73 @@ def test_hof_rejects_bad_update(tmp_path, capsys):
     assert "bijection" in capsys.readouterr().err
 
 
+def _hof_spec(tmp_path, **fields):
+    kernel = tmp_path / "base.csv"
+    dj.save_matrix_csv(kernel, dj.build_lazy_cycle_walk(3))
+    spec = {"base_n": 3, "order": 2, "update": "additive", "base_kernel_csv": str(kernel)}
+    return write_config(tmp_path, "hof.json", {**spec, **fields})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("order", "3"), ("order", 2.0), ("order", True), ("base_n", "3"), ("base_n", False),
+    ("update", 5), ("update", [0, 1, "2", 1, 2, 0, 2, 0, 1]), ("update", [True] * 9),
+    ("base_kernel_csv", 5), ("base_kernel_csv", None),
+])
+def test_hof_spec_field_types_exit_2(tmp_path, field, value):
+    code, err = _run_quietly(["hof", "--config", _hof_spec(tmp_path, **{field: value})])
+    assert code == 2
+    assert field in err and "Traceback" not in err
+
+
+def test_hof_register_cap_exits_3_without_building(tmp_path):
+    kernel = tmp_path / "two.csv"
+    dj.save_matrix_csv(kernel, dj.TransitionMatrix(np.full((2, 2), 0.5)))
+    spec = write_config(tmp_path, "hof.json", {
+        "base_n": 2, "order": 40, "update": "additive", "base_kernel_csv": str(kernel)})
+    code, err = _run_quietly(["hof", "--config", spec])
+    assert code == 3
+    assert "REGISTER_STATE_CAP" in err
+
+
+def _identity_chain_config(tmp_path, analysis):
+    matrix = tmp_path / "identity.csv"
+    dj.save_matrix_csv(matrix, dj.TransitionMatrix(np.eye(2)))
+    return write_config(tmp_path, "cfg.json", {
+        "chain": {"family": "file", "path": str(matrix)}, "analysis": [analysis]})
+
+
+@pytest.mark.parametrize("command,analysis", [
+    ("validate", {"type": "mixing", "kmax": 3}),
+    ("mix", {"type": "mixing", "kmax": 3}),
+    ("compare", {"type": "mixing", "kmax": 3}),
+    ("spectral", {"type": "spectral", "compute_epsilon": True}),
+    ("expansion", {"type": "expansion"}),
+    ("scan", {"type": "scan", "epsilon": 0.5, "trials": 2, "seed": 1}),
+])
+def test_reducible_chain_exits_4_for_every_chain_analysis(tmp_path, command, analysis):
+    cfg = _identity_chain_config(tmp_path, analysis)
+    if command == "compare":
+        argv = ["compare", "--config-a", cfg, "--config-b", cfg]
+    else:
+        argv = [command, "--config", cfg]
+    code, err = _run_quietly(argv)
+    assert code == 4
+    if command != "validate":
+        assert "irreducible" in err
+
+
+def test_scan_ignores_the_configured_bijection(tmp_path, capsys):
+    matrix = tmp_path / "one.csv"
+    dj.save_matrix_csv(matrix, dj.TransitionMatrix(np.ones((1, 1))))
+    cfg = write_config(tmp_path, "cfg.json", {
+        "chain": {"family": "file", "path": str(matrix)},
+        "bijection": {"kind": "inversion"},
+        "analysis": [{"type": "scan", "epsilon": 0.5, "trials": 2, "seed": 1}]})
+    assert main(["scan", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "at least two states" in err and "prime" not in err
+
+
 def test_unknown_analysis_type_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {
         "chain": {"family": "lazy_cycle", "n": 9},
@@ -419,5 +486,46 @@ def test_fuzz_tiny_file_chains_never_crash(tmp_path_factory, data, command, size
     assert "Traceback" not in err
     if size == 1 and command in ("spectral", "expansion", "scan"):
         assert code == 2
-        if bijection == "identity":
+        if bijection == "identity" or command == "scan":
             assert "at least two states" in err
+
+
+_HOF_KERNELS = {"lazy3": dj.build_lazy_cycle_walk(3),
+                "half2": dj.TransitionMatrix(np.full((2, 2), 0.5)),
+                "skew2": dj.TransitionMatrix(np.array([[0.25, 0.75], [0.5, 0.5]])),
+                "flip2": dj.TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))}
+_HOF_BAD_VALUES = {
+    "base_n": st.sampled_from([-1, 0, 1, 4, True, 2.0, "3", None]),
+    "order": st.sampled_from([-1, 0, 1, 17, 40, 10**9, True, 2.0, "3", None]),
+    "update": st.one_of(
+        st.sampled_from(["nope", 5, None, {}]),
+        st.lists(st.one_of(st.integers(-1, 3), st.sampled_from([2**70, 1.5, "1", True])),
+                 max_size=10)),
+    "base_kernel_csv": st.sampled_from(["missing.csv", 7, ["a"]]),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fuzz_hof_specs_never_crash(tmp_path_factory, data):
+    # a well-formed spec, then at most one field made bad or dropped
+    root = tmp_path_factory.mktemp("hof")
+    name = data.draw(st.sampled_from(sorted(_HOF_KERNELS)), label="kernel")
+    kernel = _HOF_KERNELS[name]
+    dj.save_matrix_csv(root / "base.csv", kernel)
+    n, order = kernel.n, data.draw(st.integers(2, 5), label="order")
+    update = data.draw(st.one_of(
+        st.sampled_from(["additive", "cubing"]),
+        st.permutations(range(n)).map(lambda perm: [perm[(x + y) % n] for x in range(n)
+                                                    for y in range(n ** (order - 1))])),
+        label="update")
+    spec = {"base_n": n, "order": order, "update": update,
+            "base_kernel_csv": str(root / "base.csv")}
+    field = data.draw(st.sampled_from([None, "drop", *sorted(_HOF_BAD_VALUES)]), label="field")
+    if field == "drop":
+        del spec[data.draw(st.sampled_from(sorted(spec)), label="dropped")]
+    elif field is not None:
+        spec[field] = data.draw(_HOF_BAD_VALUES[field], label="bad")
+    code, err = _run_quietly(["hof", "--config", write_config(root, "hof.json", spec)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

@@ -1,19 +1,36 @@
 import math
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import detjump as dj
 from detjump import fibonacci
 from detjump.errors import BijectionError, CapacityError, InvariantError
 from detjump.fibonacci import (
+    REGISTER_STATE_CAP,
     _fib_cos_factors,
     _fib_residues,
     _pair_index,
     _pair_step,
     _pisano_period,
+    _successor_period,
+    _window_table,
 )
-from oracles import fib_cos_factors_loop, pair_step_loop
+from oracles import (
+    additive_table_loop,
+    cubing_table_loop,
+    dense_period,
+    fib_cos_factors_loop,
+    first_collision_loop,
+    pair_step_loop,
+    register_ergodicity_dense,
+    register_matrix_loop,
+    residue_window_searchsorted,
+)
 
 BIT_IDENTITY_MODULI = (2, 3, 5, 22, 50, 199, 200)
 
@@ -177,6 +194,61 @@ def test_window_explicit_horizon():
     assert short.worst_gap <= full.worst_gap
 
 
+def _window(n, a, horizon=None):
+    check = dj.check_residue_window(n, a, horizon)
+    return check.holds, check.worst_gap
+
+
+def test_window_matches_searchsorted_form_everywhere():
+    for n in range(2, 401):
+        for a in range(1, n):
+            assert _window(n, a) == residue_window_searchsorted(n, a), (n, a)
+
+
+def test_window_matches_searchsorted_form_explicit_horizons():
+    for n in range(2, 401):
+        for a in sorted({1, max(1, n // 3), max(1, n // 2), n - 1}):
+            period = _pisano_period(n // math.gcd(a, n))
+            for horizon in sorted({0, 1, 5, period - 1, 3 * period}):
+                assert _window(n, a, horizon) == residue_window_searchsorted(n, a, horizon), \
+                    (n, a, horizon)
+
+
+@pytest.fixture
+def window_tables():
+    _window_table.cache_clear()
+    yield
+    _window_table.cache_clear()
+
+
+def test_window_rows_above_the_table_bound(window_tables, monkeypatch):
+    # with a tiny block every modulus takes the one-row route
+    monkeypatch.setattr(fibonacci, "_FACTOR_BLOCK", 64)
+    for n in (7, 30, 97, 120):
+        assert _window_table(n) is None
+        for a in range(1, n):
+            assert _window(n, a) == residue_window_searchsorted(n, a), (n, a)
+
+
+def test_window_large_modulus_skips_the_table(window_tables):
+    # (n - 1) rows of one Pisano period (1996 and 7500) plus two windows
+    for n in (997, 1250):
+        assert _window_table(n) is None
+        for a in (1, 2, n // 2, n - 1):
+            assert _window(n, a) == residue_window_searchsorted(n, a), (n, a)
+
+
+def test_window_table_is_cached_and_read_only(window_tables):
+    table = _window_table(50)
+    assert table is _window_table(50)
+    assert table.shape == (49,) and not table.flags.writeable
+
+
+def test_window_rejects_negative_horizon():
+    with pytest.raises(ValueError):
+        dj.check_residue_window(30, 7, horizon=-1)
+
+
 def test_window_length_bracket_at_22():
     m = dj.residue_window_length(22)
     assert 30.0 <= m <= 10.0 * math.log(22)
@@ -278,6 +350,133 @@ def test_register_chain_is_irreducible_and_doubly_stochastic():
     assert report.irreducible
     assert report.uniform_stationary
     assert not report.positive_diagonal  # e.g. state (0, 1) must shift
+
+
+@pytest.mark.parametrize("n,r", [(2, 2), (2, 5), (3, 3), (4, 2), (5, 3), (7, 2), (16, 3)])
+def test_builtin_tables_match_loop_forms(n, r):
+    assert fibonacci._additive_table(n, r) == additive_table_loop(n, r)
+    assert fibonacci._cubing_table(n, r) == cubing_table_loop(n, r)
+
+
+def _random_register_spec(data):
+    """A random register spec: base kernel, order and update table from one draw."""
+    n = data.draw(st.sampled_from([2, 3, 4, 5]), label="n")
+    r = data.draw(st.integers(2, 3 if n <= 4 else 2), label="order")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="doubly_stochastic"):  # lazy mixture of permutation matrices, one of them a cycle
+        w = rng.dirichlet(np.ones(3))
+        eye = np.eye(n)
+        a = w[0] * eye + w[1] * np.roll(eye, 1, axis=1) + w[2] * eye[rng.permutation(n)]
+    else:  # lazy, irreducible through the cycle, rows normalized
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+        a += 0.5 * np.eye(n) + 0.3 * np.roll(np.eye(n), 1, axis=1)
+        a /= a.sum(axis=1, keepdims=True)
+    kind = data.draw(st.sampled_from(["additive", "cubing", "random"]), label="update")
+    if kind == "cubing":
+        assume(n != 4)  # x -> x^3 is not a bijection mod 4
+        update = kind
+    elif kind == "random":  # a random bijection of x_1 for every tail
+        pw = n ** (r - 1)
+        table = np.empty(n**r, dtype=np.int64)
+        for tail in range(pw):
+            table[np.arange(n) * pw + tail] = rng.permutation(n)
+        update = table.tolist()
+    else:
+        update = kind
+    return dj.higher_order_spec(dj.TransitionMatrix(a), r, update)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_successor_route_matches_dense_route(data):
+    spec = _random_register_spec(data)
+    T = dj.build_higher_order_chain(spec)
+    assert np.array_equal(T.entries,
+                          register_matrix_loop(spec.base_kernel, spec.update,
+                                               spec.base_n, spec.order))
+    report = dj.verify_uniform_ergodicity(spec)
+    assert (report.ergodic, report.uniform_stationary) == register_ergodicity_dense(T)
+
+
+_EDGE_LISTS = st.integers(1, 7).flatmap(lambda states: st.tuples(
+    st.just(states),
+    st.lists(st.tuples(st.integers(0, states - 1), st.integers(0, states - 1)), max_size=16)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_EDGE_LISTS)
+def test_successor_period_matches_dense_route_on_random_digraphs(graph):
+    states, edges = graph
+    us = np.array([u for u, _ in edges], dtype=np.int64)
+    vs = np.array([v for _, v in edges], dtype=np.int64)
+    supp = np.zeros((states, states), dtype=bool)
+    supp[us, vs] = True
+    assert _successor_period(states, us, vs) == dense_period(supp)
+
+
+@pytest.mark.parametrize("states,edges,period", [
+    (5, [(i, (i + 1) % 5) for i in range(5)], 5),            # one directed cycle
+    (4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0)], 2),  # bipartite: even cycles only
+    (4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)], 1),          # cycles of length 3 and 4
+    (3, [(0, 1), (1, 2)], 0),                                   # no way back to 0
+    (3, [(0, 1), (1, 0), (0, 0)], 0),                           # state 2 unreachable
+    (1, [], 1),
+])
+def test_successor_period_known_digraphs(states, edges, period):
+    us = np.array([u for u, _ in edges], dtype=np.int64)
+    vs = np.array([v for _, v in edges], dtype=np.int64)
+    assert _successor_period(states, us, vs) == period
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 4), r=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_bijection_witness_matches_loop_scan(n, r, seed):
+    table = np.random.default_rng(seed).integers(0, n, size=n**r).tolist()
+    expected = first_collision_loop(table, n, r)
+    base = dj.build_lazy_cycle_walk(3) if n == 3 else dj.TransitionMatrix(np.full((n, n), 1 / n))
+    if expected is None:
+        assert dj.higher_order_spec(base, r, table).update == tuple(table)
+        return
+    with pytest.raises(BijectionError) as err:
+        dj.higher_order_spec(base, r, table)
+    first, second, tail = expected
+    assert f"inputs {first} and {second} collide at tail {tail}" in str(err.value)
+
+
+def test_register_cap_checked_before_any_table():
+    base = dj.build_lazy_cycle_walk(16)
+    with pytest.raises(CapacityError, match="REGISTER_STATE_CAP"):
+        dj.higher_order_spec(base, 5, "additive")
+    two = dj.TransitionMatrix(np.full((2, 2), 0.5))
+    for order in (17, 40, 10**9):  # 2^17 is the first power of two over the cap
+        t0 = time.monotonic()
+        with pytest.raises(CapacityError):
+            dj.higher_order_spec(two, order, "additive")
+        assert time.monotonic() - t0 < 1.0
+    with pytest.raises(CapacityError):
+        dj.HigherOrderChainSpec(base_n=2, order=40, update=(), base_kernel=two)
+    assert dj.higher_order_spec(two, 16, "additive").states == REGISTER_STATE_CAP
+
+
+def test_verify_order_four_register_chain_at_the_cap():
+    # 65,536 states: far over MATRIX_SIZE_CAP, decided on the successor table
+    t0 = time.monotonic()
+    spec = dj.higher_order_spec(dj.build_lazy_cycle_walk(16), 4, "additive")
+    report = dj.verify_uniform_ergodicity(spec)
+    assert spec.states == REGISTER_STATE_CAP
+    assert report.ergodic and report.uniform_stationary
+    assert time.monotonic() - t0 < 5.0
+    with pytest.raises(CapacityError, match="MATRIX_SIZE_CAP"):
+        dj.build_higher_order_chain(spec)
+
+
+def test_spec_rejects_out_of_range_table_values():
+    base = dj.build_lazy_cycle_walk(3)
+    for bad in (3, -1, 2**70):
+        table = list(dj.higher_order_spec(base, 2, "additive").update)
+        table[4] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            dj.higher_order_spec(base, 2, table)
 
 
 def test_spec_validation_errors():
