@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -110,6 +111,13 @@ def _validate_output_spec(out: Any, where: str) -> None:
     _require(isinstance(out.get("path", ""), str), f"{where}: output path must be a string")
 
 
+def _is_finite_number(value: Any) -> bool:
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _validate_analysis_entry(entry: Any, where: str) -> None:
     _require(isinstance(entry, dict), f"{where}: analysis entry must be an object")
     kind = entry.get("type")
@@ -118,8 +126,8 @@ def _validate_analysis_entry(entry: Any, where: str) -> None:
         kmax = entry.get("kmax")
         _require(isinstance(kmax, int) and kmax >= 0, f"{where}: mixing needs integer kmax >= 0")
         eps = entry.get("epsilon")
-        _require(eps is None or (isinstance(eps, (int, float)) and eps > 0),
-                 f"{where}: mixing epsilon must be positive")
+        _require(eps is None or (_is_finite_number(eps) and eps > 0),
+                 f"{where}: mixing epsilon must be a finite positive number")
         for flag in ("spectral_bound", "single_start"):
             _require(isinstance(entry.get(flag, False), bool),
                      f"{where}: {flag} must be a boolean")
@@ -151,7 +159,8 @@ def _validate_analysis_entry(entry: Any, where: str) -> None:
         _require(isinstance(entry.get("kmax"), int) and entry["kmax"] >= 1,
                  f"{where}: fibonacci needs integer kmax >= 1")
         c = entry.get("c", 0.0)
-        _require(isinstance(c, (int, float)) and c >= 0, f"{where}: fibonacci c must be >= 0")
+        _require(_is_finite_number(c) and c >= 0,
+                 f"{where}: fibonacci c must be a finite number >= 0")
     elif kind == "hof":
         spec_path = entry.get("spec_path")
         _require(isinstance(spec_path, str), f"{where}: hof needs spec_path")

@@ -38,6 +38,9 @@ from .errors import BijectionError, CapacityError, InvariantError
 
 # Exact pair-chain evolution cap: one step gathers and averages n^2 doubles.
 PAIR_STATE_CAP = 1000
+# Stored marginals cap: fibonacci_walk_marginals keeps n * k_max doubles
+# (32 MiB). At n = 1000 that is 4194 pair steps, about 35 s.
+MARGINAL_ENTRY_CAP = 1 << 22
 # Register-chain cap (base 16, order 4): specs and verification hold
 # n^r-entry tables and n^r * deg successor edges, never an n^r-square matrix.
 REGISTER_STATE_CAP = 65536
@@ -87,8 +90,15 @@ def fibonacci_walk_marginals(n: int, k_max: int) -> list[Distribution]:
 
     Evolves the joint law of (X_{k-1}, X_k) from the point mass at
     (0, 1) and marginalizes the current coordinate after every step.
+    The n * k_max stored entries are capped at MARGINAL_ENTRY_CAP,
+    checked before the first step.
     """
     _check_pair_args(n, k_max)
+    if n * k_max > MARGINAL_ENTRY_CAP:
+        raise CapacityError(
+            f"n * k_max stored marginal entries over MARGINAL_ENTRY_CAP={MARGINAL_ENTRY_CAP} "
+            f"(n={n}, k_max={k_max})"
+        )
     index = _pair_index(n)
     joint = np.zeros((n, n))
     joint[0, 1 % n] = 1.0
@@ -310,11 +320,14 @@ def mixing_guarantee(n: int, c: float) -> MixingGuarantee:
     """
     if n < 22:
         raise ValueError(f"the mixing guarantee requires n >= 22, got {n}")
-    if c < 0:
-        raise ValueError(f"need c >= 0, got {c}")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"need finite c >= 0, got {c}")
     ln = math.log(n)
+    steps = 5.0 * (ln * ln + c * ln)
+    if not math.isfinite(steps):
+        raise ValueError(f"c={c} too large: the guaranteed step count overflows")
     return MixingGuarantee(
-        k=int(math.floor(5.0 * (ln * ln + c * ln))),
+        k=int(math.floor(steps)),
         tv_bound=1.6 * math.exp(-c / 2.0),
     )
 

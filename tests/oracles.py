@@ -116,6 +116,19 @@ def tv_to_uniform(vec):
     return 0.5 * sum(abs(v - 1.0 / n) for v in vec)
 
 
+def mixing_profile_dense(Q, k_max):
+    """Worst-start distance to uniform for k = 0 .. k_max: every start, M @ Q per step."""
+    a = np.asarray(Q.entries)
+    n = a.shape[0]
+    M = np.eye(n)
+    out = []
+    for k in range(k_max + 1):
+        out.append(float(np.abs(M - 1.0 / n).sum(axis=1).max()) / 2.0)
+        if k < k_max:
+            M = M @ a
+    return out
+
+
 def pair_step_loop(joint):
     """One pair-chain move, column by column: (a, b) -> (b, a + b + e)."""
     n = joint.shape[0]

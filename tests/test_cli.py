@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detjump as dj
-from detjump.cli import main
+from detjump.cli import load_config, main
+from detjump.errors import ConfigError
+from detjump.fibonacci import MARGINAL_ENTRY_CAP
 
 
 def write_config(tmp_path, name, obj):
@@ -215,6 +217,46 @@ def test_fibonacci_small_modulus_has_no_summary(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 6
     assert not lines[-1].startswith("#")
+
+
+def test_fibonacci_rejects_non_finite_c(capsys):
+    for c in ("inf", "nan"):
+        assert main(["fibonacci", "--n", "50", "--kmax", "5", "--c", c]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
+
+def test_fibonacci_config_rejects_an_int_c_too_large_for_a_float(tmp_path):
+    cfg = write_config(tmp_path, "fib.json",
+                       {"analysis": [{"type": "fibonacci", "n": 30, "kmax": 5, "c": 10**400}]})
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "50", "--kmax", "5", "--c", "1e300"],   # guarantee horizon near 1e302
+    ["--n", "50", "--kmax", str(10**9)],
+    ["--n", "2", "--kmax", str(MARGINAL_ENTRY_CAP // 2 + 1)],
+])
+def test_fibonacci_horizon_over_the_marginal_cap_exits_3(argv, capsys):
+    assert main(["fibonacci", *argv]) == 3
+    err = capsys.readouterr().err
+    assert "MARGINAL_ENTRY_CAP" in err and "Traceback" not in err
+
+
+def test_mix_rejects_an_epsilon_too_large_for_a_float(tmp_path, capsys):
+    cfg = mixing_config(tmp_path, n=7, kmax=3, epsilon=10**400)
+    assert main(["mix", "--config", cfg]) == 2
+    assert "finite positive" in capsys.readouterr().err
+
+
+def test_mix_single_start_on_a_jumped_chain_exits_2(tmp_path, capsys):
+    cfg = mixing_config(tmp_path, n=16, bijection={"kind": "random", "seed": 0}, kmax=6,
+                        single_start=True)
+    assert main(["mix", "--config", cfg]) == 2
+    assert "translation-invariant" in capsys.readouterr().err
+    plain = mixing_config(tmp_path, "plain.json", n=16, kmax=6, single_start=True)
+    assert main(["compare", "--config-a", plain, "--config-b", cfg]) == 2
 
 
 def test_hof_subcommand(tmp_path):
@@ -529,3 +571,51 @@ def test_fuzz_hof_specs_never_crash(tmp_path_factory, data):
     code, err = _run_quietly(["hof", "--config", write_config(root, "hof.json", spec)])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+def _small_chain_rows(data, n):
+    """A random sparse row-stochastic n x n matrix; often doubly stochastic, often not."""
+    if data.draw(st.booleans(), label="union"):
+        # identity plus permutations and their inverses: symmetric support,
+        # positive diagonal, doubly stochastic; irreducible or not
+        a = np.eye(n) * data.draw(st.integers(1, 3), label="lazy")
+        for _ in range(data.draw(st.integers(0, 3), label="perms")):
+            perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+            weight = data.draw(st.integers(1, 3), label="weight")
+            a[np.arange(n), perm] += weight
+            a[perm, np.arange(n)] += weight
+    else:
+        cells = st.sampled_from([0, 0, 0, 1, 2, 3])
+        a = np.array([data.draw(st.lists(cells, min_size=n, max_size=n).filter(any),
+                                label="row") for _ in range(n)], dtype=float)
+    return a / a.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_fuzz_small_file_chains_mix_and_compare(tmp_path_factory, data, n):
+    root = tmp_path_factory.mktemp("mixfuzz")
+    matrix = root / "chain.csv"
+    rows = _small_chain_rows(data, n)
+    matrix.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    analysis = {"type": "mixing", "kmax": data.draw(st.integers(0, 8), label="kmax"),
+                "single_start": data.draw(st.booleans(), label="single_start"),
+                "spectral_bound": data.draw(st.booleans(), label="spectral_bound")}
+    if data.draw(st.booleans(), label="with_epsilon"):
+        analysis["epsilon"] = data.draw(st.sampled_from([0.25, 1.0]), label="epsilon")
+    bijection = data.draw(st.sampled_from([{"kind": "identity"}, {"kind": "random", "seed": 3},
+                                           {"kind": "inversion"}]), label="bijection")
+    cfg = write_config(root, "cfg.json", {"chain": {"family": "file", "path": str(matrix)},
+                                          "bijection": bijection, "analysis": [analysis]})
+    mix_out, cmp_out = root / "mix.csv", root / "cmp.csv"
+    code_mix, err_mix = _run_quietly(["mix", "--config", cfg, "--out", str(mix_out)])
+    code_cmp, err_cmp = _run_quietly(["compare", "--config-a", cfg, "--config-b", cfg,
+                                      "--out", str(cmp_out)])
+    for code, err in ((code_mix, err_mix), (code_cmp, err_cmp)):
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+    if code_mix == 0:
+        assert code_cmp == 0
+        mix_col = [line.split(",")[1] for line in mix_out.read_text().splitlines()]
+        cmp_col = [line.split(",")[2] for line in cmp_out.read_text().splitlines()]
+        assert mix_col[1:] == cmp_col[1:]

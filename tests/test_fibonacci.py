@@ -11,6 +11,7 @@ import detjump as dj
 from detjump import fibonacci
 from detjump.errors import BijectionError, CapacityError, InvariantError
 from detjump.fibonacci import (
+    MARGINAL_ENTRY_CAP,
     REGISTER_STATE_CAP,
     _fib_cos_factors,
     _fib_residues,
@@ -266,6 +267,17 @@ def test_guarantee_at_c2():
     g = dj.mixing_guarantee(30, 2.0)
     assert g.tv_bound == pytest.approx(1.6 * math.exp(-1.0))
     assert g.tv_bound == pytest.approx(0.5886, abs=1e-4)
+
+
+def test_guarantee_rejects_non_finite_c():
+    for c in (math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError):
+            dj.mixing_guarantee(30, c)
+
+
+def test_marginals_cap_checked_before_any_step():
+    with pytest.raises(CapacityError, match="MARGINAL_ENTRY_CAP"):
+        dj.fibonacci_walk_marginals(50, MARGINAL_ENTRY_CAP // 50 + 1)
 
 
 def test_guarantee_requires_n22():

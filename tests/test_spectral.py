@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detjump as dj
+from detjump import spectral
 from detjump.errors import CapacityError, InvariantError, StructureError
-from oracles import brute_cheeger, jacobi_eigenvalues
+from oracles import brute_cheeger, jacobi_eigenvalues, mixing_profile_dense
 
 # Frozen from the Jacobi-rotation oracle (tests/oracles.py); the two
 # eigensolvers agreed to 1.1e-15 when this was generated.
@@ -300,6 +303,171 @@ def test_mixing_profile_single_start_matches_on_vertex_transitive():
     fast = dj.mixing_profile(P, 15, single_start=True)
     for (k, a), (_, b) in zip(full, fast):
         assert a == pytest.approx(b, abs=1e-12), k
+
+
+def test_mixing_profile_single_start_refuses_a_chain_without_symmetry():
+    # start 0 gives 0.3125 at k = 3 here, the worst start 0.4398
+    Q = dj.compose(dj.random_permutation(16, 0), dj.build_lazy_cycle_walk(16))
+    with pytest.raises(StructureError, match="translation-invariant"):
+        dj.mixing_profile(Q, 6, single_start=True)
+    worst = dj.mixing_profile(Q, 6)[3][1]
+    assert worst == pytest.approx(mixing_profile_dense(Q, 6)[3], abs=1e-14)
+    assert worst > 0.43
+
+
+def _union_of_permutations(n, weights, seed):
+    """Normalized sum of weighted random permutation matrices: doubly stochastic and sparse."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for w in weights:
+        a[np.arange(n), rng.permutation(n)] += w
+    return dj.TransitionMatrix(a / a.sum(axis=1, keepdims=True))
+
+
+def _circulant(stencil):
+    n = len(stencil)
+    idx = np.arange(n)
+    return dj.TransitionMatrix(np.asarray(stencil)[(idx[None, :] - idx[:, None]) % n])
+
+
+def _xor_invariant(stencil):
+    idx = np.arange(len(stencil))
+    return dj.TransitionMatrix(np.asarray(stencil)[idx[:, None] ^ idx[None, :]])
+
+
+def _assert_matches_dense(Q, k_max, starts):
+    want = mixing_profile_dense(Q, k_max)
+    a = Q.entries
+    for gather in (spectral._predecessors(a), None):
+        got = spectral._worst_tv(a, k_max, starts, gather)
+        assert np.abs(got - want).max() <= 1e-14, gather is None
+    got = [tv for _, tv in dj.mixing_profile(Q, k_max)]
+    assert np.abs(np.array(got) - want).max() <= 1e-14
+
+
+_WEIGHTS = st.lists(st.integers(1, 4), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), weights=_WEIGHTS, seed=st.integers(0, 2**32 - 1),
+       k_max=st.integers(0, 30))
+def test_both_steps_match_the_dense_oracle_on_sparse_chains(n, weights, seed, k_max):
+    Q = _union_of_permutations(n, weights, seed)
+    _assert_matches_dense(Q, k_max, np.arange(n))
+    # all starts by GEMM is the oracle's own M @ Q loop, bit for bit
+    assert spectral._worst_tv(Q.entries, k_max, np.arange(n), None).tolist() == \
+        mixing_profile_dense(Q, k_max)
+
+
+_STENCIL = st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 0.5]), min_size=1, max_size=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stencil=_STENCIL.filter(any), k_max=st.integers(0, 30))
+def test_one_start_route_matches_the_dense_oracle_on_circulants(stencil, k_max):
+    Q = _circulant(np.array(stencil) / sum(stencil))
+    assert spectral._translation_invariant(Q.entries)
+    _assert_matches_dense(Q, k_max, np.zeros(1, dtype=np.intp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(0, 6), data=st.data(), k_max=st.integers(0, 30))
+def test_one_start_route_matches_the_dense_oracle_on_xor_invariant_chains(d, data, k_max):
+    stencil = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5]),
+                                          min_size=1 << d, max_size=1 << d).filter(any)))
+    Q = _xor_invariant(stencil / stencil.sum())
+    assert spectral._translation_invariant(Q.entries)
+    _assert_matches_dense(Q, k_max, np.zeros(1, dtype=np.intp))
+
+
+def test_translation_invariance_fires_on_cycles_and_cubes():
+    for n in (3, 4, 5, 16, 101, 1024):
+        assert spectral._translation_invariant(dj.build_lazy_cycle_walk(n).entries), n
+    for d in range(1, 11):
+        assert spectral._translation_invariant(dj.build_hypercube_walk(d).entries), d
+
+
+def _with_one_swap(P, rows, cols, mass):
+    """P with `mass` moved around the rectangle rows x cols: still doubly stochastic."""
+    a = P.entries.copy()
+    (r1, r2), (c1, c2) = rows, cols
+    a[r1, c1] -= mass
+    a[r2, c2] -= mass
+    a[r1, c2] += mass
+    a[r2, c1] += mass
+    return dj.TransitionMatrix(a)
+
+
+@pytest.mark.parametrize("Q", [
+    _with_one_swap(dj.build_lazy_cycle_walk(16), (5, 9), (6, 10), 1 / 12),
+    _with_one_swap(dj.build_hypercube_walk(4), (9, 8), (8, 9), 0.1),  # 8 and 9 stay more
+], ids=["cycle16", "cube4"])
+def test_translation_invariance_misses_a_near_miss_with_one_swap(Q):
+    a = Q.entries
+    assert np.allclose(a.sum(axis=0), 1.0) and np.allclose(a.sum(axis=1), 1.0)
+    assert not spectral._translation_invariant(a)
+    with pytest.raises(StructureError):
+        dj.mixing_profile(Q, 4, single_start=True)
+    want = mixing_profile_dense(Q, 40)
+    start0 = spectral._worst_tv(a, 40, np.zeros(1, dtype=np.intp), None)
+    assert max(w - s for w, s in zip(want, start0)) > 1e-3  # start 0 is not the worst
+    _assert_matches_dense(Q, 40, np.arange(Q.n))
+
+
+@pytest.mark.parametrize("label, Q, starts, gathers", [
+    ("plain cycle", dj.build_lazy_cycle_walk(384), 1, True),
+    ("plain cycle below the crossover", dj.build_lazy_cycle_walk(383), 1, False),
+    ("jumped cycle", dj.compose(dj.random_permutation(384, 2), dj.build_lazy_cycle_walk(384)),
+     384, True),
+    ("plain cube", dj.build_hypercube_walk(6), 1, False),
+    ("jumped cube", dj.compose(dj.random_permutation(64, 2), dj.build_hypercube_walk(6)),
+     64, False),
+    # the benchmark's dense chains: w = 3 gathers at n = 1024, w = 11 does not
+    ("jumped 1024-cycle", dj.compose(dj.random_permutation(1024, 2),
+                                     dj.build_lazy_cycle_walk(1024)), 1024, True),
+    ("jumped 10-cube", dj.compose(dj.random_permutation(1024, 2), dj.build_hypercube_walk(10)),
+     1024, False),
+])
+def test_mixing_profile_route_follows_the_checked_properties(monkeypatch, label, Q, starts,
+                                                             gathers):
+    seen = []
+    real = spectral._worst_tv
+
+    def spy(a, k_max, starts_, gather):
+        seen.append((starts_.size, gather is not None))
+        return real(a, k_max, starts_, gather)
+
+    monkeypatch.setattr(spectral, "_worst_tv", spy)
+    dj.mixing_profile(Q, 2)
+    assert seen == [(starts, gathers)], label
+
+
+@pytest.mark.parametrize("width", [1, 5, 47, 48])
+def test_blocks_of_starts_each_count(monkeypatch, width):
+    n = 48
+    Q = _union_of_permutations(n, [1, 2, 1], seed=width)
+    monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", width * n)
+    got = spectral._worst_tv(Q.entries, 25, np.arange(n), spectral._predecessors(Q.entries))
+    assert np.abs(got - mixing_profile_dense(Q, 25)).max() <= 1e-14
+
+
+def test_jumped_cycle_over_several_blocks_matches_the_dense_oracle():
+    # n = 384 takes the gather in blocks of 170 starts
+    Q = dj.compose(dj.random_permutation(384, 5), dj.build_lazy_cycle_walk(384))
+    got = [tv for _, tv in dj.mixing_profile(Q, 30)]
+    assert np.abs(np.array(got) - mixing_profile_dense(Q, 30)).max() <= 1e-14
+
+
+def test_gather_route_repeats_bit_for_bit():
+    Q = dj.compose(dj.random_permutation(512, 3), dj.build_lazy_cycle_walk(512))
+    assert dj.mixing_profile(Q, 20) == dj.mixing_profile(Q, 20)
+
+
+def test_predecessor_table_pads_short_columns_with_zero_weight():
+    a = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+    pred, wt = spectral._predecessors(a)
+    assert pred.tolist() == [[0, 0, 1], [2, 2, 0]]
+    assert wt.tolist() == [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]
 
 
 # --- spectral report ----------------------------------------------------------
