@@ -118,6 +118,10 @@ def _is_finite_number(value: Any) -> bool:
         return False
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_analysis_entry(entry: Any, where: str) -> None:
     _require(isinstance(entry, dict), f"{where}: analysis entry must be an object")
     kind = entry.get("type")
@@ -143,9 +147,13 @@ def _validate_analysis_entry(entry: Any, where: str) -> None:
                      f"{where}: sampled expansion needs integer num_samples")
             _require(isinstance(entry.get("seed"), int),
                      f"{where}: sampled expansion needs an explicit integer seed")
+        eps = entry.get("epsilon")
+        _require(eps is None or (isinstance(eps, (int, float)) and eps >= 0),
+                 f"{where}: expansion epsilon must be a number >= 0")
         inc = entry.get("include", [])
-        _require(isinstance(inc, list) and all(isinstance(s, list) for s in inc),
-                 f"{where}: include must be a list of index lists")
+        _require(isinstance(inc, list)
+                 and all(isinstance(s, list) and all(_is_int(i) for i in s) for s in inc),
+                 f"{where}: include must be a list of lists of integer state indices")
     elif kind == "scan":
         _require(isinstance(entry.get("epsilon"), (int, float)) and entry["epsilon"] >= 0,
                  f"{where}: scan needs nonnegative epsilon")
@@ -288,11 +296,11 @@ def _run_mixing(P: TransitionMatrix, f: Permutation, params: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_spectral(P: TransitionMatrix, f: Permutation, params: dict, threads: int) -> str:
+def _run_spectral(P: TransitionMatrix, f: Permutation, params: dict) -> str:
     eps = None
     if params.get("compute_epsilon", False):
-        eps = check_expansion(P, f, threads=threads).epsilon_star
-    report = spectral_report(P, f, expansion_epsilon=eps, threads=threads)
+        eps = check_expansion(P, f).epsilon_star
+    report = spectral_report(P, f, expansion_epsilon=eps)
     payload = {
         "n": report.n,
         "delta": report.delta,
@@ -305,7 +313,7 @@ def _run_spectral(P: TransitionMatrix, f: Permutation, params: dict, threads: in
     return _json_artifact(payload)
 
 
-def _run_expansion(P: TransitionMatrix, f: Permutation, params: dict, threads: int) -> str:
+def _run_expansion(P: TransitionMatrix, f: Permutation, params: dict) -> str:
     include = [StateSet.from_indices(P.n, idxs) for idxs in params.get("include", [])]
     report = check_expansion(
         P, f, params.get("epsilon"),
@@ -313,7 +321,6 @@ def _run_expansion(P: TransitionMatrix, f: Permutation, params: dict, threads: i
         num_samples=params.get("num_samples"),
         seed=params.get("seed"),
         include=include,
-        threads=threads,
     )
     return _json_artifact({
         "epsilon_star": report.epsilon_star,
@@ -323,9 +330,8 @@ def _run_expansion(P: TransitionMatrix, f: Permutation, params: dict, threads: i
     })
 
 
-def _run_scan(P: TransitionMatrix, params: dict, threads: int) -> str:
-    result = scan_random_bijections(P, params["epsilon"], params["trials"],
-                                    params["seed"], threads=threads)
+def _run_scan(P: TransitionMatrix, params: dict) -> str:
+    result = scan_random_bijections(P, params["epsilon"], params["trials"], params["seed"])
     lines = ["seed,epsilon_star,good"]
     for seed, eps_star, good in result.rows:
         lines.append(f"{seed},{_fmt(eps_star)},{1 if good else 0}")
@@ -350,10 +356,6 @@ def _run_fibonacci(params: dict) -> str:
             f"tv_bound={_fmt(guarantee.tv_bound)} tv_at_k={_fmt(tv_at_k)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _run_hof(params: dict) -> str:
@@ -419,7 +421,7 @@ _NATURAL_FORMAT = {
 
 
 def run(config: ExperimentConfig, *, only_type: str | None = None,
-        out_override: str | None = None, threads: int = 1) -> list[Path | None]:
+        out_override: str | None = None) -> list[Path | None]:
     """Execute the config's analyses in order, one artifact each.
 
     With ``only_type`` only matching analyses run (the subcommand view).
@@ -447,15 +449,15 @@ def run(config: ExperimentConfig, *, only_type: str | None = None,
                 _require_standing_assumptions(config, chain_cache[1])
             P, _report = chain_cache
             if kind == "scan":  # each trial draws its own bijection
-                text = _run_scan(P, entry, threads)
+                text = _run_scan(P, entry)
             else:
                 f = build_bijection(config, P.n)
                 if kind == "mixing":
                     text = _run_mixing(P, f, entry)
                 elif kind == "spectral":
-                    text = _run_spectral(P, f, entry, threads)
+                    text = _run_spectral(P, f, entry)
                 else:
-                    text = _run_expansion(P, f, entry, threads)
+                    text = _run_expansion(P, f, entry)
         elif kind == "fibonacci":
             text = _run_fibonacci(entry)
         else:
@@ -538,18 +540,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, threads: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output artifact path")
-        if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for subset enumerations")
 
     common(sub.add_parser("validate", help="check the standing chain assumptions"))
     common(sub.add_parser("mix", help="worst-start mixing profile CSV"))
-    common(sub.add_parser("spectral", help="spectral/bottleneck report JSON"), threads=True)
-    common(sub.add_parser("expansion", help="expansion scan JSON"), threads=True)
-    common(sub.add_parser("scan", help="random-bijection scan CSV"), threads=True)
+    common(sub.add_parser("spectral", help="spectral/bottleneck report JSON"))
+    common(sub.add_parser("expansion", help="expansion scan JSON"))
+    scan = sub.add_parser("scan", help="random-bijection scan CSV")
+    common(scan)
+    scan.add_argument("--threads", type=int, default=1,
+                      help="ignored (must be >= 1); kept so that existing scan command lines run")
 
     fib = sub.add_parser("fibonacci", help="recurrence-walk distance curve CSV")
     fib.add_argument("--n", type=int, required=True, help="modulus")
@@ -585,7 +587,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return run_validate(load_config(args.config), args.out)
         if args.command in _SUBCOMMAND_TYPE:
             run(load_config(args.config), only_type=_SUBCOMMAND_TYPE[args.command],
-                out_override=args.out, threads=threads)
+                out_override=args.out)
             return 0
         if args.command == "fibonacci":
             entry = {"type": "fibonacci", "n": args.n, "kmax": args.kmax, "c": args.c}

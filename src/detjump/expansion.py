@@ -1,9 +1,12 @@
 """Vertex-expansion machinery: one-step expansions, boundaries, and scans.
 
-Sets of states are bitmasks (bit i set <=> state i in the set), which keeps
-the exhaustive enumerations cheap: a full scan over all subsets of size at
-most n/2 is done with vectorized mask arithmetic and finishes in seconds
-up to the cap n = 24.
+A set of states is a bitmask (bit i set <=> state i in the set) where it is
+named, and a 0/1 row where it is scanned: a block of sets is a (sets x n)
+0/1 matrix, and every subset quantity is one matrix product on that block.
+E is a union homomorphism, so E(A) is the support of ``rows @ S``, S the
+support of P, and E(f(E(A))) is the support of ``rows @ M`` for the atom
+matrix M whose row i is E(f(E({i}))). A full scan over all subsets of size
+at most n/2 finishes in seconds up to the cap n = 24.
 
 The quantity of interest for a chain P and bijection f is the worst ratio
 |E(f(E(A)))| / |A| over all A with |A| <= n/2, where E is the one-step
@@ -14,9 +17,9 @@ chain built from (P, f) expands every small set by the factor
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +38,11 @@ EXHAUSTIVE_CAP = 24
 # Cap for enumerating all 2^n candidate sets B in boundary counting.
 BOUNDARY_CAP = 16
 
-_MASK_CHUNK = 1 << 16
+# Entries (sets x states) per block of rows: 10,922 sets at n = 24 and 256 at
+# n = 1024, so a block's rows and product stay near 1 MiB each for any n and
+# any family size. Blocks of 2^20 entries ran no faster at n = 24 and raised
+# the subsets benchmark's peak RSS from about 77 to 104 MiB.
+SUBSET_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -97,11 +104,102 @@ class StateSet:
         return StateSet(self.n, mask)
 
 
-def _row_masks(P: TransitionMatrix) -> list[int]:
-    """Per-state reachability masks: bit j of masks[i] <=> p[i][j] > 0."""
-    supp = P.entries > 0.0
-    weights = 1 << np.arange(P.n, dtype=object)
-    return [int((row * weights).sum()) for row in supp]
+# --- the subset engine -----------------------------------------------------------
+#
+# 0/1 products run in float32, exact while n < 2^24; the bottleneck scan in
+# spectral.py runs its weighted products in float64.
+
+def set_rows(masks: np.ndarray | Sequence[int], n: int, dtype=np.float32) -> np.ndarray:
+    """The (sets x n) 0/1 matrix of some masks: a uint64 array (n <= 64) or Python ints."""
+    if isinstance(masks, np.ndarray):
+        data = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    else:
+        width = (n + 7) // 8
+        data = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
+                             dtype=np.uint8).reshape(-1, width)
+    return np.unpackbits(data, axis=1, count=n, bitorder="little").astype(dtype)
+
+
+def row_masks(rows: np.ndarray) -> np.ndarray:
+    """The masks of the nonzero pattern of each row: uint64 for n <= 64, else Python ints."""
+    packed = np.packbits(rows != 0, axis=1, bitorder="little")
+    if rows.shape[1] <= 64:
+        words = np.zeros((rows.shape[0], 8), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        return words.view("<u8")[:, 0]
+    return np.array([int.from_bytes(r.tobytes(), "little") for r in packed], dtype=object)
+
+
+def _block_sets(n: int) -> int:
+    return max(1, SUBSET_BLOCK // n)
+
+
+def mask_blocks(n: int) -> Iterator[np.ndarray]:
+    """Every mask 0 .. 2^n - 1 in increasing order, as uint64 blocks."""
+    step = _block_sets(n)
+    for lo in range(0, 1 << n, step):
+        yield np.arange(lo, min(lo + step, 1 << n), dtype=np.uint64)
+
+
+def small_set_blocks(n: int, dtype=np.float32) -> Iterator[np.ndarray]:
+    """Rows of every A with 1 <= |A| <= n/2, block by block in increasing mask order."""
+    for masks in mask_blocks(n):
+        sizes = np.bitwise_count(masks)
+        yield set_rows(masks[(sizes >= 1) & (2 * sizes <= n)], n, dtype)
+
+
+def sampled_blocks(n: int, num_samples: int, seed: int, dtype=np.float32) -> Iterator[np.ndarray]:
+    """Rows of the sampled family, drawn block by block in one Philox stream.
+
+    Draw t is ``choice(n, 1 + t % (n // 2), replace=False)``: the sizes
+    1 .. n//2 in turn, uniform within a size. Drawing in blocks keeps the
+    call order, so the family does not depend on the block size.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    step = _block_sets(n)
+    for lo in range(0, num_samples, step):
+        rows = np.zeros((min(step, num_samples - lo), n), dtype=dtype)
+        for r in range(rows.shape[0]):
+            rows[r, rng.choice(n, size=1 + (lo + r) % (n // 2), replace=False)] = 1
+        yield rows
+
+
+def list_blocks(masks: Sequence[int], n: int, dtype=np.float32) -> Iterator[np.ndarray]:
+    """Rows of a list of Python-int masks, block by block."""
+    step = _block_sets(n)
+    for lo in range(0, len(masks), step):
+        yield set_rows(masks[lo:lo + step], n, dtype)
+
+
+def min_ratio(blocks: Iterable[np.ndarray],
+              numerator: Callable[[np.ndarray], np.ndarray]) -> tuple[tuple, int] | None:
+    """((num, size, mask), sets): the row minimizing numerator / |A| over all blocks.
+
+    ``numerator`` maps a block of rows to one value per row. Ratios compare
+    by cross-multiplication, num_a * size_b < num_b * size_a, and the
+    smallest mask wins ties; with int64 numerators both are exact. Within
+    a block the float64 quotient locates the minimum: distinct ratios stay
+    distinct and in order there while every num * size < 2^52, which
+    every caller guarantees.
+    """
+    best = None
+    sets = 0
+    for rows in blocks:
+        if not len(rows):
+            continue
+        sets += len(rows)
+        size = (rows @ np.ones(rows.shape[1], rows.dtype)).astype(np.int64)
+        num = numerator(rows)
+        j = int(np.argmin(num / size))
+        tied = num * size[j] == num[j] * size
+        cand = (num[j].item(), int(size[j]), int(row_masks(rows[tied]).min()))
+        if best is None or (cand[0] * best[1], cand[2]) < (best[0] * cand[1], best[2]):
+            best = cand
+    return None if best is None else (best, sets)
+
+
+def _support(P: TransitionMatrix) -> np.ndarray:
+    return (P.entries > 0.0).astype(np.float32)
 
 
 def expand(P: TransitionMatrix, A: StateSet) -> StateSet:
@@ -111,12 +209,7 @@ def expand(P: TransitionMatrix, A: StateSet) -> StateSet:
     """
     if A.n != P.n:
         raise ValueError(f"set on {A.n} states, matrix on {P.n}")
-    masks = _row_masks(P)
-    out = 0
-    for i in range(P.n):
-        if A.mask >> i & 1:
-            out |= masks[i]
-    return StateSet(P.n, out)
+    return StateSet(P.n, int(row_masks(set_rows([A.mask], P.n) @ _support(P))[0]))
 
 
 def external_boundary(P: TransitionMatrix, A: StateSet) -> StateSet:
@@ -144,87 +237,10 @@ class ExpansionReport:
         return epsilon <= self.epsilon_star
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a)
-
-
-def _or_expand(masks: np.ndarray, adj: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized E over an array of bitmasks; adj[i] is the mask of row i."""
-    out = np.zeros_like(masks)
-    one = masks.dtype.type(1)
-    for i in range(n):
-        out |= np.where((masks >> i) & one, adj[i], 0).astype(masks.dtype)
-    return out
-
-
-def _permute_masks(masks: np.ndarray, f: Permutation) -> np.ndarray:
-    out = np.zeros_like(masks)
-    one = masks.dtype.type(1)
-    for i in range(f.n):
-        out |= (((masks >> i) & one) << f.forward[i]).astype(masks.dtype)
-    return out
-
-
-def _adj_array(P: TransitionMatrix) -> np.ndarray:
-    supp = P.entries > 0.0
-    return (supp.astype(np.uint64) << np.arange(P.n, dtype=np.uint64)).sum(
-        axis=1, dtype=np.uint64
-    )
-
-
-def _ratio_scan_chunk(masks: np.ndarray, adj: np.ndarray, f: Permutation,
-                      n: int) -> tuple[float, int, int] | None:
-    """Min expansion ratio over one mask chunk: (ratio, witness, count)."""
-    sizes = _popcount(masks)
-    keep = (sizes >= 1) & (2 * sizes <= n)
-    masks = masks[keep]
-    if masks.size == 0:
-        return None
-    sizes = sizes[keep]
-    efe = _or_expand(_permute_masks(_or_expand(masks, adj, n), f), adj, n)
-    ratios = _popcount(efe).astype(np.float64) / sizes
-    best = float(ratios.min())
-    witness = int(masks[np.flatnonzero(ratios == best)[0]])
-    return best, witness, int(masks.size)
-
-
-def _ratio_scan_bigint(masks: Sequence[int], row_masks: list[int], f: Permutation,
-                       n: int) -> tuple[float, int, int] | None:
-    """Same scan over arbitrary-width Python int masks (any n)."""
-    best: float | None = None
-    witness = 0
-    checked = 0
-    for mask in masks:
-        size = mask.bit_count()
-        if size < 1 or 2 * size > n:
-            continue
-        checked += 1
-        e1 = 0
-        for i in range(n):
-            if mask >> i & 1:
-                e1 |= row_masks[i]
-        fe = 0
-        for i in range(n):
-            if e1 >> i & 1:
-                fe |= 1 << f.forward[i]
-        e2 = 0
-        for i in range(n):
-            if fe >> i & 1:
-                e2 |= row_masks[i]
-        ratio = e2.bit_count() / size
-        if best is None or ratio < best or (ratio == best and mask < witness):
-            best = ratio
-            witness = mask
-    if best is None:
-        return None
-    return best, witness, checked
-
-
 def check_expansion(P: TransitionMatrix, f: Permutation, epsilon: float | None = None, *,
                     mode: str = "exhaustive", num_samples: int | None = None,
                     seed: int | None = None,
-                    include: Sequence[StateSet] = (),
-                    threads: int = 1) -> ExpansionReport:
+                    include: Sequence[StateSet] = ()) -> ExpansionReport:
     """Scan subsets A for the worst |E(f(E(A)))|/|A| ratio.
 
     Exhaustive mode visits every A with 1 <= |A| <= n/2 and needs
@@ -233,6 +249,8 @@ def check_expansion(P: TransitionMatrix, f: Permutation, epsilon: float | None =
     within each size, using a seeded Philox stream; it is a
     lower-confidence mode whose epsilon_star can only overestimate the
     exhaustive value. Sets in ``include`` are always checked on top.
+    Each block of sets is counted by one product with the atom matrix
+    M = (S[:, f^-1] @ S > 0), S the support of P.
 
     ``epsilon`` is the value the caller cares about; the report answers
     any such query via ``holds_for``, so it does not change the scan.
@@ -245,65 +263,39 @@ def check_expansion(P: TransitionMatrix, f: Permutation, epsilon: float | None =
     if epsilon is not None and epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
-    candidates: list[tuple[float, int, int]] = []
-    sets_checked = 0
-
     if mode == "exhaustive":
         if n > EXHAUSTIVE_CAP:
             raise CapacityError(
                 f"exhaustive expansion scan capped at n <= {EXHAUSTIVE_CAP}, got n={n}; "
                 "use sampled mode"
             )
-        adj = _adj_array(P)
-        total = 1 << n
-        chunks = [(lo, min(lo + _MASK_CHUNK, total)) for lo in range(1, total, _MASK_CHUNK)]
-
-        def work(bounds: tuple[int, int]):
-            lo, hi = bounds
-            return _ratio_scan_chunk(np.arange(lo, hi, dtype=np.uint64), adj, f, n)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, chunks))
-        else:
-            results = [work(c) for c in chunks]
-        for res in results:
-            if res is not None:
-                candidates.append(res)
-                sets_checked += res[2]
+        family = small_set_blocks(n)
     elif mode == "sampled":
         if num_samples is None or seed is None:
             raise ValueError("sampled mode needs num_samples and seed")
-        rng = np.random.Generator(np.random.Philox(seed))
-        strata = list(range(1, n // 2 + 1))
-        picks: list[int] = []
-        for t in range(num_samples):
-            size = strata[t % len(strata)]
-            chosen = rng.choice(n, size=size, replace=False)
-            picks.append(sum(1 << int(i) for i in chosen))
-        if picks:
-            res = _ratio_scan_bigint(picks, _row_masks(P), f, n)
-            if res is not None:
-                candidates.append(res)
-                sets_checked += res[2]
+        family = sampled_blocks(n, num_samples, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     for s in include:
         if s.n != n:
             raise ValueError(f"include set on {s.n} states, matrix on {n}")
-    extra = [s.mask for s in include]
-    if extra:
-        res = _ratio_scan_bigint(extra, _row_masks(P), f, n)
-        if res is not None:
-            candidates.append(res)
-            sets_checked += res[2]
+    extra = list_blocks([s.mask for s in include if 1 <= s.size <= n // 2], n)
 
-    if not candidates:
+    S = _support(P)
+    atoms = (S[:, np.asarray(f.inverse)] @ S > 0).astype(np.float32)
+
+    def efe_size(rows: np.ndarray) -> np.ndarray:
+        efe = rows @ atoms
+        np.minimum(efe, 1, out=efe)
+        return (efe @ np.ones(n, np.float32)).astype(np.int64)
+
+    found = min_ratio(itertools.chain(family, extra), efe_size)
+    if found is None:
         raise ValueError("no subsets checked (empty sample and include lists?)")
-    best, witness, _ = min(candidates, key=lambda c: (c[0], c[1]))
+    (size_efe, size, witness), sets_checked = found
     return ExpansionReport(
-        epsilon_star=best - 1.0,
+        epsilon_star=size_efe / size - 1.0,
         witness=StateSet(n, witness),
         mode=mode,
         sets_checked=sets_checked,
@@ -362,11 +354,14 @@ def boundary_histogram(P: TransitionMatrix) -> dict[int, int]:
         raise CapacityError(
             f"boundary enumeration capped at n <= {BOUNDARY_CAP}, got n={n}"
         )
-    adj = _adj_array(P)
-    masks = np.arange(1 << n, dtype=np.uint64)
-    bnd = _or_expand(masks, adj, n) & ~masks
-    values, counts = np.unique(bnd, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    S = _support(P)
+    hist: dict[int, int] = {}
+    for masks in mask_blocks(n):
+        rows = set_rows(masks, n)
+        values, counts = np.unique(row_masks((rows @ S) * (1 - rows)), return_counts=True)
+        for v, c in zip(values.tolist(), counts.tolist()):
+            hist[v] = hist.get(v, 0) + c
+    return dict(sorted(hist.items()))
 
 
 def count_sets_with_boundary(P: TransitionMatrix, A: StateSet) -> int:
@@ -406,7 +401,7 @@ class BijectionScan:
 
 
 def scan_random_bijections(P: TransitionMatrix, epsilon: float, trials: int,
-                           seed: int, *, threads: int = 1) -> BijectionScan:
+                           seed: int) -> BijectionScan:
     """Fraction of seeded random bijections meeting the expansion condition.
 
     Trial t uses the bijection seeded with ``seed + t`` and an exhaustive
@@ -426,7 +421,7 @@ def scan_random_bijections(P: TransitionMatrix, epsilon: float, trials: int,
     for t in range(trials):
         trial_seed = seed + t
         f = random_permutation(P.n, trial_seed)
-        report = check_expansion(P, f, epsilon, threads=threads)
+        report = check_expansion(P, f, epsilon)
         good = report.holds_for(epsilon)
         rows.append((trial_seed, report.epsilon_star, good))
         if not good:

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .chains import Distribution, Permutation, TransitionMatrix, min_positive_entry
 from .errors import CapacityError, InvariantError, StructureError
-from .expansion import StateSet
+from .expansion import StateSet, min_ratio, sampled_blocks, small_set_blocks
 
 # Symmetry tolerance for kernels fed to the eigensolver.
 SYMMETRY_TOL = 1e-9
@@ -32,8 +32,8 @@ SYMMETRY_TOL = 1e-9
 EIGEN_TOL = 1e-8
 # Subset enumeration cap for the exact Cheeger constant.
 CHEEGER_CAP = 24
-
-_CHEEGER_CHUNK = 1 << 16
+# Largest q tried when recovering an integer kernel K = round(q^4 R).
+SCALE_ROOT_CAP = 1 << 10
 
 
 def symmetrized_kernel(P: TransitionMatrix, f: Permutation) -> TransitionMatrix:
@@ -84,30 +84,63 @@ def second_eigenvalue(R: TransitionMatrix) -> float:
     return lam2
 
 
-def _cheeger_chunk(masks: np.ndarray, R: np.ndarray, n: int) -> tuple[float, int] | None:
-    sizes = np.bitwise_count(masks)
-    keep = (sizes >= 1) & (2 * sizes <= n)
-    masks = masks[keep]
-    if masks.size == 0:
-        return None
-    sizes = sizes[keep]
-    B = ((masks[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(
-        np.float64
-    )
-    flow = B @ R
-    cross = flow.sum(axis=1) - (flow * B).sum(axis=1)
-    ratios = cross / sizes
-    best = float(ratios.min())
-    witness = int(masks[np.flatnonzero(ratios == best)[0]])
-    return best, witness
+def integer_kernel(R: TransitionMatrix) -> tuple[np.ndarray, int] | None:
+    """(K, D): R in exact integer units 1/D, or None when R has no such form.
+
+    D = q^4 for the smallest q <= SCALE_ROOT_CAP such that K = round(D R)
+    is symmetric, has every row summing to exactly D, and is within
+    min(1e-3, 1e-9 D) of D R entrywise: float noise in R is about 1e-15,
+    and a fixed slack of 1e-3 would accept too small a q. R = (LL)(LL)^T
+    has degree four in P, so q^4 R is integral whenever q P is: q = 3 for
+    lazy cycles, d + 1 for the d-dimensional hypercube. The search stops
+    once n^2 D reaches 2^53, so every cut of K, times a set size, stays
+    exact.
+    """
+    a = R.entries
+    for q in range(1, SCALE_ROOT_CAP + 1):
+        D = q**4
+        if R.n * R.n * D >= 1 << 53:
+            break
+        slack = min(1e-3, 1e-9 * D)
+        if float(np.abs(D * a[0] - np.rint(D * a[0])).max()) > slack:
+            continue  # row 0 rules most q out at O(n) cost, so no scale stays cheap at large n
+        K = np.rint(D * a)
+        if (float(np.abs(D * a - K).max()) <= slack
+                and np.array_equal(K, K.T) and np.all(K.sum(axis=1) == D)):
+            return K, D
+    return None
 
 
-def cheeger_constant(R: TransitionMatrix, *, threads: int = 1) -> tuple[float, StateSet]:
+def _bottleneck(R: TransitionMatrix, blocks: Iterable[np.ndarray]) -> tuple[float, StateSet]:
+    """Least cut(A) / |A| over the sets in ``blocks``, smallest mask on ties.
+
+    The cuts of a block of rows are rows @ deg - rowsum((rows @ K) * rows),
+    deg the row sums of K: exact int64 values in units of 1/D on the
+    integer kernel, or float64 on R itself (D = 1) when there is none, so
+    that ties then hold only up to rounding.
+    """
+    scaled = integer_kernel(R)
+    K, D = scaled if scaled is not None else (R.entries, 1)
+    deg, ones = K.sum(axis=1), np.ones(R.n)
+
+    def cut(rows: np.ndarray) -> np.ndarray:
+        inside = rows @ K
+        inside *= rows
+        c = rows @ deg - inside @ ones
+        return c if scaled is None else c.astype(np.int64)
+
+    (c, size, mask), _ = min_ratio(blocks, cut)
+    return c / (size * D), StateSet(R.n, mask)
+
+
+def cheeger_constant(R: TransitionMatrix) -> tuple[float, StateSet]:
     """Exact bottleneck ratio of a symmetric doubly stochastic kernel.
 
     Minimizes (1/|A|) * sum of R[i][j] over i in A, j outside A, over
     every A with 1 <= |A| <= n/2 (uniform stationary measure). Returns
-    the minimum and one minimizing set (smallest bitmask on ties).
+    the minimum and one minimizing set, the smallest bitmask on ties.
+    The scan runs on the integer kernel of ``integer_kernel``, so ties
+    are exact; for a kernel without one, they hold up to float rounding.
     Exhaustive; capped at n <= CHEEGER_CAP.
     """
     n = R.n
@@ -118,52 +151,22 @@ def cheeger_constant(R: TransitionMatrix, *, threads: int = 1) -> tuple[float, S
         )
     if n < 2:
         raise StructureError(f"bottleneck ratio needs at least two states, got n={n}")
-    a = R.entries
-    total = 1 << n
-    chunks = [(lo, min(lo + _CHEEGER_CHUNK, total)) for lo in range(1, total, _CHEEGER_CHUNK)]
-
-    def work(bounds: tuple[int, int]):
-        lo, hi = bounds
-        return _cheeger_chunk(np.arange(lo, hi, dtype=np.uint64), a, n)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
-    results = [r for r in results if r is not None]
-    phi, witness = min(results, key=lambda r: (r[0], r[1]))
-    return phi, StateSet(n, witness)
+    return _bottleneck(R, small_set_blocks(n, np.float64))
 
 
 def cheeger_constant_sampled(R: TransitionMatrix, num_samples: int, seed: int) -> tuple[float, StateSet]:
     """Sampled stand-in for the exact bottleneck search above the cap.
 
-    Minimizes over a random family only, so the result is an upper
-    estimate of the true constant with no exactness guarantee. Never
-    used by the acceptance checks.
+    Minimizes over the sampled family of ``check_expansion`` only, so the
+    result is an upper estimate of the true constant with no exactness
+    guarantee. Never used by the acceptance checks.
     """
     n = R.n
     if n < 2:
         raise StructureError(f"bottleneck ratio needs at least two states, got n={n}")
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.Generator(np.random.Philox(seed))
-    sizes = list(range(1, n // 2 + 1))
-    a = R.entries
-    best: float | None = None
-    best_mask = 0
-    for t in range(num_samples):
-        size = sizes[t % len(sizes)]
-        inside = np.sort(rng.choice(n, size=size, replace=False))
-        mask = sum(1 << int(i) for i in inside)
-        flow = a[inside].sum() - a[np.ix_(inside, inside)].sum()
-        ratio = float(flow) / size
-        if best is None or ratio < best or (ratio == best and mask < best_mask):
-            best = ratio
-            best_mask = mask
-    assert best is not None
-    return best, StateSet(n, best_mask)
+    return _bottleneck(R, sampled_blocks(n, num_samples, seed, np.float64))
 
 
 def expansion_tv_bound(n: int, epsilon: float, delta: float, k: int) -> float:
@@ -391,12 +394,11 @@ class SpectralReport:
 
 
 def spectral_report(P: TransitionMatrix, f: Permutation, *,
-                    expansion_epsilon: float | None = None,
-                    threads: int = 1) -> SpectralReport:
+                    expansion_epsilon: float | None = None) -> SpectralReport:
     """Compute the symmetrized kernel and summarize its spectrum."""
     R = symmetrized_kernel(P, f)
     lam2 = second_eigenvalue(R)
-    phi, witness = cheeger_constant(R, threads=threads)
+    phi, witness = cheeger_constant(R)
     return SpectralReport(
         n=P.n,
         delta=min_positive_entry(P),

@@ -7,6 +7,7 @@ implementations are checked against.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -66,6 +67,70 @@ def brute_cheeger(R):
                 best = ratio
                 witness = inside
     return best, witness
+
+
+def brute_cheeger_exact(R, D):
+    """(phi, mask): least cut/|A| of the integer kernel K = round(D R), smallest mask on ties.
+
+    Cuts are Python integers in units of 1/D and ratios are Fractions, so
+    equal cuts tie exactly; phi is the exact ratio as a Fraction.
+    """
+    K = [[int(round(D * v)) for v in row] for row in R.entries]
+    n = len(K)
+    best = None
+    for size in range(1, n // 2 + 1):
+        for combo in combinations(range(n), size):
+            cut = sum(K[i][j] for i in combo for j in range(n) if j not in combo)
+            key = (Fraction(cut, size * D), sum(1 << i for i in combo))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def brute_expansion_over(P, f, sets):
+    """(epsilon_star, witness mask, sets checked) over the given index sets.
+
+    Only sets with 1 <= |A| <= n/2 count; the smallest mask wins ties.
+    """
+    n = P.entries.shape[0]
+    nbrs = neighbor_sets(P)
+    best = None
+    checked = 0
+    for subset in sets:
+        if not 1 <= len(subset) <= n // 2:
+            continue
+        checked += 1
+        e1 = set().union(*(nbrs[i] for i in subset))
+        e2 = set().union(*(nbrs[f.forward[i]] for i in e1))
+        key = (Fraction(len(e2), len(subset)), sum(1 << i for i in subset))
+        if best is None or key < best:
+            best = key
+    return float(best[0]) - 1.0, best[1], checked
+
+
+def all_small_sets(n):
+    """Every A with 1 <= |A| <= n/2, as sets."""
+    return [set(c) for size in range(1, n // 2 + 1) for c in combinations(range(n), size)]
+
+
+def sampled_sets(n, num_samples, seed):
+    """The documented sampled family: draw t is choice(n, 1 + t % (n // 2)) from Philox(seed)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [set(int(i) for i in rng.choice(n, size=1 + t % (n // 2), replace=False))
+            for t in range(num_samples)]
+
+
+def brute_boundary_histogram(P):
+    """{mask of E(B) minus B: number of sets B}, over all 2^n sets B."""
+    n = P.entries.shape[0]
+    nbrs = neighbor_sets(P)
+    hist = {}
+    for mask in range(1 << n):
+        inside = {i for i in range(n) if mask >> i & 1}
+        outside = set().union(*(nbrs[i] for i in inside)) - inside
+        key = sum(1 << j for j in outside)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 def brute_boundary_count(P, subset):

@@ -383,16 +383,18 @@ def test_comment_keys_are_ignored(tmp_path):
     assert main(["mix", "--config", cfg, "--out", str(out)]) == 0
 
 
-def test_threads_flag_changes_nothing(tmp_path):
+def test_threads_flag_changes_nothing(tmp_path, capsys):
+    # scan still accepts --threads N >= 1 and ignores it
     cfg = write_config(tmp_path, "cfg.json", {
         "chain": {"family": "lazy_cycle", "n": 14},
-        "bijection": {"kind": "random", "seed": 6},
-        "analysis": [{"type": "expansion"}],
+        "analysis": [{"type": "scan", "epsilon": 0.5, "trials": 3, "seed": 6}],
     })
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["expansion", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["expansion", "--config", cfg, "--out", str(b), "--threads", "4"]) == 0
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["scan", "--config", cfg, "--out", str(a)]) == 0
+    assert main(["scan", "--config", cfg, "--out", str(b), "--threads", "4"]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert main(["scan", "--config", cfg, "--threads", "0"]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 def test_stdout_fallback_when_no_out(tmp_path, capsys):
@@ -451,12 +453,24 @@ def test_single_state_file_chain_exits_2(tmp_path, capsys):
         assert "at least two states" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("indices", [[1.5], ["a"], [None], [True], [[0]], [2**70], [-1]])
+def test_expansion_include_needs_integer_indices_in_range(tmp_path, indices):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "chain": {"family": "lazy_cycle", "n": 8},
+        "analysis": [{"type": "expansion", "include": [indices]}]})
+    code, err = _run_quietly(["expansion", "--config", cfg])
+    assert code == 2
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--config", "c.json"], ["mix", "--config", "c.json"],
     ["hof", "--config", "c.json"], ["fibonacci", "--n", "5", "--kmax", "3"],
     ["compare", "--config-a", "a.json", "--config-b", "b.json"],
+    ["spectral", "--config", "c.json"], ["expansion", "--config", "c.json"],
 ])
 def test_threads_flag_only_on_subset_commands(argv, capsys):
+    # only scan keeps the flag, which it ignores
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--threads", "2"])
     assert exc.value.code == 2
@@ -619,3 +633,41 @@ def test_fuzz_small_file_chains_mix_and_compare(tmp_path_factory, data, n):
         mix_col = [line.split(",")[1] for line in mix_out.read_text().splitlines()]
         cmp_col = [line.split(",")[2] for line in cmp_out.read_text().splitlines()]
         assert mix_col[1:] == cmp_col[1:]
+
+
+_ODD_VALUES = [None, True, -1, 1.5, "a", [], {}, float("inf"), float("nan")]
+_SUBSET_FIELDS = {
+    "include": st.one_of(
+        st.sampled_from(_ODD_VALUES),
+        st.lists(st.lists(st.one_of(st.integers(-2, 9), st.sampled_from([*_ODD_VALUES, 2**70])),
+                          max_size=3), max_size=3)),
+    "mode": st.sampled_from(["exhaustive", "sampled", "nope", *_ODD_VALUES]),
+    "num_samples": st.one_of(st.integers(-2, 20), st.sampled_from(_ODD_VALUES)),
+    "seed": st.one_of(st.integers(-2, 9), st.sampled_from([2**70, *_ODD_VALUES])),
+    "epsilon": st.one_of(st.sampled_from([0, 0.5, 2, 10**400, *_ODD_VALUES])),
+    "trials": st.one_of(st.integers(-1, 3), st.sampled_from(_ODD_VALUES)),
+    "compute_epsilon": st.sampled_from([False, *_ODD_VALUES]),
+}
+_SUBSET_COMMANDS = {
+    "expansion": ("include", "mode", "num_samples", "seed", "epsilon"),
+    "spectral": ("compute_epsilon",),
+    "scan": ("epsilon", "trials", "seed"),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_SUBSET_COMMANDS)),
+       n=st.integers(3, 8))
+def test_fuzz_subset_analysis_fields_never_crash(tmp_path_factory, data, command, n):
+    # every listed field drawn from valid and malformed values, or left out
+    entry = {"type": command}
+    for field in _SUBSET_COMMANDS[command]:
+        if data.draw(st.booleans(), label=f"set {field}"):
+            entry[field] = data.draw(_SUBSET_FIELDS[field], label=field)
+    root = tmp_path_factory.mktemp("subsetfuzz")
+    cfg = write_config(root, "cfg.json", {"chain": {"family": "lazy_cycle", "n": n},
+                                          "bijection": {"kind": "random", "seed": 1},
+                                          "analysis": [entry]})
+    code, err = _run_quietly([command, "--config", cfg])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

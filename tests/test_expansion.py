@@ -187,12 +187,6 @@ def test_single_state_chain_is_rejected_up_front():
         dj.scan_random_bijections(P, 0.5, 0, seed=1)
 
 
-def test_check_expansion_threads_match():
-    P = dj.build_lazy_cycle_walk(14)
-    f = dj.random_permutation(14, 8)
-    assert dj.check_expansion(P, f) == dj.check_expansion(P, f, threads=4)
-
-
 def test_double_expansion_gains_a_state_on_half_sets(chain_zoo):
     # |E(f(E(A)))| >= |A| + 1 whenever |A| <= n/2, by irreducibility
     for label, P, f in chain_zoo:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import detjump as dj
 from detjump import spectral
 from detjump.errors import CapacityError, InvariantError, StructureError
-from oracles import brute_cheeger, jacobi_eigenvalues, mixing_profile_dense
+from oracles import brute_cheeger, brute_cheeger_exact, jacobi_eigenvalues, mixing_profile_dense
 
 # Frozen from the Jacobi-rotation oracle (tests/oracles.py); the two
 # eigensolvers agreed to 1.1e-15 when this was generated.
@@ -113,6 +113,15 @@ def test_cheeger_matches_brute_oracle():
     assert cut / len(inside) == pytest.approx(phi, abs=1e-12)
 
 
+def test_cheeger_witness_is_the_smallest_mask_on_ties():
+    # 0x00FF and 0xFF00 both cut 196/81; the rule picks the smaller mask
+    R = kernel(16, dj.random_permutation(16, 0))
+    phi, witness = dj.cheeger_constant(R)
+    assert witness.mask == 0x00FF
+    assert (phi, witness.mask) == (float(brute_cheeger_exact(R, 81)[0]), 0x00FF)
+    assert phi == 196 / (8 * 81)
+
+
 def test_cheeger_positive_on_zoo(chain_zoo):
     for label, P, f in chain_zoo:
         phi, _ = dj.cheeger_constant(dj.symmetrized_kernel(P, f))
@@ -157,11 +166,6 @@ def test_cheeger_inequality_on_zoo(chain_zoo):
         lam2 = dj.second_eigenvalue(R)
         phi, _ = dj.cheeger_constant(R)
         assert lam2 <= 1.0 - phi * phi / 2.0 + 1e-9, label
-
-
-def test_threads_give_identical_cheeger():
-    R = kernel(12, dj.random_permutation(12, 9))
-    assert dj.cheeger_constant(R) == dj.cheeger_constant(R, threads=4)
 
 
 # --- convergence bounds -----------------------------------------------------
