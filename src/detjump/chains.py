@@ -193,17 +193,22 @@ class ValidationReport:
         )
 
 
-def _reachable_from(adj: np.ndarray, start: int) -> np.ndarray:
-    """BFS reachability over a boolean adjacency matrix."""
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        frontier = list(np.flatnonzero(nxt))
-        seen |= nxt
-    return seen
+def _bfs_levels(states: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from state 0 over the edges us -> vs; -1 if unreached."""
+    dist = np.full(states, -1, dtype=np.int64)
+    dist[0] = 0
+    frontier = np.zeros(states, dtype=bool)
+    frontier[0] = True
+    level = 0
+    while True:
+        level += 1
+        reached = vs[frontier[us]]
+        reached = reached[dist[reached] < 0]
+        if reached.size == 0:
+            return dist
+        dist[reached] = level
+        frontier = np.zeros(states, dtype=bool)
+        frontier[reached] = True
 
 
 def validate(P: TransitionMatrix) -> ValidationReport:
@@ -213,12 +218,13 @@ def validate(P: TransitionMatrix) -> ValidationReport:
     supp = a > 0.0
     violations: dict[str, tuple[int, int]] = {}
 
-    fwd = _reachable_from(supp, 0)
+    us, vs = np.nonzero(supp)
+    fwd = _bfs_levels(n, us, vs) >= 0
     irreducible = bool(fwd.all())
     if not irreducible:
         violations["irreducible"] = (0, int(np.flatnonzero(~fwd)[0]))
     else:
-        bwd = _reachable_from(supp.T, 0)
+        bwd = _bfs_levels(n, vs, us) >= 0
         irreducible = bool(bwd.all())
         if not irreducible:
             violations["irreducible"] = (int(np.flatnonzero(~bwd)[0]), 0)
@@ -255,6 +261,8 @@ def build_lazy_cycle_walk(n: int) -> TransitionMatrix:
     """Lazy walk on the n-cycle: stay, step left, or step right, each 1/3."""
     if n < 3:
         raise ValueError(f"lazy cycle walk needs n >= 3, got {n}")
+    if n > MATRIX_SIZE_CAP:
+        raise CapacityError(f"lazy cycle n={n} is over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}")
     a = np.zeros((n, n))
     idx = np.arange(n)
     a[idx, idx] = 1.0 / 3.0
@@ -271,11 +279,11 @@ def build_hypercube_walk(d: int) -> TransitionMatrix:
     """
     if d < 1:
         raise ValueError(f"hypercube walk needs d >= 1, got {d}")
-    n = 1 << d
-    if n > MATRIX_SIZE_CAP:
+    if d > MATRIX_SIZE_CAP.bit_length() - 1:  # 2^d > MATRIX_SIZE_CAP, decided without 2^d
         raise CapacityError(
-            f"hypercube d={d} has n={n} states, over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
+            f"hypercube d={d} has 2^{d} states, over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
         )
+    n = 1 << d
     a = np.zeros((n, n))
     p = 1.0 / (d + 1)
     idx = np.arange(n)

@@ -20,7 +20,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .chains import (
     Distribution,
@@ -62,9 +62,6 @@ from .spectral import (
     tv_distance,
 )
 
-ANALYSIS_TYPES = ("mixing", "spectral", "expansion", "scan", "fibonacci", "hof")
-_CHAIN_ANALYSES = {"mixing", "spectral", "expansion", "scan"}
-
 
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal form; deterministic across runs."""
@@ -88,6 +85,8 @@ def _load_json(path: Path) -> Any:
         return _strip_comment_keys(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
 
 
 @dataclass(frozen=True)
@@ -104,179 +103,18 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _validate_output_spec(out: Any, where: str) -> None:
-    _require(isinstance(out, dict), f"{where}: output must be an object")
-    fmt = out.get("format")
-    _require(fmt in (None, "csv", "json"), f"{where}: output format must be csv or json")
-    _require(isinstance(out.get("path", ""), str), f"{where}: output path must be a string")
-
-
-def _is_finite_number(value: Any) -> bool:
-    try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _validate_analysis_entry(entry: Any, where: str) -> None:
-    _require(isinstance(entry, dict), f"{where}: analysis entry must be an object")
-    kind = entry.get("type")
-    _require(kind in ANALYSIS_TYPES, f"{where}: unknown analysis type {kind!r}")
-    if kind == "mixing":
-        kmax = entry.get("kmax")
-        _require(isinstance(kmax, int) and kmax >= 0, f"{where}: mixing needs integer kmax >= 0")
-        eps = entry.get("epsilon")
-        _require(eps is None or (_is_finite_number(eps) and eps > 0),
-                 f"{where}: mixing epsilon must be a finite positive number")
-        for flag in ("spectral_bound", "single_start"):
-            _require(isinstance(entry.get(flag, False), bool),
-                     f"{where}: {flag} must be a boolean")
-    elif kind == "spectral":
-        _require(isinstance(entry.get("compute_epsilon", False), bool),
-                 f"{where}: compute_epsilon must be a boolean")
-    elif kind == "expansion":
-        mode = entry.get("mode", "exhaustive")
-        _require(mode in ("exhaustive", "sampled"), f"{where}: expansion mode must be "
-                 "exhaustive or sampled")
-        if mode == "sampled":
-            _require(isinstance(entry.get("num_samples"), int) and entry["num_samples"] >= 0,
-                     f"{where}: sampled expansion needs integer num_samples")
-            _require(isinstance(entry.get("seed"), int),
-                     f"{where}: sampled expansion needs an explicit integer seed")
-        eps = entry.get("epsilon")
-        _require(eps is None or (isinstance(eps, (int, float)) and eps >= 0),
-                 f"{where}: expansion epsilon must be a number >= 0")
-        inc = entry.get("include", [])
-        _require(isinstance(inc, list)
-                 and all(isinstance(s, list) and all(_is_int(i) for i in s) for s in inc),
-                 f"{where}: include must be a list of lists of integer state indices")
-    elif kind == "scan":
-        _require(isinstance(entry.get("epsilon"), (int, float)) and entry["epsilon"] >= 0,
-                 f"{where}: scan needs nonnegative epsilon")
-        _require(isinstance(entry.get("trials"), int) and entry["trials"] >= 0,
-                 f"{where}: scan needs integer trials >= 0")
-        _require(isinstance(entry.get("seed"), int),
-                 f"{where}: scan needs an explicit integer seed")
-    elif kind == "fibonacci":
-        _require(isinstance(entry.get("n"), int) and entry["n"] >= 2,
-                 f"{where}: fibonacci needs integer n >= 2")
-        _require(isinstance(entry.get("kmax"), int) and entry["kmax"] >= 1,
-                 f"{where}: fibonacci needs integer kmax >= 1")
-        c = entry.get("c", 0.0)
-        _require(_is_finite_number(c) and c >= 0,
-                 f"{where}: fibonacci c must be a finite number >= 0")
-    elif kind == "hof":
-        spec_path = entry.get("spec_path")
-        _require(isinstance(spec_path, str), f"{where}: hof needs spec_path")
-        _require(Path(spec_path).exists(), f"{where}: hof spec file not found: {spec_path}")
-    if "output" in entry:
-        _validate_output_spec(entry["output"], where)
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
-    path = Path(path)
-    raw = _load_json(path)
-    _require(isinstance(raw, dict), f"{path}: top level must be an object")
-
-    chain = raw.get("chain")
-    if chain is not None:
-        _require(isinstance(chain, dict), f"{path}: chain must be an object")
-        family = chain.get("family")
-        _require(family in ("lazy_cycle", "hypercube", "file"),
-                 f"{path}: chain family must be lazy_cycle, hypercube, or file")
-        if family == "lazy_cycle":
-            _require(isinstance(chain.get("n"), int) and chain["n"] >= 3,
-                     f"{path}: lazy_cycle needs integer n >= 3")
-        elif family == "hypercube":
-            _require(isinstance(chain.get("d"), int) and chain["d"] >= 1,
-                     f"{path}: hypercube needs integer d >= 1")
-        else:
-            mpath = chain.get("path")
-            _require(isinstance(mpath, str), f"{path}: chain file needs a path")
-            _require(Path(mpath).exists(), f"{path}: matrix file not found: {mpath}")
-
-    bijection = raw.get("bijection")
-    if bijection is not None:
-        _require(isinstance(bijection, dict), f"{path}: bijection must be an object")
-        kind = bijection.get("kind")
-        _require(isinstance(kind, str), f"{path}: bijection needs a kind")
-        if kind == "random":
-            _require(isinstance(bijection.get("seed"), int),
-                     f"{path}: random bijection needs an explicit integer seed")
-        if kind == "affine":
-            _require(isinstance(bijection.get("a"), int), f"{path}: affine bijection needs a")
-        if kind == "explicit":
-            _require(isinstance(bijection.get("values"), list) or
-                     isinstance(bijection.get("path"), str),
-                     f"{path}: explicit bijection needs values or a path")
-
-    analyses = raw.get("analysis", [])
-    _require(isinstance(analyses, list), f"{path}: analysis must be a list")
-    for i, entry in enumerate(analyses):
-        _validate_analysis_entry(entry, f"{path}: analysis[{i}]")
-        if entry.get("type") in _CHAIN_ANALYSES:
-            _require(chain is not None,
-                     f"{path}: analysis[{i}] ({entry.get('type')}) needs a chain section")
-
-    output = raw.get("output")
-    if output is not None:
-        _validate_output_spec(output, str(path))
-
-    return ExperimentConfig(
-        source=path,
-        chain=chain,
-        bijection=bijection,
-        analyses=tuple(analyses),
-        output=output,
-    )
-
-
-def build_chain(config: ExperimentConfig) -> tuple[TransitionMatrix, ValidationReport]:
-    _require(config.chain is not None, f"{config.source}: missing chain section")
-    chain = config.chain
-    if chain["family"] == "lazy_cycle":
-        P = build_lazy_cycle_walk(chain["n"])
-    elif chain["family"] == "hypercube":
-        P = build_hypercube_walk(chain["d"])
-    else:
-        return load_matrix_csv(chain["path"])
-    return P, validate(P)
-
-
-def _require_standing_assumptions(config: ExperimentConfig, report: ValidationReport) -> None:
-    """Chain analyses rely on the standing assumptions; a failed one exits 4, as in `validate`."""
-    if not report.ok:
-        failed = ", ".join(f"{name} at {pair}" for name, pair in sorted(report.violations.items()))
-        raise InvariantError(f"{config.source}: chain fails the standing assumptions: {failed}")
-
-
-def build_bijection(config: ExperimentConfig, n: int) -> Permutation:
-    """The configured bijection, defaulting to the identity."""
-    if config.bijection is None:
-        return identity_permutation(n)
-    b = config.bijection
-    if b["kind"] == "explicit" and "path" in b:
-        return load_permutation(b["path"])
-    return build_permutation(
-        b["kind"], n, a=b.get("a"), seed=b.get("seed"), values=b.get("values"),
-    )
-
+# --- runners: one artifact text from one checked analysis entry -------------------
+#
+# Package functions are called by their names in this module, looked up at call
+# time, so that a wrapper installed on the module sees every call.
 
 def _json_artifact(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _run_mixing(P: TransitionMatrix, f: Permutation, params: dict) -> str:
-    kmax = params["kmax"]
-    epsilon = params.get("epsilon")
-    want_spectral = bool(params.get("spectral_bound", False))
-    profile = mixing_profile(compose(f, P), kmax,
-                             single_start=bool(params.get("single_start", False)))
+def _run_mixing(params: dict, P: TransitionMatrix, f: Permutation) -> str:
+    epsilon, want_spectral = params["epsilon"], params["spectral_bound"]
+    profile = mixing_profile(compose(f, P), params["kmax"], single_start=params["single_start"])
     n = P.n
     delta = min_positive_entry(P)
     lam2 = second_eigenvalue(symmetrized_kernel(P, f)) if want_spectral else None
@@ -296,10 +134,8 @@ def _run_mixing(P: TransitionMatrix, f: Permutation, params: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_spectral(P: TransitionMatrix, f: Permutation, params: dict) -> str:
-    eps = None
-    if params.get("compute_epsilon", False):
-        eps = check_expansion(P, f).epsilon_star
+def _run_spectral(params: dict, P: TransitionMatrix, f: Permutation) -> str:
+    eps = check_expansion(P, f).epsilon_star if params["compute_epsilon"] else None
     report = spectral_report(P, f, expansion_epsilon=eps)
     payload = {
         "n": report.n,
@@ -313,14 +149,11 @@ def _run_spectral(P: TransitionMatrix, f: Permutation, params: dict) -> str:
     return _json_artifact(payload)
 
 
-def _run_expansion(P: TransitionMatrix, f: Permutation, params: dict) -> str:
-    include = [StateSet.from_indices(P.n, idxs) for idxs in params.get("include", [])]
+def _run_expansion(params: dict, P: TransitionMatrix, f: Permutation) -> str:
     report = check_expansion(
-        P, f, params.get("epsilon"),
-        mode=params.get("mode", "exhaustive"),
-        num_samples=params.get("num_samples"),
-        seed=params.get("seed"),
-        include=include,
+        P, f, params["epsilon"], mode=params["mode"], num_samples=params["num_samples"],
+        seed=params["seed"],
+        include=[StateSet.from_indices(P.n, idxs) for idxs in params["include"]],
     )
     return _json_artifact({
         "epsilon_star": report.epsilon_star,
@@ -330,7 +163,7 @@ def _run_expansion(P: TransitionMatrix, f: Permutation, params: dict) -> str:
     })
 
 
-def _run_scan(P: TransitionMatrix, params: dict) -> str:
+def _run_scan(params: dict, P: TransitionMatrix) -> str:
     result = scan_random_bijections(P, params["epsilon"], params["trials"], params["seed"])
     lines = ["seed,epsilon_star,good"]
     for seed, eps_star, good in result.rows:
@@ -339,8 +172,7 @@ def _run_scan(P: TransitionMatrix, params: dict) -> str:
 
 
 def _run_fibonacci(params: dict) -> str:
-    n, kmax = params["n"], params["kmax"]
-    c = float(params.get("c", 0.0))
+    n, kmax, c = params["n"], params["kmax"], float(params["c"])
     guarantee = mixing_guarantee(n, c) if n >= 22 else None
     horizon = max(kmax, guarantee.k) if guarantee else kmax
     marginals = fibonacci_walk_marginals(n, horizon)
@@ -359,25 +191,12 @@ def _run_fibonacci(params: dict) -> str:
 
 
 def _run_hof(params: dict) -> str:
-    spec_path = Path(params["spec_path"])
-    raw = _load_json(spec_path)
-    _require(isinstance(raw, dict), f"{spec_path}: hof spec must be an object")
-    for key in ("base_n", "order", "update", "base_kernel_csv"):
-        _require(key in raw, f"{spec_path}: hof spec missing {key!r}")
-    for key in ("base_n", "order"):
-        _require(_is_int(raw[key]), f"{spec_path}: {key} must be an integer")
-    update = raw["update"]
-    _require(isinstance(update, str)
-             or (isinstance(update, list) and all(_is_int(v) for v in update)),
-             f"{spec_path}: update must be a builtin name or a list of integers")
-    _require(isinstance(raw["base_kernel_csv"], str),
-             f"{spec_path}: base_kernel_csv must be a string")
-    kernel_path = Path(raw["base_kernel_csv"])
-    _require(kernel_path.exists(), f"{spec_path}: base kernel file not found: {kernel_path}")
-    base, _report = load_matrix_csv(kernel_path)
+    spec_path = params["spec_path"]
+    raw = _check(_load_json(Path(spec_path)), HOF_SPEC, spec_path)
+    base, _report = load_matrix_csv(raw["base_kernel_csv"])
     _require(base.n == raw["base_n"],
              f"{spec_path}: base kernel has {base.n} states, spec says {raw['base_n']}")
-    spec = higher_order_spec(base, order=raw["order"], update=update)
+    spec = higher_order_spec(base, order=raw["order"], update=raw["update"])
     result = verify_uniform_ergodicity(spec)
     return _json_artifact({
         "states": spec.states,
@@ -386,38 +205,275 @@ def _run_hof(params: dict) -> str:
     })
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+# --- the config schema: every section, family, kind and analysis type, once ---------
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config key: the values it takes, in words and as a test, and its default.
+
+    A key without a default must be given, and so must a key whose ``when``
+    names an earlier key of its section and the value that makes it needed.
+    ``section`` declares the keys of an object value.
+    """
+
+    what: str
+    ok: Callable[[Any], bool]
+    default: Any = _REQUIRED
+    when: tuple[str, Any] | None = None
+    section: dict[str, Field] | None = None
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _is_finite_number(value: Any) -> bool:
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
-def _resolve_output(entry: dict, config: ExperimentConfig,
-                    out_override: str | None, natural_format: str) -> Path | None:
-    spec = entry.get("output") or config.output or {}
-    fmt = spec.get("format")
-    if fmt is not None and fmt != natural_format:
+def _int(low: int | None = None, **kw: Any) -> Field:
+    return Field("an integer" + ("" if low is None else f" >= {low}"),
+                 lambda v: _is_int(v) and (low is None or v >= low), **kw)
+
+
+def _number(positive: bool = False, **kw: Any) -> Field:
+    if positive:
+        return Field("a finite positive number", lambda v: _is_finite_number(v) and v > 0, **kw)
+    return Field("a finite number >= 0", lambda v: _is_finite_number(v) and v >= 0, **kw)
+
+
+def _flag() -> Field:
+    return Field("a boolean", lambda v: isinstance(v, bool), False)
+
+
+def _choice(*options: str, **kw: Any) -> Field:
+    return Field("one of " + ", ".join(options), lambda v: isinstance(v, str) and v in options,
+                 **kw)
+
+
+def _file(**kw: Any) -> Field:
+    return Field("the path of an existing file",
+                 lambda v: isinstance(v, str) and Path(v).is_file(), **kw)
+
+
+def _object(section: dict[str, Field] | None = None) -> Field:
+    return Field("an object", lambda v: isinstance(v, dict), None, section=section)
+
+
+_OUTPUT = _object({"format": _choice("csv", "json", default=None),
+                   "path": Field("a string", lambda v: isinstance(v, str), None)})
+
+CONFIG = {"chain": _object(), "bijection": _object(),
+          "analysis": Field("a list", lambda v: isinstance(v, list), ()), "output": _OUTPUT}
+
+
+@dataclass(frozen=True)
+class Family:
+    """A chain family: its keys, and its builder returning the chain and its report."""
+
+    fields: dict[str, Field]
+    build: Callable[[dict], tuple[TransitionMatrix, ValidationReport]]
+
+
+def _validated(P: TransitionMatrix) -> tuple[TransitionMatrix, ValidationReport]:
+    return P, validate(P)
+
+
+CHAINS = {
+    "lazy_cycle": Family({"n": _int(3)}, lambda c: _validated(build_lazy_cycle_walk(c["n"]))),
+    "hypercube": Family({"d": _int(1)}, lambda c: _validated(build_hypercube_walk(c["d"]))),
+    "file": Family({"path": _file()}, lambda c: load_matrix_csv(c["path"])),
+}
+
+# Bijection kinds; their keys are the keyword arguments of build_permutation,
+# except an explicit bijection's ``path``, which is read by load_permutation.
+BIJECTIONS: dict[str, dict[str, Field]] = {
+    "identity": {}, "doubling": {}, "cubing": {}, "inversion": {},
+    "affine": {"a": _int()},
+    "random": {"seed": _int(0)},
+    "explicit": {"path": _file(default=None),
+                 "values": Field("a list of integers", _is_int_list, None, when=("path", None))},
+}
+
+# The register-chain spec file that `hof` reads.
+HOF_SPEC = {
+    "base_n": _int(), "order": _int(),
+    "update": Field("a builtin name or a list of integers",
+                    lambda v: isinstance(v, str) or _is_int_list(v)),
+    "base_kernel_csv": _file(),
+}
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """An analysis type: its keys, its subcommand, its artifact and what its runner takes.
+
+    The runner gets the checked entry, then the configured chain if
+    ``chain``, then the configured bijection if ``bijection``.
+    """
+
+    fields: dict[str, Field]
+    command: str
+    help: str
+    format: str
+    runner: Callable[..., str]
+    chain: bool = False
+    bijection: bool = False
+
+
+ANALYSES = {
+    "mixing": Analysis(
+        {"kmax": _int(0), "epsilon": _number(positive=True, default=None),
+         "spectral_bound": _flag(), "single_start": _flag()},
+        "mix", "worst-start mixing profile CSV", "csv", _run_mixing, True, True),
+    "spectral": Analysis(
+        {"compute_epsilon": _flag()},
+        "spectral", "spectral/bottleneck report JSON", "json", _run_spectral, True, True),
+    "expansion": Analysis(
+        {"mode": _choice("exhaustive", "sampled", default="exhaustive"),
+         "num_samples": _int(0, default=None, when=("mode", "sampled")),
+         "seed": _int(0, default=None, when=("mode", "sampled")),
+         "epsilon": _number(default=None),
+         "include": Field("a list of lists of integers",
+                          lambda v: isinstance(v, list) and all(map(_is_int_list, v)), ())},
+        "expansion", "expansion scan JSON", "json", _run_expansion, True, True),
+    "scan": Analysis(  # each trial draws its own bijection
+        {"epsilon": _number(), "trials": _int(0), "seed": _int(0)},
+        "scan", "random-bijection scan CSV", "csv", _run_scan, chain=True),
+    "fibonacci": Analysis(
+        {"n": _int(2), "kmax": _int(1), "c": _number(default=0.0)},
+        "fibonacci", "recurrence-walk distance curve CSV", "csv", _run_fibonacci),
+    "hof": Analysis(
+        {"spec_path": _file()},
+        "hof", "verify a higher-order register chain", "json", _run_hof),
+}
+
+
+def _check(section: Any, fields: dict[str, Field], where: str) -> dict:
+    """``section`` with every declared default filled in; ConfigError on a bad or extra key."""
+    _require(isinstance(section, dict), f"{where} must be an object")
+    for key in section:
+        _require(key in fields, f"{where}: undeclared key {key!r}")
+    out = {}
+    for name, field in fields.items():
+        if name in section:
+            value = section[name]
+            _require(field.ok(value), f"{where}: {name} must be {field.what}, got {value!r:.80}")
+            if field.section is not None:
+                value = _check(value, field.section, f"{where}: {name}")
+        else:
+            needed = field.default is _REQUIRED or (
+                field.when is not None and out[field.when[0]] == field.when[1])
+            _require(not needed, f"{where}: missing {name}, {field.what}")
+            value = field.default
+        out[name] = value
+    return out
+
+
+def _check_variant(section: Any, key: str, kinds: dict[str, dict[str, Field]],
+                   where: str) -> dict:
+    """A section tagged by ``key``, checked against the fields of its kind."""
+    _require(isinstance(section, dict), f"{where} must be an object")
+    tag = section.get(key)
+    _require(isinstance(tag, str) and tag in kinds,
+             f"{where}: {key} must be one of {', '.join(kinds)}, got {tag!r:.80}")
+    rest = {k: v for k, v in section.items() if k != key}
+    return {key: tag, **_check(rest, kinds[tag], f"{where} ({tag})")}
+
+
+def _check_analysis(entry: Any, where: str) -> dict:
+    kinds = {t: {**a.fields, "output": _OUTPUT} for t, a in ANALYSES.items()}
+    return _check_variant(entry, "type", kinds, where)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse and check an experiment config file, filling in every default."""
+    path = Path(path)
+    raw = _check(_load_json(path), CONFIG, str(path))
+    chain, bijection = raw["chain"], raw["bijection"]
+    if chain is not None:
+        chain = _check_variant(chain, "family", {k: f.fields for k, f in CHAINS.items()},
+                               f"{path}: chain")
+    if bijection is not None:
+        bijection = _check_variant(bijection, "kind", BIJECTIONS, f"{path}: bijection")
+    analyses = tuple(_check_analysis(entry, f"{path}: analysis[{i}]")
+                     for i, entry in enumerate(raw["analysis"]))
+    for i, entry in enumerate(analyses):
+        _require(chain is not None or not ANALYSES[entry["type"]].chain,
+                 f"{path}: analysis[{i}] ({entry['type']}) needs a chain section")
+    return ExperimentConfig(source=path, chain=chain, bijection=bijection, analyses=analyses,
+                            output=raw["output"])
+
+
+def build_chain(config: ExperimentConfig) -> tuple[TransitionMatrix, ValidationReport]:
+    _require(config.chain is not None, f"{config.source}: missing chain section")
+    return CHAINS[config.chain["family"]].build(config.chain)
+
+
+def _require_standing_assumptions(config: ExperimentConfig, report: ValidationReport) -> None:
+    """Chain analyses rely on the standing assumptions; a failed one exits 4, as in `validate`."""
+    if not report.ok:
+        failed = ", ".join(f"{name} at {pair}" for name, pair in sorted(report.violations.items()))
+        raise InvariantError(f"{config.source}: chain fails the standing assumptions: {failed}")
+
+
+def build_bijection(config: ExperimentConfig, n: int) -> Permutation:
+    """The configured bijection, defaulting to the identity."""
+    if config.bijection is None:
+        return identity_permutation(n)
+    params = dict(config.bijection)
+    if params.pop("path", None) is not None:
+        return load_permutation(config.bijection["path"])
+    return build_permutation(params.pop("kind"), n, **params)
+
+
+def _write(text: str, target: Path | None) -> Path | None:
+    """Write one artifact atomically (temp file + rename), or to stdout without a target.
+
+    A target that cannot be written is a config error naming it.
+    """
+    if target is None:
+        sys.stdout.write(text)
+        return None
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
+    print(f"wrote {target}")
+    return target
+
+
+def _resolve_output(entry: dict, config: ExperimentConfig, out_override: str | None,
+                    natural_format: str) -> Path | None:
+    spec = entry["output"] or config.output or {"format": None, "path": None}
+    if spec["format"] not in (None, natural_format):
         raise ConfigError(
-            f"{config.source}: analysis type {entry.get('type')!r} emits {natural_format}, "
-            f"config asks for {fmt}"
+            f"{config.source}: analysis type {entry['type']!r} emits {natural_format}, "
+            f"config asks for {spec['format']}"
         )
     if out_override is not None:
         return Path(out_override)
-    path = spec.get("path")
-    return Path(path) if path else None
-
-
-_NATURAL_FORMAT = {
-    "mixing": "csv", "spectral": "json", "expansion": "json",
-    "scan": "csv", "fibonacci": "csv", "hof": "json",
-}
+    return Path(spec["path"]) if spec["path"] else None
 
 
 def run(config: ExperimentConfig, *, only_type: str | None = None,
@@ -428,8 +484,7 @@ def run(config: ExperimentConfig, *, only_type: str | None = None,
     ``out_override`` requires exactly one selected analysis. Artifacts
     without a resolvable path go to stdout.
     """
-    selected = [e for e in config.analyses
-                if only_type is None or e.get("type") == only_type]
+    selected = [e for e in config.analyses if only_type is None or e["type"] == only_type]
     if only_type is not None and not selected:
         raise ConfigError(f"{config.source}: no analysis of type {only_type!r} in config")
     if not selected:
@@ -442,33 +497,16 @@ def run(config: ExperimentConfig, *, only_type: str | None = None,
     chain_cache: tuple[TransitionMatrix, ValidationReport] | None = None
     written: list[Path | None] = []
     for entry in selected:
-        kind = entry["type"]
-        if kind in _CHAIN_ANALYSES:
+        kind = ANALYSES[entry["type"]]
+        inputs: tuple = ()
+        if kind.chain:
             if chain_cache is None:
                 chain_cache = build_chain(config)
                 _require_standing_assumptions(config, chain_cache[1])
-            P, _report = chain_cache
-            if kind == "scan":  # each trial draws its own bijection
-                text = _run_scan(P, entry)
-            else:
-                f = build_bijection(config, P.n)
-                if kind == "mixing":
-                    text = _run_mixing(P, f, entry)
-                elif kind == "spectral":
-                    text = _run_spectral(P, f, entry)
-                else:
-                    text = _run_expansion(P, f, entry)
-        elif kind == "fibonacci":
-            text = _run_fibonacci(entry)
-        else:
-            text = _run_hof(entry)
-        target = _resolve_output(entry, config, out_override, _NATURAL_FORMAT[kind])
-        if target is None:
-            sys.stdout.write(text)
-        else:
-            _atomic_write(target, text)
-            print(f"wrote {target}")
-        written.append(target)
+            P = chain_cache[0]
+            inputs = (P, build_bijection(config, P.n)) if kind.bijection else (P,)
+        text = kind.runner(entry, *inputs)
+        written.append(_write(text, _resolve_output(entry, config, out_override, kind.format)))
     return written
 
 
@@ -488,12 +526,7 @@ def run_validate(config: ExperimentConfig, out_override: str | None) -> int:
         },
         "violations": {k: list(v) for k, v in sorted(report.violations.items())},
     }
-    text = _json_artifact(payload)
-    if out_override is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(Path(out_override), text)
-        print(f"wrote {out_override}")
+    _write(_json_artifact(payload), None if out_override is None else Path(out_override))
     return 0 if report.ok else 4
 
 
@@ -503,7 +536,7 @@ def run_compare(config_a: ExperimentConfig, config_b: ExperimentConfig,
 
     def mixing_entry(cfg: ExperimentConfig) -> dict:
         for entry in cfg.analyses:
-            if entry.get("type") == "mixing":
+            if entry["type"] == "mixing":
                 return entry
         raise ConfigError(f"{cfg.source}: compare needs a mixing analysis in each config")
 
@@ -518,19 +551,13 @@ def run_compare(config_a: ExperimentConfig, config_b: ExperimentConfig,
         P, report = build_chain(cfg)
         _require_standing_assumptions(cfg, report)
         f = build_bijection(cfg, P.n)
-        return mixing_profile(compose(f, P), entry["kmax"],
-                              single_start=bool(entry.get("single_start", False)))
+        return mixing_profile(compose(f, P), entry["kmax"], single_start=entry["single_start"])
 
     rows_a, rows_b = profile(config_a, ea), profile(config_b, eb)
     lines = ["k,worst_tv_A,worst_tv_B"]
     for (k, tva), (_, tvb) in zip(rows_a, rows_b):
         lines.append(f"{k},{_fmt(tva)},{_fmt(tvb)}")
-    text = "\n".join(lines) + "\n"
-    if out_override is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(Path(out_override), text)
-        print(f"wrote {out_override}")
+    _write("\n".join(lines) + "\n", None if out_override is None else Path(out_override))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -539,42 +566,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic-jump speedup experiments for finite Markov chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--out", default=None, help="output artifact path")
-
-    common(sub.add_parser("validate", help="check the standing chain assumptions"))
-    common(sub.add_parser("mix", help="worst-start mixing profile CSV"))
-    common(sub.add_parser("spectral", help="spectral/bottleneck report JSON"))
-    common(sub.add_parser("expansion", help="expansion scan JSON"))
-    scan = sub.add_parser("scan", help="random-bijection scan CSV")
-    common(scan)
-    scan.add_argument("--threads", type=int, default=1,
-                      help="ignored (must be >= 1); kept so that existing scan command lines run")
-
-    fib = sub.add_parser("fibonacci", help="recurrence-walk distance curve CSV")
-    fib.add_argument("--n", type=int, required=True, help="modulus")
-    fib.add_argument("--kmax", type=int, required=True, help="largest step count")
-    fib.add_argument("--c", type=float, default=0.0, help="guarantee strength")
-    fib.add_argument("--out", default=None)
-
-    hof = sub.add_parser("hof", help="verify a higher-order register chain")
-    hof.add_argument("--config", required=True,
-                     help="register-chain spec JSON (base_n, order, update, base_kernel_csv)")
-    hof.add_argument("--out", default=None)
-
-    cmp_p = sub.add_parser("compare", help="side-by-side mixing table for two configs")
-    cmp_p.add_argument("--config-a", required=True)
-    cmp_p.add_argument("--config-b", required=True)
-    cmp_p.add_argument("--out", default=None)
-
+    commands = {"validate": sub.add_parser("validate",
+                                           help="check the standing chain assumptions")}
+    for kind in ANALYSES.values():
+        commands[kind.command] = p = sub.add_parser(kind.command, help=kind.help)
+        if kind.chain:
+            p.add_argument("--config", required=True, help="experiment config JSON")
+    commands["validate"].add_argument("--config", required=True, help="experiment config JSON")
+    commands["scan"].add_argument(
+        "--threads", type=int, default=1,
+        help="ignored (must be >= 1); kept so that existing scan command lines run")
+    commands["fibonacci"].add_argument("--n", type=int, required=True, help="modulus")
+    commands["fibonacci"].add_argument("--kmax", type=int, required=True,
+                                       help="largest step count")
+    commands["fibonacci"].add_argument("--c", type=float, default=0.0,
+                                       help="guarantee strength")
+    commands["hof"].add_argument(
+        "--config", dest="spec_path", metavar="CONFIG", required=True,
+        help="register-chain spec JSON (base_n, order, update, base_kernel_csv)")
+    commands["compare"] = p = sub.add_parser("compare",
+                                             help="side-by-side mixing table for two configs")
+    p.add_argument("--config-a", required=True)
+    p.add_argument("--config-b", required=True)
+    for p in commands.values():
+        p.add_argument("--out", default=None, help="output artifact path (stdout if omitted)")
     return parser
-
-
-_SUBCOMMAND_TYPE = {
-    "mix": "mixing", "spectral": "spectral", "expansion": "expansion", "scan": "scan",
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -585,28 +601,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(f"--threads must be >= 1, got {threads}")
         if args.command == "validate":
             return run_validate(load_config(args.config), args.out)
-        if args.command in _SUBCOMMAND_TYPE:
-            run(load_config(args.config), only_type=_SUBCOMMAND_TYPE[args.command],
-                out_override=args.out)
-            return 0
-        if args.command == "fibonacci":
-            entry = {"type": "fibonacci", "n": args.n, "kmax": args.kmax, "c": args.c}
-            _validate_analysis_entry(entry, "fibonacci")
-            config = ExperimentConfig(source=Path("<cli>"), chain=None, bijection=None,
-                                      analyses=(entry,), output=None)
-            run(config, out_override=args.out)
-            return 0
-        if args.command == "hof":
-            entry = {"type": "hof", "spec_path": args.config}
-            _validate_analysis_entry(entry, "hof")
-            config = ExperimentConfig(source=Path(args.config), chain=None, bijection=None,
-                                      analyses=(entry,), output=None)
-            run(config, out_override=args.out)
-            return 0
         if args.command == "compare":
             run_compare(load_config(args.config_a), load_config(args.config_b), args.out)
             return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        kind = next(t for t, a in ANALYSES.items() if a.command == args.command)
+        if ANALYSES[kind].chain:
+            config = load_config(args.config)
+        else:  # the subcommand's own arguments are the config's one analysis
+            fields = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+            entry = _check_analysis({"type": kind, **fields}, "command line")
+            config = ExperimentConfig(source=Path("<cli>"), chain=None, bijection=None,
+                                      analyses=(entry,), output=None)
+        run(config, only_type=kind, out_override=args.out)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ chain built from (P, f) expands every small set by the factor
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -37,6 +38,14 @@ from .errors import CapacityError, InvariantError, StructureError
 EXHAUSTIVE_CAP = 24
 # Cap for enumerating all 2^n candidate sets B in boundary counting.
 BOUNDARY_CAP = 16
+# Sampled subsets per scan; one draw costs about 15 us at n = 8 and 45 us at n = 1024.
+SAMPLE_CAP = 1 << 18
+# Work of a random-bijection scan, trials x (sets per trial + SCAN_TRIAL_SETS).
+# A trial's fixed cost (its bijection, its atom matrix) is about 120 us, the
+# time of some 1,300 set checks; SCAN_TRIAL_SETS stands for it, so that many
+# trials on a tiny chain are bounded too.
+SCAN_WORK_CAP = 1 << 29
+SCAN_TRIAL_SETS = 1 << 11
 
 # Entries (sets x states) per block of rows: 10,922 sets at n = 24 and 256 at
 # n = 1024, so a block's rows and product stay near 1 MiB each for any n and
@@ -153,8 +162,11 @@ def sampled_blocks(n: int, num_samples: int, seed: int, dtype=np.float32) -> Ite
 
     Draw t is ``choice(n, 1 + t % (n // 2), replace=False)``: the sizes
     1 .. n//2 in turn, uniform within a size. Drawing in blocks keeps the
-    call order, so the family does not depend on the block size.
+    call order, so the family does not depend on the block size. More than
+    SAMPLE_CAP draws raise CapacityError before the first one.
     """
+    if num_samples > SAMPLE_CAP:
+        raise CapacityError(f"{num_samples} sampled sets are over SAMPLE_CAP={SAMPLE_CAP}")
     rng = np.random.Generator(np.random.Philox(seed))
     step = _block_sets(n)
     for lo in range(0, num_samples, step):
@@ -416,6 +428,12 @@ def scan_random_bijections(P: TransitionMatrix, epsilon: float, trials: int,
         )
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    sets = sum(math.comb(P.n, s) for s in range(1, P.n // 2 + 1))
+    if trials * (sets + SCAN_TRIAL_SETS) > SCAN_WORK_CAP:
+        raise CapacityError(
+            f"{trials} trials of {sets} sets each are over SCAN_WORK_CAP={SCAN_WORK_CAP} "
+            f"(each trial counts SCAN_TRIAL_SETS={SCAN_TRIAL_SETS} on top)"
+        )
     rows: list[tuple[int, float, bool]] = []
     failures: list[int] = []
     for t in range(trials):

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import MATRIX_SIZE_CAP, Distribution, TransitionMatrix, validate
+from .chains import MATRIX_SIZE_CAP, Distribution, TransitionMatrix, _bfs_levels, validate
 from .errors import BijectionError, CapacityError, InvariantError
 
 # Exact pair-chain evolution cap: one step gathers and averages n^2 doubles.
@@ -472,24 +472,6 @@ def _successor_edges(spec: HigherOrderChainSpec) -> tuple[np.ndarray, np.ndarray
     us, js = np.nonzero(rows > 0.0)
     vs = (us % (spec.states // n)) * n + js
     return us, vs, rows[us, js]
-
-
-def _bfs_levels(states: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Breadth-first levels from state 0 over the edges us -> vs; -1 if unreached."""
-    dist = np.full(states, -1, dtype=np.int64)
-    dist[0] = 0
-    frontier = np.zeros(states, dtype=bool)
-    frontier[0] = True
-    level = 0
-    while True:
-        level += 1
-        reached = vs[frontier[us]]
-        reached = reached[dist[reached] < 0]
-        if reached.size == 0:
-            return dist
-        dist[reached] = level
-        frontier = np.zeros(states, dtype=bool)
-        frontier[reached] = True
 
 
 def _successor_period(states: int, us: np.ndarray, vs: np.ndarray) -> int:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import detjump as dj
 from detjump.errors import BijectionError, CapacityError, StructureError
+from oracles import reachable_dense
 
 
 def plain_cycle(n):
@@ -66,6 +69,23 @@ def test_structural_errors_are_not_assumption_failures():
 
 # --- builders ---------------------------------------------------------------
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_irreducibility_pairs_match_the_dense_reachability_oracle(n, data):
+    supp = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                       min_size=n, max_size=n)), dtype=bool)
+    supp[np.arange(n), np.arange(n)] |= ~supp.any(axis=1)  # every row needs an entry
+    report = dj.validate(dj.TransitionMatrix(supp / supp.sum(axis=1, keepdims=True)))
+    fwd, bwd = reachable_dense(supp, 0), reachable_dense(supp.T, 0)
+    assert report.irreducible == bool(fwd.all() and bwd.all())
+    if not fwd.all():
+        assert report.violations["irreducible"] == (0, int(np.flatnonzero(~fwd)[0]))
+    elif not bwd.all():
+        assert report.violations["irreducible"] == (int(np.flatnonzero(~bwd)[0]), 0)
+    else:
+        assert "irreducible" not in report.violations
+
+
 def test_lazy_cycle_n3_is_all_thirds():
     P = dj.build_lazy_cycle_walk(3)
     assert np.allclose(P.entries, 1.0 / 3.0)
@@ -105,6 +125,22 @@ def test_hypercube_d2_doubly_stochastic_and_symmetric():
 def test_hypercube_capacity_error():
     with pytest.raises(CapacityError):
         dj.build_hypercube_walk(13)  # 8192 states > cap
+
+
+@pytest.mark.parametrize("build,size", [
+    (dj.build_lazy_cycle_walk, 10**7),    # an n x n request of 728 TiB
+    (dj.build_lazy_cycle_walk, 5000),     # 200 MB, allocated before the cap was checked
+    (dj.build_hypercube_walk, 10**20),    # 2^d itself too large to compute
+])
+def test_builders_check_the_cap_before_allocating(build, size):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="MATRIX_SIZE_CAP"):
+            build(size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_builders_pass_validation():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ def test_invalid_json_reports_line(tmp_path, capsys):
     assert main(["mix", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "broken.json:2" in err
+
+
+@pytest.mark.parametrize("command", ["mix", "hof"])
+def test_deeply_nested_json_exits_2(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text('{"chain": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, err = _run_quietly([command, "--config", str(path)])
+    assert code == 2
+    assert "nested too deeply" in err
 
 
 def test_compare_jump_chain_dominates(tmp_path):
@@ -671,3 +681,171 @@ def test_fuzz_subset_analysis_fields_never_crash(tmp_path_factory, data, command
     code, err = _run_quietly([command, "--config", cfg])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+_CYCLE = {"family": "lazy_cycle", "n": 5}
+_MIX = {"type": "mixing", "kmax": 2}
+
+
+def _config(tmp_path, chain=_CYCLE, analysis=_MIX, **sections):
+    return write_config(tmp_path, "cfg.json", {"chain": chain, "analysis": [analysis],
+                                               **sections})
+
+
+@pytest.mark.parametrize("command,sections,field", [
+    ("mix", {"analysis": {"type": "mixing", "kmax": True}}, "kmax"),
+    ("mix", {"chain": {"family": "hypercube", "d": True}}, "d"),
+    ("mix", {"chain": {"family": "lazy_cycle", "n": True}}, "n"),
+    ("mix", {"bijection": {"kind": "random", "seed": True}}, "seed"),
+    ("mix", {"bijection": {"kind": "affine", "a": True}}, "a"),
+    ("mix", {"analysis": {"type": "mixing", "kmax": 2, "epsilon": True}}, "epsilon"),
+    ("expansion", {"analysis": {"type": "expansion", "mode": "sampled", "num_samples": True,
+                                "seed": 1}}, "num_samples"),
+    ("expansion", {"analysis": {"type": "expansion", "mode": "sampled", "num_samples": 4,
+                                "seed": False}}, "seed"),
+    ("scan", {"analysis": {"type": "scan", "epsilon": 0.5, "trials": True, "seed": 1}},
+     "trials"),
+])
+def test_integer_and_number_fields_reject_booleans(tmp_path, command, sections, field):
+    code, err = _run_quietly([command, "--config", _config(tmp_path, **sections)])
+    assert code == 2
+    assert f"{field} must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("values", [[0.5, 1, 2, 3, 4], [[0], 1, 2, 3, 4], [0, 1, 2, 3, "4"],
+                                    [True, 0, 2, 3, 4]])
+def test_explicit_bijection_values_must_be_integers(tmp_path, values):
+    cfg = _config(tmp_path, bijection={"kind": "explicit", "values": values})
+    code, err = _run_quietly(["mix", "--config", cfg])
+    assert code == 2
+    assert "values must be a list of integers" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sections,key", [
+    ({"analysis": {"type": "mixing", "kmax": 2, "single_strat": True}}, "single_strat"),
+    ({"chain": {"family": "lazy_cycle", "n": 5, "d": 3}}, "d"),
+    ({"bijection": {"kind": "random", "seed": 1, "sed": 2}}, "sed"),
+    ({"bijection": {"kind": "identity", "seed": 1}}, "seed"),
+    ({"analysis": {"type": "mixing", "kmax": 2, "output": {"path": "x.csv", "fmt": "csv"}}},
+     "fmt"),
+    ({"analyses": []}, "analyses"),
+])
+def test_undeclared_keys_exit_2(tmp_path, sections, key):
+    code, err = _run_quietly(["mix", "--config", _config(tmp_path, **sections)])
+    assert code == 2
+    assert f"undeclared key {key!r}" in err
+
+
+@pytest.mark.parametrize("command", ["mix", "validate", "compare", "fibonacci", "hof"])
+def test_an_output_path_that_is_a_directory_exits_2_naming_it(tmp_path, command):
+    target = tmp_path / "artifacts"
+    target.mkdir()
+    cfg = _config(tmp_path)
+    argv = {"mix": ["mix", "--config", cfg], "validate": ["validate", "--config", cfg],
+            "compare": ["compare", "--config-a", cfg, "--config-b", cfg],
+            "fibonacci": ["fibonacci", "--n", "5", "--kmax", "3"],
+            "hof": ["hof", "--config", _hof_spec(tmp_path)]}[command]
+    code, err = _run_quietly([*argv, "--out", str(target)])
+    assert code == 2
+    assert f"cannot write {target}" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith("artifacts")] == ["artifacts"]
+
+
+@pytest.mark.parametrize("chain,cap", [
+    ({"family": "lazy_cycle", "n": 10**7}, "MATRIX_SIZE_CAP"),
+    ({"family": "hypercube", "d": 10**20}, "MATRIX_SIZE_CAP"),
+])
+def test_oversized_chain_families_exit_3(tmp_path, chain, cap):
+    cfg = write_config(tmp_path, "cfg.json", {"chain": chain,
+                                              "analysis": [{"type": "mixing", "kmax": 2}]})
+    code, err = _run_quietly(["mix", "--config", cfg])
+    assert code == 3
+    assert cap in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,cap", [("expansion", "SAMPLE_CAP"), ("scan", "SCAN_WORK_CAP")])
+def test_sample_and_scan_work_just_over_their_caps_exit_3(tmp_path, command, cap):
+    from detjump import expansion
+    sets = sum(math.comb(8, s) for s in range(1, 5))
+    over = {"SAMPLE_CAP": expansion.SAMPLE_CAP + 1,
+            "SCAN_WORK_CAP": expansion.SCAN_WORK_CAP // (sets + expansion.SCAN_TRIAL_SETS) + 1}
+    analysis = {"expansion": {"type": "expansion", "mode": "sampled", "num_samples": over[cap],
+                              "seed": 1},
+                "scan": {"type": "scan", "epsilon": 0.5, "trials": over[cap], "seed": 1}}
+    cfg = write_config(tmp_path, "cfg.json", {"chain": {"family": "lazy_cycle", "n": 8},
+                                              "analysis": [analysis[command]]})
+    code, err = _run_quietly([command, "--config", cfg])
+    assert code == 3
+    assert cap in err
+
+
+_WILD = st.sampled_from([None, True, False, -1, 0, 10**7, 10**20, 1.5, float("inf"),
+                         float("nan"), "a", [], {}, [[0]], [0.5, 1, 2, 3, 4], [4, 3, 2, 1, 0]])
+
+
+def _section_fields(root, tag_key, tags, **fields):
+    """Drawn values for every key of a chain or bijection section, plus its tag."""
+    paths = st.sampled_from([str(root / "chain.csv"), str(root / "perm.txt"), str(root),
+                             str(root / "nope"), 5, None])
+    return {tag_key: st.one_of(st.sampled_from(tags), _WILD), "path": paths,
+            **{name: st.one_of(values, _WILD) for name, values in fields.items()}}
+
+
+def _perturb(data, section, fields, label):
+    """At most one change to a well-formed section: a key set, a key dropped, a key added."""
+    change = data.draw(st.sampled_from(["none", "set", "drop", "undeclared"]), label=label)
+    if change == "set":
+        name = data.draw(st.sampled_from(sorted(fields)), label=f"{label} key")
+        section[name] = data.draw(fields[name], label=f"{label}.{name}")
+        return isinstance(section[name], bool)  # no key of either section takes a boolean
+    if change == "drop":
+        del section[data.draw(st.sampled_from(sorted(section)), label=f"{label} dropped")]
+    if change == "undeclared":
+        section["extra"] = 1
+    return change == "undeclared"
+
+
+_SECTION_ANALYSIS = {"validate": {"type": "mixing", "kmax": 2},
+                     "mix": {"type": "mixing", "kmax": 2},
+                     "compare": {"type": "mixing", "kmax": 2},
+                     "spectral": {"type": "spectral"},
+                     "expansion": {"type": "expansion"},
+                     "scan": {"type": "scan", "epsilon": 0.5, "trials": 1, "seed": 1}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_SECTION_ANALYSIS)))
+def test_fuzz_chain_and_bijection_sections_never_crash(tmp_path_factory, data, command):
+    # well-formed chain and bijection sections, then at most one key of each changed
+    root = tmp_path_factory.mktemp("sectionfuzz")
+    dj.save_matrix_csv(root / "chain.csv", dj.build_lazy_cycle_walk(5))
+    dj.save_permutation(root / "perm.txt", dj.random_permutation(5, 2))
+    chain = data.draw(st.sampled_from([
+        {"family": "lazy_cycle", "n": 5}, {"family": "hypercube", "d": 2},
+        {"family": "file", "path": str(root / "chain.csv")}]), label="chain")
+    bijection = data.draw(st.sampled_from([
+        {"kind": "identity"}, {"kind": "doubling"}, {"kind": "affine", "a": 2},
+        {"kind": "cubing"}, {"kind": "inversion"}, {"kind": "random", "seed": 3},
+        {"kind": "explicit", "values": [4, 3, 2, 1, 0]},
+        {"kind": "explicit", "path": str(root / "perm.txt")}]), label="bijection")
+    chain_fields = _section_fields(root, "family", ["lazy_cycle", "hypercube", "file"],
+                                   n=st.integers(-1, 9), d=st.integers(-1, 4))
+    bijection_fields = _section_fields(
+        root, "kind", ["identity", "doubling", "affine", "cubing", "inversion", "random",
+                       "explicit"],
+        a=st.integers(-3, 9), seed=st.integers(-1, 9),
+        values=st.permutations(range(5)).map(list))
+    exit_2 = _perturb(data, chain, chain_fields, "chain")
+    exit_2 |= _perturb(data, bijection, bijection_fields, "bijection")
+    cfg = write_config(root, "cfg.json", {"chain": chain, "bijection": bijection,
+                                          "analysis": [_SECTION_ANALYSIS[command]]})
+    argv = (["compare", "--config-a", cfg, "--config-b", cfg] if command == "compare"
+            else [command, "--config", cfg])
+    out_is_dir = data.draw(st.booleans(), label="out is a directory")
+    code, err = _run_quietly([*argv, "--out", str(root if out_is_dir else root / "out")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if exit_2:
+        assert code == 2
+    if out_is_dir:
+        assert code != 0

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detjump as dj
+from detjump import expansion
 from detjump.errors import CapacityError, StructureError
 from oracles import (
     brute_boundary_count,
@@ -344,3 +347,26 @@ def test_scan_matches_frozen_golden_after_oracle_audit():
 def test_scan_capacity():
     with pytest.raises(CapacityError):
         dj.scan_random_bijections(dj.build_lazy_cycle_walk(30), 0.1, 5, 1)
+
+
+@pytest.mark.parametrize("n", [3, 8, 20])
+def test_scan_work_over_the_cap_raises_before_the_first_trial(monkeypatch, n):
+    def no_draws(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(expansion, "random_permutation", no_draws)
+    sets = sum(math.comb(n, s) for s in range(1, n // 2 + 1))
+    over = expansion.SCAN_WORK_CAP // (sets + expansion.SCAN_TRIAL_SETS) + 1
+    for trials in (over, 10**9):
+        with pytest.raises(CapacityError, match="SCAN_WORK_CAP"):
+            dj.scan_random_bijections(dj.build_lazy_cycle_walk(n), 0.5, trials, 1)
+
+
+def test_sampled_draws_over_the_cap_raise_before_drawing():
+    P, f = dj.build_lazy_cycle_walk(8), dj.random_permutation(8, 1)
+    R = dj.symmetrized_kernel(P, f)
+    for num_samples in (expansion.SAMPLE_CAP + 1, 10**9):
+        with pytest.raises(CapacityError, match="SAMPLE_CAP"):
+            dj.check_expansion(P, f, mode="sampled", num_samples=num_samples, seed=0)
+        with pytest.raises(CapacityError, match="SAMPLE_CAP"):
+            dj.cheeger_constant_sampled(R, num_samples, seed=0)
