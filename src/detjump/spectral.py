@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -221,6 +221,9 @@ def tv_distance(mu: Distribution, nu: Distribution) -> float:
     return float(np.abs(mu.probs - nu.probs).sum()) / 2.0
 
 
+# Largest n * k_max of ``mixing_profile``: 2^20 state-steps, 17x the benchmark's
+# n = 1024, k_max = 60, and k_max = 209,715 on a 5-cycle.
+MIXING_STEP_CAP = 1 << 20
 # The predecessor gather beats one GEMM per step while w * _GATHER_RATIO <= n,
 # w the most predecessors of any state. Measured on a 2-vCPU shared VM
 # (OpenBLAS, 2 threads), all-starts profile of a union of w random
@@ -228,6 +231,15 @@ def tv_distance(mu: Distribution, nu: Distribution) -> float:
 # 0.91 s (3), 1.6 s (8) and 2.1-3.0 s (10-16) against 1.7-2.4 s for GEMM;
 # at n = 256 the two tie at w = 3, and at n = 2048 (kmax 10) at w = 16.
 _GATHER_RATIO = 128
+# The shift step of a jump-factored chain (see ``_jump_factor``) beats one GEMM
+# per step while w * _SHIFT_RATIO <= n, w the nonzeros of row 0. Measured on
+# the same VM, all starts of compose(random permutation, circulant with w
+# random offsets), shift / GEMM time with distinct weights (equal weights):
+# n = 256, kmax 60: 0.87 (0.61) at w = 4, 1.28 (0.73) at 8, 2.65 (1.09) at 32;
+# n = 1024, kmax 20: 0.62 (0.42) at w = 16, 1.02 (0.67) at 32, 1.89 (1.11) at 64;
+# n = 2048, kmax 5: 0.60 (0.31) at w = 32, 1.31 (0.62) at 64, 2.24 (0.86) at 128.
+# At n = 64 GEMM is faster from w = 2 (1.24), where a profile takes 5 ms.
+_SHIFT_RATIO = 32
 # Starts per gathered block: about 2^16 doubles (512 KiB) per n x B array.
 # Blocks of 64 starts at n = 1024 and of 16 at n = 4096 were the fastest
 # tried (0.80 s and 2.1 s); one block of all starts took 1.6 s and 9.3 s.
@@ -236,26 +248,60 @@ _GATHER_RATIO = 128
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _translation_invariant(a: np.ndarray) -> bool:
-    """Whether Q commutes with a transitive group of translations, checked exactly.
+def _translates_row0(a: np.ndarray, group: str, s: np.ndarray) -> bool:
+    """Whether Q[i, j] == Q[0, t(j, s_i)] for all i, j, compared exactly in row blocks.
 
-    Circulant: Q[i, j] == Q[0, (j - i) mod n] for all i, j. When n is a
-    power of two, XOR-invariant: Q[i, j] == Q[0, i ^ j]. Then every row
-    of Q^k is a permutation of row 0, so start 0 is a worst start.
+    t(j, c) = (j - c) mod n for ``group`` "cyclic" and j ^ c for "xor".
     """
     n = a.shape[0]
-    row = a[0]
-    # Row i of a circulant is the window of [row, row] starting at n - i.
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), n)
-    if np.array_equal(a, windows[:0:-1]):
-        return True
-    if n & (n - 1):
-        return False
-    # In blocks of rows, so the index table stays small and a miss stops early.
     idx = np.arange(n)
     rows = max(1, _BLOCK_ENTRIES // n)
-    return all(np.array_equal(a[lo:lo + rows], row[idx[lo:lo + rows, None] ^ idx])
-               for lo in range(0, n, rows))
+    for lo in range(0, n, rows):
+        c = s[lo:lo + rows, None]
+        src = (idx - c) % n if group == "cyclic" else idx ^ c
+        if not np.array_equal(a[lo:lo + rows], a[0, src]):
+            return False
+    return True
+
+
+def _jump_factor(a: np.ndarray) -> tuple[str, np.ndarray] | None:
+    """(group, s) with every row i of Q equal to row 0 translated by s_i, or None.
+
+    Row i is Q[i, j] == Q[0, (j - s_i) mod n] for ``group`` "cyclic", or
+    Q[0, j ^ s_i] for "xor" (n a power of two), checked exactly, and s
+    is a permutation. Then Q = S R with S[i, s_i] = 1 and R invariant
+    under the group: compose(f, P) has this form, s_i = f(i) - f(0) or
+    f(i) ^ f(0), whenever P is circulant or XOR-invariant.
+
+    s = identity, Q itself invariant, is tried first for any w; then
+    every row of Q^k is a permutation of row 0. Otherwise, when each row
+    has the w nonzeros of row 0 and w * _SHIFT_RATIO <= n, s_i is the
+    first translation that carries row 0's nonzero entries onto equal
+    entries of row i, and the whole of Q is checked against it.
+    """
+    n = a.shape[0]
+    groups = ("cyclic", "xor") if n & (n - 1) == 0 else ("cyclic",)
+    identity = np.arange(n)
+    for group in groups:
+        if _translates_row0(a, group, identity):
+            return group, identity
+    counts = np.count_nonzero(a, axis=1)
+    w = int(counts[0])
+    if w * _SHIFT_RATIO > n or np.any(counts != w):
+        return None
+    support = np.nonzero(a)[1].reshape(n, w)  # increasing within each row
+    base, rows = support[0], identity[:, None]
+    for group in groups:
+        s, found = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
+        for t in range(w):  # candidate: base[0] lands on support[i, t]
+            c = (support[:, t] - base[0]) % n if group == "cyclic" else support[:, t] ^ base[0]
+            moved = (base + c[:, None]) % n if group == "cyclic" else base ^ c[:, None]
+            hit = ~found & np.all(a[rows, moved] == a[0, base], axis=1)
+            s[hit], found[hit] = c[hit], True
+        if (found.all() and np.bincount(s, minlength=n).max() == 1
+                and _translates_row0(a, group, s)):
+            return group, s
+    return None
 
 
 def _predecessors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,45 +322,104 @@ def _predecessors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pred, wt
 
 
-def _worst_tv(a: np.ndarray, k_max: int, starts: np.ndarray,
-              gather: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+def _gemm_steps(X: np.ndarray, a: np.ndarray) -> Iterator[np.ndarray]:
+    """Q.T @ X as one GEMM per step, (X.T @ Q).T on the rows of Q^k."""
+    while True:
+        X = (X.T @ a).T
+        yield X
+
+
+def _gather_steps(X: np.ndarray, pred: np.ndarray, wt: np.ndarray) -> Iterator[np.ndarray]:
+    """Q.T @ X as the sum over t of wt[t][:, None] * X[pred[t]], added in increasing t."""
+    acc, term = np.empty_like(X), np.empty_like(X)
+    wt = wt[:, :, None]
+    while True:
+        np.take(X, pred[0], axis=0, out=acc)
+        acc *= wt[0]
+        for t in range(1, pred.shape[0]):
+            np.take(X, pred[t], axis=0, out=term)
+            term *= wt[t]
+            acc += term
+        X, acc = acc, X
+        yield X
+
+
+def _translated(dst: np.ndarray, Y: np.ndarray, group: str, d: int) -> list[tuple]:
+    """Pairs (part of dst, part of Y) that put Y[(j - d) mod n] or Y[j ^ d] at dst[j]."""
+    n = Y.shape[0]
+    if group == "cyclic":  # two slices, the second empty at d = 0
+        return [(dst[d:], Y[:n - d]), (dst[:d], Y[n - d:])][:2 if d else 1]
+    # XOR by d flips the axes of d's bits in a (2, ..., 2, B) view, most significant first.
+    m = n.bit_length() - 1
+    flip = tuple(slice(None, None, -1 if d >> (m - 1 - ax) & 1 else 1) for ax in range(m))
+    shape = (2,) * m + Y.shape[1:]
+    return [(dst.reshape(shape), Y.reshape(shape)[flip])]
+
+
+def _shift_steps(X: np.ndarray, group: str, s: np.ndarray,
+                 row: np.ndarray) -> Iterator[np.ndarray]:
+    """Q.T @ X for Q = S R (see ``_jump_factor``), in place: R.T @ (X[s^-1]).
+
+    A step permutes the rows of X into Y, then adds the translates of Y
+    by the nonzero offsets d of row 0, weight row[d]. Offsets of equal
+    weight are summed first and scaled once, in increasing d; the first
+    weight level is written into X, each later one through a spare
+    array. No index table or per-state weight is read.
+    """
+    inv = np.empty_like(s)
+    inv[s] = np.arange(s.size)
+    Y, spare = np.empty_like(X), np.empty_like(X)
+    offsets = np.flatnonzero(row)
+    levels = []
+    for c in sorted(set(row[offsets].tolist())):
+        dst = spare if levels else X
+        levels.append((dst, c, [_translated(dst, Y, group, int(d))
+                                for d in offsets[row[offsets] == c]]))
+    while True:
+        np.take(X, inv, axis=0, out=Y)
+        for dst, c, (first, *rest) in levels:
+            for p, q in first:
+                if rest:
+                    np.copyto(p, q)
+                else:
+                    np.multiply(q, c, out=p)
+            for pairs in rest:
+                for p, q in pairs:
+                    p += q
+            if rest:
+                dst *= c
+            if dst is spare:
+                X += spare
+        yield X
+
+
+_STEPS = {"gemm": _gemm_steps, "gather": _gather_steps, "shift": _shift_steps}
+
+
+def _worst_tv(n: int, k_max: int, starts: np.ndarray, step: tuple) -> np.ndarray:
     """Largest distance to uniform over ``starts`` after k = 0 .. k_max steps.
 
-    Evolves blocks of starts as X = (Q^k).T[:, block]. A step is one
-    GEMM, Q.T @ X, computed as (X.T @ Q).T on the rows of Q^k; or, with
-    ``gather`` = (pred, wt), the sum over t of wt[t][:, None] * X[pred[t]],
-    added in increasing t into preallocated blocks, so it repeats bit for
-    bit.
+    Evolves blocks of starts as X = (Q^k).T[:, block]. ``step`` is
+    ("gemm", Q), ("gather", pred, wt) or ("shift", group, s, Q[0]); each
+    step's operations run in a fixed order, so a route repeats bit for
+    bit. GEMM takes all starts in one column-major block; the others take
+    blocks of about _BLOCK_ENTRIES / n starts.
     """
-    n = a.shape[0]
+    kind, *params = step
     worst = np.zeros(k_max + 1)
-    width = n if gather is None else max(1, min(n, _BLOCK_ENTRIES // n))
-    if gather is not None:
-        pred, wt = gather
-        wt = wt[:, :, None]
+    width = n if kind == "gemm" else max(1, min(n, _BLOCK_ENTRIES // n))
     for lo in range(0, starts.size, width):
         block = starts[lo:lo + width]
         # Column-major for GEMM: X.T is then the row-major block of rows of Q^k.
-        X = np.zeros((n, block.size), order="F" if gather is None else "C")
+        X = np.zeros((n, block.size), order="F" if kind == "gemm" else "C")
         X[block, np.arange(block.size)] = 1.0
         dev = np.empty((block.size, n))  # one start per row: pairwise sums along rows
-        if gather is not None:
-            acc, term = np.empty_like(X), np.empty_like(X)
+        steps = _STEPS[kind](X, *params)
         for k in range(k_max + 1):
             np.abs(np.subtract(X.T, 1.0 / n, out=dev), out=dev)
             worst[k] = max(worst[k], float(dev.sum(axis=1).max()) / 2.0)
-            if k == k_max:
-                break
-            if gather is None:
-                X = (X.T @ a).T  # the rows of Q^k, times Q
-            else:
-                np.take(X, pred[0], axis=0, out=acc)
-                acc *= wt[0]
-                for t in range(1, pred.shape[0]):
-                    np.take(X, pred[t], axis=0, out=term)
-                    term *= wt[t]
-                    acc += term
-                X, acc = acc, X
+            if k < k_max:
+                X = next(steps)
     return worst
 
 
@@ -322,35 +427,52 @@ def mixing_profile(Q: TransitionMatrix, k_max: int, *,
                    single_start: bool = False) -> list[tuple[int, float]]:
     """Worst-start distance to uniform after k steps, for k = 0 .. k_max.
 
-    The route follows properties checked on Q, not options:
+    The route follows properties checked exactly on Q by ``_jump_factor``,
+    not options; w is the largest number of predecessors of any state.
 
-    - starts: when Q is exactly translation-invariant (circulant, or
-      XOR-invariant for n a power of two) every start is a worst start
-      and only state 0 is evolved; otherwise all n starts are evolved
-      (the gather takes them in blocks of about 2^16 / n).
-    - step: when w * 128 <= n, w the largest number of predecessors of
-      any state, a step gathers the w predecessors of every state;
-      otherwise it is one matrix product.
+    - starts: when Q is translation-invariant (circulant, or XOR-invariant
+      for n a power of two) every start is a worst start and only state 0
+      is evolved; otherwise all n starts are evolved, in blocks of about
+      2^16 / n for the two sparse steps below.
+    - step: when every row of Q is row 0 translated by s_i, s a
+      permutation (compose(f, P) with P circulant or XOR-invariant), and
+      w * 32 <= n, a step permutes the rows of X by s^-1 and adds w
+      translates of the result with the weights of row 0. Otherwise, when
+      w * 128 <= n, a step gathers the w predecessors of every state;
+      otherwise it is one matrix product, bit-identical to the all-starts
+      M @ Q loop. Every route repeats bit for bit.
 
     ``single_start`` asks for the one-start route and raises
     StructureError when Q is not translation-invariant, where start 0
     need not be the worst. The sequence must be nonincreasing; any
     numerical violation beyond 1e-12 is raised, not smoothed over.
+    n * k_max is capped at MIXING_STEP_CAP (CapacityError).
     """
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
-    a = Q.entries
     n = Q.n
-    invariant = _translation_invariant(a)
-    if single_start and not invariant:
+    if n * k_max > MIXING_STEP_CAP:
+        raise CapacityError(
+            f"mixing profile capped at n * kmax <= MIXING_STEP_CAP={MIXING_STEP_CAP}, "
+            f"got n={n}, kmax={k_max}"
+        )
+    a = Q.entries
+    factor = _jump_factor(a)
+    one_start = factor is not None and bool(np.all(factor[1] == np.arange(n)))
+    if single_start and not one_start:
         raise StructureError(
             "single_start needs a translation-invariant chain (circulant, or XOR-invariant "
             "for n a power of two); start 0 need not be the worst start here"
         )
-    starts = np.zeros(1, dtype=np.intp) if invariant else np.arange(n)
+    starts = np.zeros(1, dtype=np.intp) if one_start else np.arange(n)
     w = int(np.count_nonzero(a, axis=0).max())
-    gather = _predecessors(a) if w * _GATHER_RATIO <= n else None
-    worst = _worst_tv(a, k_max, starts, gather).tolist()
+    if factor is not None and w * _SHIFT_RATIO <= n:
+        step = ("shift", *factor, a[0])
+    elif w * _GATHER_RATIO <= n:
+        step = ("gather", *_predecessors(a))
+    else:
+        step = ("gemm", a)
+    worst = _worst_tv(n, k_max, starts, step).tolist()
     for k in range(1, k_max + 1):
         if worst[k] > worst[k - 1] + 1e-12:
             raise InvariantError(

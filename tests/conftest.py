@@ -1,11 +1,27 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `import oracles` robust
 
 import detjump as dj
+
+# The same examples on every checkout and run, and no example database; a
+# test's own @settings still sets its example count. Hypothesis also caches
+# the constants it reads from local source files; that cache lives in a
+# temporary directory removed at exit, so no run writes .hypothesis/ here.
+settings.register_profile("default", derandomize=True, database=None)
+settings.load_profile("default")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="detjump-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
 
 
 @pytest.fixture(scope="session")

@@ -254,6 +254,31 @@ def test_fibonacci_horizon_over_the_marginal_cap_exits_3(argv, capsys):
     assert "MARGINAL_ENTRY_CAP" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kmax", [10**9, 10**20])
+@pytest.mark.parametrize("command", ["mix", "compare"])
+def test_mix_kmax_over_the_step_cap_exits_3(tmp_path, capsys, command, kmax):
+    cfg = mixing_config(tmp_path, n=5, kmax=kmax)
+    argv = ["mix", "--config", cfg] if command == "mix" else \
+        ["compare", "--config-a", cfg, "--config-b", cfg]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "MIXING_STEP_CAP" in err and "Traceback" not in err
+
+
+def test_compare_jumped_column_is_byte_equal_to_mix(tmp_path):
+    # n = 128 with a random jump takes the shift step (w = 3, 3 * 32 <= 128)
+    plain = mixing_config(tmp_path, "plain.json", n=128, kmax=40)
+    jumped = mixing_config(tmp_path, "jump.json", n=128,
+                           bijection={"kind": "random", "seed": 3}, kmax=40)
+    mix_out, cmp_out = tmp_path / "mix.csv", tmp_path / "cmp.csv"
+    assert main(["mix", "--config", jumped, "--out", str(mix_out)]) == 0
+    assert main(["compare", "--config-a", plain, "--config-b", jumped,
+                 "--out", str(cmp_out)]) == 0
+    mixed = [line.split(",")[1] for line in mix_out.read_text().splitlines()]
+    compared = [line.split(",")[2] for line in cmp_out.read_text().splitlines()]
+    assert compared[1:] == mixed[1:] and len(mixed) == 42
+
+
 def test_mix_rejects_an_epsilon_too_large_for_a_float(tmp_path, capsys):
     cfg = mixing_config(tmp_path, n=7, kmax=3, epsilon=10**400)
     assert main(["mix", "--config", cfg]) == 2

@@ -339,14 +339,47 @@ def _xor_invariant(stencil):
     return dj.TransitionMatrix(np.asarray(stencil)[idx[:, None] ^ idx[None, :]])
 
 
+def _with_one_swap(P, rows, cols, mass):
+    """P with `mass` moved around the rectangle rows x cols: still doubly stochastic."""
+    a = P.entries.copy()
+    (r1, r2), (c1, c2) = rows, cols
+    a[r1, c1] -= mass
+    a[r2, c2] -= mass
+    a[r1, c2] += mass
+    a[r2, c1] += mass
+    return dj.TransitionMatrix(a)
+
+
+def _swap_rows_0_1(Q):
+    """Q with mass moved around a rectangle on rows 0 and 1: no row-0 translate any more."""
+    a = Q.entries
+    c1 = np.flatnonzero(a[0])[0]
+    c2 = [c for c in np.flatnonzero(a[1]) if c != c1][-1]
+    return _with_one_swap(Q, (0, 1), (c1, c2), min(a[0, c1], a[1, c2]) / 2)
+
+
+def _steps(a):
+    """Every step the profile can take on Q: the shift step only when Q factors."""
+    steps = [("gather", *spectral._predecessors(a)), ("gemm", a)]
+    factor = spectral._jump_factor(a)
+    if factor is not None:
+        steps.append(("shift", *factor, a[0]))
+    return steps
+
+
 def _assert_matches_dense(Q, k_max, starts):
     want = mixing_profile_dense(Q, k_max)
-    a = Q.entries
-    for gather in (spectral._predecessors(a), None):
-        got = spectral._worst_tv(a, k_max, starts, gather)
-        assert np.abs(got - want).max() <= 1e-14, gather is None
+    for step in _steps(Q.entries):
+        got = spectral._worst_tv(Q.n, k_max, starts, step)
+        assert np.abs(got - want).max() <= 1e-14, step[0]
     got = [tv for _, tv in dj.mixing_profile(Q, k_max)]
     assert np.abs(np.array(got) - want).max() <= 1e-14
+
+
+def _one_start(a):
+    """Whether the exact check finds Q itself translation-invariant (s = identity)."""
+    factor = spectral._jump_factor(a)
+    return factor is not None and np.array_equal(factor[1], np.arange(len(a)))
 
 
 _WEIGHTS = st.lists(st.integers(1, 4), min_size=1, max_size=6)
@@ -359,7 +392,7 @@ def test_both_steps_match_the_dense_oracle_on_sparse_chains(n, weights, seed, k_
     Q = _union_of_permutations(n, weights, seed)
     _assert_matches_dense(Q, k_max, np.arange(n))
     # all starts by GEMM is the oracle's own M @ Q loop, bit for bit
-    assert spectral._worst_tv(Q.entries, k_max, np.arange(n), None).tolist() == \
+    assert spectral._worst_tv(n, k_max, np.arange(n), ("gemm", Q.entries)).tolist() == \
         mixing_profile_dense(Q, k_max)
 
 
@@ -370,36 +403,88 @@ _STENCIL = st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 0.5]), min_size=1,
 @given(stencil=_STENCIL.filter(any), k_max=st.integers(0, 30))
 def test_one_start_route_matches_the_dense_oracle_on_circulants(stencil, k_max):
     Q = _circulant(np.array(stencil) / sum(stencil))
-    assert spectral._translation_invariant(Q.entries)
+    assert _one_start(Q.entries)
     _assert_matches_dense(Q, k_max, np.zeros(1, dtype=np.intp))
+
+
+def _xor_stencil(data, d):
+    return np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5]),
+                                       min_size=1 << d, max_size=1 << d).filter(any)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(0, 6), data=st.data(), k_max=st.integers(0, 30))
 def test_one_start_route_matches_the_dense_oracle_on_xor_invariant_chains(d, data, k_max):
-    stencil = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5]),
-                                          min_size=1 << d, max_size=1 << d).filter(any)))
+    stencil = _xor_stencil(data, d)
     Q = _xor_invariant(stencil / stencil.sum())
-    assert spectral._translation_invariant(Q.entries)
+    assert _one_start(Q.entries)
     _assert_matches_dense(Q, k_max, np.zeros(1, dtype=np.intp))
+
+
+def _jumped(P, seed=2):
+    return dj.compose(dj.random_permutation(P.n, seed), P)
+
+
+def _assert_jumped_matches_dense(Q, k_max, periodic):
+    """Q = compose(f, P) at every shift ratio: factored unless P's stencil is periodic."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SHIFT_RATIO", 1)  # let the shift step run below n = 32 w
+        factor = spectral._jump_factor(Q.entries)
+        assert factor is not None or periodic
+        if factor is not None:
+            assert np.bincount(factor[1], minlength=Q.n).max() == 1
+        _assert_matches_dense(Q, k_max, np.arange(Q.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stencil=_STENCIL.filter(any), seed=st.integers(0, 2**32 - 1), k_max=st.integers(0, 30))
+def test_shift_step_matches_the_dense_oracle_on_jumped_circulants(stencil, seed, k_max):
+    r = np.array(stencil) / sum(stencil)
+    periodic = any(np.array_equal(np.roll(r, c), r) for c in range(1, r.size))
+    _assert_jumped_matches_dense(_jumped(_circulant(r), seed), k_max, periodic)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(0, 6), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       k_max=st.integers(0, 30))
+def test_shift_step_matches_the_dense_oracle_on_jumped_xor_chains(d, data, seed, k_max):
+    r = _xor_stencil(data, d)
+    r /= r.sum()
+    idx = np.arange(r.size)
+    periodic = any(np.array_equal(r[idx ^ c], r) for c in range(1, r.size))
+    _assert_jumped_matches_dense(_jumped(_xor_invariant(r), seed), k_max, periodic)
+
+
+@pytest.mark.parametrize("stencil", [[1, 0, 1, 0], [1, 1, 0, 1, 1, 0], [2, 1, 2, 1, 2, 1, 2, 1]])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_periodic_stencils_match_the_dense_oracle_after_a_jump(stencil, seed):
+    r = np.array(stencil, dtype=float) / sum(stencil)
+    _assert_jumped_matches_dense(_jumped(_circulant(r), seed), 20, periodic=True)
+
+
+@pytest.mark.parametrize("P", [
+    _circulant(np.array([0.5, 0.3, 0, 0, 0, 0, 0.2])),  # n = 7, not a power of two
+    dj.build_lazy_cycle_walk(48),
+    dj.build_hypercube_walk(5),
+    _xor_invariant(np.array([0.4, 0.1, 0.0, 0.2, 0.0, 0.0, 0.3, 0.0])),
+], ids=["cycle7", "cycle48", "cube5", "xor8"])
+def test_jumped_chains_factor_and_a_swap_after_composing_falls_back(P):
+    Q = _jumped(P, seed=4)
+    _assert_jumped_matches_dense(Q, 30, periodic=False)
+    swapped = _swap_rows_0_1(Q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SHIFT_RATIO", 1)
+        assert spectral._jump_factor(swapped.entries) is None
+        _assert_matches_dense(swapped, 30, np.arange(P.n))
 
 
 def test_translation_invariance_fires_on_cycles_and_cubes():
     for n in (3, 4, 5, 16, 101, 1024):
-        assert spectral._translation_invariant(dj.build_lazy_cycle_walk(n).entries), n
+        assert _one_start(dj.build_lazy_cycle_walk(n).entries), n
     for d in range(1, 11):
-        assert spectral._translation_invariant(dj.build_hypercube_walk(d).entries), d
+        assert _one_start(dj.build_hypercube_walk(d).entries), d
 
 
-def _with_one_swap(P, rows, cols, mass):
-    """P with `mass` moved around the rectangle rows x cols: still doubly stochastic."""
-    a = P.entries.copy()
-    (r1, r2), (c1, c2) = rows, cols
-    a[r1, c1] -= mass
-    a[r2, c2] -= mass
-    a[r1, c2] += mass
-    a[r2, c1] += mass
-    return dj.TransitionMatrix(a)
 
 
 @pytest.mark.parametrize("Q", [
@@ -409,41 +494,48 @@ def _with_one_swap(P, rows, cols, mass):
 def test_translation_invariance_misses_a_near_miss_with_one_swap(Q):
     a = Q.entries
     assert np.allclose(a.sum(axis=0), 1.0) and np.allclose(a.sum(axis=1), 1.0)
-    assert not spectral._translation_invariant(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SHIFT_RATIO", 1)
+        assert spectral._jump_factor(a) is None
     with pytest.raises(StructureError):
         dj.mixing_profile(Q, 4, single_start=True)
     want = mixing_profile_dense(Q, 40)
-    start0 = spectral._worst_tv(a, 40, np.zeros(1, dtype=np.intp), None)
+    start0 = spectral._worst_tv(Q.n, 40, np.zeros(1, dtype=np.intp), ("gemm", a))
     assert max(w - s for w, s in zip(want, start0)) > 1e-3  # start 0 is not the worst
     _assert_matches_dense(Q, 40, np.arange(Q.n))
 
 
-@pytest.mark.parametrize("label, Q, starts, gathers", [
-    ("plain cycle", dj.build_lazy_cycle_walk(384), 1, True),
-    ("plain cycle below the crossover", dj.build_lazy_cycle_walk(383), 1, False),
-    ("jumped cycle", dj.compose(dj.random_permutation(384, 2), dj.build_lazy_cycle_walk(384)),
-     384, True),
-    ("plain cube", dj.build_hypercube_walk(6), 1, False),
-    ("jumped cube", dj.compose(dj.random_permutation(64, 2), dj.build_hypercube_walk(6)),
-     64, False),
-    # the benchmark's dense chains: w = 3 gathers at n = 1024, w = 11 does not
-    ("jumped 1024-cycle", dj.compose(dj.random_permutation(1024, 2),
-                                     dj.build_lazy_cycle_walk(1024)), 1024, True),
-    ("jumped 10-cube", dj.compose(dj.random_permutation(1024, 2), dj.build_hypercube_walk(10)),
-     1024, False),
+@pytest.mark.parametrize("label, Q, starts, step", [
+    ("plain cycle", dj.build_lazy_cycle_walk(384), 1, "shift"),
+    # one start, w * 32 > n: the step falls back as on any other chain
+    ("plain cycle below the shift crossover", dj.build_lazy_cycle_walk(95), 1, "gemm"),
+    ("jumped cycle", _jumped(dj.build_lazy_cycle_walk(384)), 384, "shift"),
+    ("plain cube", dj.build_hypercube_walk(6), 1, "gemm"),
+    ("jumped cube", _jumped(dj.build_hypercube_walk(6)), 64, "gemm"),
+    # the benchmark's dense chains: both factor, w = 3 and w = 11 at n = 1024
+    ("jumped 1024-cycle", _jumped(dj.build_lazy_cycle_walk(1024)), 1024, "shift"),
+    ("jumped 10-cube", _jumped(dj.build_hypercube_walk(10)), 1024, "shift"),
+    ("plain 10-cube", dj.build_hypercube_walk(10), 1, "shift"),
+    # unions of permutations do not factor: gather up to w * 128 = n, then GEMM
+    ("union of 2 permutations", _union_of_permutations(1024, [1, 1], 3), 1024, "gather"),
+    ("union of 6 permutations", _union_of_permutations(256, [1, 2, 3, 1, 2, 3], 3), 256,
+     "gemm"),
+    # a near miss falls back to the step its sparsity allows
+    ("jumped 1024-cycle with one swap", _swap_rows_0_1(_jumped(dj.build_lazy_cycle_walk(1024))),
+     1024, "gather"),
 ])
 def test_mixing_profile_route_follows_the_checked_properties(monkeypatch, label, Q, starts,
-                                                             gathers):
+                                                             step):
     seen = []
     real = spectral._worst_tv
 
-    def spy(a, k_max, starts_, gather):
-        seen.append((starts_.size, gather is not None))
-        return real(a, k_max, starts_, gather)
+    def spy(n, k_max, starts_, step_):
+        seen.append((starts_.size, step_[0]))
+        return real(n, k_max, starts_, step_)
 
     monkeypatch.setattr(spectral, "_worst_tv", spy)
     dj.mixing_profile(Q, 2)
-    assert seen == [(starts, gathers)], label
+    assert seen == [(starts, step)], label
 
 
 @pytest.mark.parametrize("width", [1, 5, 47, 48])
@@ -451,20 +543,54 @@ def test_blocks_of_starts_each_count(monkeypatch, width):
     n = 48
     Q = _union_of_permutations(n, [1, 2, 1], seed=width)
     monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", width * n)
-    got = spectral._worst_tv(Q.entries, 25, np.arange(n), spectral._predecessors(Q.entries))
+    got = spectral._worst_tv(n, 25, np.arange(n), ("gather", *spectral._predecessors(Q.entries)))
+    assert np.abs(got - mixing_profile_dense(Q, 25)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("width", [1, 5, 64])
+def test_blocks_of_starts_each_count_on_the_shift_step(monkeypatch, width):
+    Q = _jumped(dj.build_hypercube_walk(6), seed=width)
+    monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", width * Q.n)
+    monkeypatch.setattr(spectral, "_SHIFT_RATIO", 1)
+    step = ("shift", *spectral._jump_factor(Q.entries), Q.entries[0])
+    got = spectral._worst_tv(Q.n, 25, np.arange(Q.n), step)
     assert np.abs(got - mixing_profile_dense(Q, 25)).max() <= 1e-14
 
 
 def test_jumped_cycle_over_several_blocks_matches_the_dense_oracle():
-    # n = 384 takes the gather in blocks of 170 starts
+    # n = 384 takes the shift step in blocks of 170 starts
     Q = dj.compose(dj.random_permutation(384, 5), dj.build_lazy_cycle_walk(384))
     got = [tv for _, tv in dj.mixing_profile(Q, 30)]
     assert np.abs(np.array(got) - mixing_profile_dense(Q, 30)).max() <= 1e-14
 
 
 def test_gather_route_repeats_bit_for_bit():
-    Q = dj.compose(dj.random_permutation(512, 3), dj.build_lazy_cycle_walk(512))
+    Q = _union_of_permutations(512, [1, 2, 1], seed=3)
     assert dj.mixing_profile(Q, 20) == dj.mixing_profile(Q, 20)
+
+
+@pytest.mark.parametrize("P", [dj.build_lazy_cycle_walk(512), dj.build_hypercube_walk(9)],
+                         ids=["cycle512", "cube9"])
+def test_shift_route_repeats_bit_for_bit_and_refuses_single_start(P):
+    Q = _jumped(P, seed=3)
+    assert spectral._jump_factor(Q.entries) is not None
+    assert dj.mixing_profile(Q, 20) == dj.mixing_profile(Q, 20)
+    with pytest.raises(StructureError, match="translation-invariant"):
+        dj.mixing_profile(Q, 20, single_start=True)
+
+
+@pytest.mark.parametrize("k_max", [10**9, 10**20])
+def test_mixing_profile_caps_n_times_kmax_before_allocating(k_max):
+    with pytest.raises(CapacityError, match="MIXING_STEP_CAP"):
+        dj.mixing_profile(dj.build_lazy_cycle_walk(5), k_max)
+
+
+def test_mixing_profile_cap_admits_n_times_kmax_up_to_the_cap():
+    Q = dj.build_lazy_cycle_walk(1024)
+    k_max = spectral.MIXING_STEP_CAP // Q.n
+    assert len(dj.mixing_profile(Q, k_max)) == k_max + 1
+    with pytest.raises(CapacityError, match=str(spectral.MIXING_STEP_CAP)):
+        dj.mixing_profile(Q, k_max + 1)
 
 
 def test_predecessor_table_pads_short_columns_with_zero_weight():
