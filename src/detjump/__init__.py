@@ -60,7 +60,6 @@ from .fibonacci import (
     build_higher_order_chain,
     check_residue_window,
     fib_residue_sequence,
-    fibonacci_walk_distribution,
     fibonacci_walk_marginals,
     fourier_tv_bound,
     higher_order_spec,
@@ -71,7 +70,6 @@ from .fibonacci import (
 from .spectral import (
     SpectralReport,
     cheeger_constant,
-    cheeger_constant_sampled,
     evolve,
     expansion_tv_bound,
     mixing_profile,

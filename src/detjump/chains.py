@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class TransitionMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def support(self) -> np.ndarray:
-        """Boolean adjacency of strictly positive entries."""
-        return self.entries > 0.0
-
     @property
     def is_doubly_stochastic(self) -> bool:
         return bool(np.all(np.abs(self.entries.sum(axis=0) - 1.0) <= STOCHASTIC_TOL))
@@ -117,15 +113,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.forward[i]
-
-    def matrix(self) -> np.ndarray:
-        """The permutation matrix with a 1 at (i, f(i))."""
-        m = np.zeros((self.n, self.n))
-        m[np.arange(self.n), np.asarray(self.forward)] = 1.0
-        return m
-
-    def image(self, indices: Iterable[int]) -> set[int]:
-        return {self.forward[i] for i in indices}
 
 
 @dataclass(frozen=True, eq=False)

@@ -151,7 +151,7 @@ def _run_spectral(params: dict, P: TransitionMatrix, f: Permutation) -> str:
 
 def _run_expansion(params: dict, P: TransitionMatrix, f: Permutation) -> str:
     report = check_expansion(
-        P, f, params["epsilon"], mode=params["mode"], num_samples=params["num_samples"],
+        P, f, mode=params["mode"], num_samples=params["num_samples"],
         seed=params["seed"],
         include=[StateSet.from_indices(P.n, idxs) for idxs in params["include"]],
     )
@@ -344,7 +344,6 @@ ANALYSES = {
         {"mode": _choice("exhaustive", "sampled", default="exhaustive"),
          "num_samples": _int(0, default=None, when=("mode", "sampled")),
          "seed": _int(0, default=None, when=("mode", "sampled")),
-         "epsilon": _number(default=None),
          "include": Field("a list of lists of integers",
                           lambda v: isinstance(v, list) and all(map(_is_int_list, v)), ())},
         "expansion", "expansion scan JSON", "json", _run_expansion, True, True),

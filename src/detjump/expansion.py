@@ -75,10 +75,6 @@ class StateSet:
         return StateSet(n, mask)
 
     @staticmethod
-    def empty(n: int) -> "StateSet":
-        return StateSet(n, 0)
-
-    @staticmethod
     def full(n: int) -> "StateSet":
         return StateSet(n, (1 << n) - 1)
 
@@ -157,7 +153,7 @@ def small_set_blocks(n: int, dtype=np.float32) -> Iterator[np.ndarray]:
         yield set_rows(masks[(sizes >= 1) & (2 * sizes <= n)], n, dtype)
 
 
-def sampled_blocks(n: int, num_samples: int, seed: int, dtype=np.float32) -> Iterator[np.ndarray]:
+def sampled_blocks(n: int, num_samples: int, seed: int) -> Iterator[np.ndarray]:
     """Rows of the sampled family, drawn block by block in one Philox stream.
 
     Draw t is ``choice(n, 1 + t % (n // 2), replace=False)``: the sizes
@@ -170,17 +166,17 @@ def sampled_blocks(n: int, num_samples: int, seed: int, dtype=np.float32) -> Ite
     rng = np.random.Generator(np.random.Philox(seed))
     step = _block_sets(n)
     for lo in range(0, num_samples, step):
-        rows = np.zeros((min(step, num_samples - lo), n), dtype=dtype)
+        rows = np.zeros((min(step, num_samples - lo), n), dtype=np.float32)
         for r in range(rows.shape[0]):
             rows[r, rng.choice(n, size=1 + (lo + r) % (n // 2), replace=False)] = 1
         yield rows
 
 
-def list_blocks(masks: Sequence[int], n: int, dtype=np.float32) -> Iterator[np.ndarray]:
+def list_blocks(masks: Sequence[int], n: int) -> Iterator[np.ndarray]:
     """Rows of a list of Python-int masks, block by block."""
     step = _block_sets(n)
     for lo in range(0, len(masks), step):
-        yield set_rows(masks[lo:lo + step], n, dtype)
+        yield set_rows(masks[lo:lo + step], n)
 
 
 def min_ratio(blocks: Iterable[np.ndarray],
@@ -249,7 +245,7 @@ class ExpansionReport:
         return epsilon <= self.epsilon_star
 
 
-def check_expansion(P: TransitionMatrix, f: Permutation, epsilon: float | None = None, *,
+def check_expansion(P: TransitionMatrix, f: Permutation, *,
                     mode: str = "exhaustive", num_samples: int | None = None,
                     seed: int | None = None,
                     include: Sequence[StateSet] = ()) -> ExpansionReport:
@@ -262,18 +258,14 @@ def check_expansion(P: TransitionMatrix, f: Permutation, epsilon: float | None =
     lower-confidence mode whose epsilon_star can only overestimate the
     exhaustive value. Sets in ``include`` are always checked on top.
     Each block of sets is counted by one product with the atom matrix
-    M = (S[:, f^-1] @ S > 0), S the support of P.
-
-    ``epsilon`` is the value the caller cares about; the report answers
-    any such query via ``holds_for``, so it does not change the scan.
+    M = (S[:, f^-1] @ S > 0), S the support of P. The report answers the
+    expansion condition for any epsilon via ``holds_for``.
     """
     n = P.n
     if f.n != n:
         raise ValueError(f"permutation on {f.n} states, matrix on {n}")
     if n < 2:
         raise StructureError(f"expansion needs at least two states, got n={n}")
-    if epsilon is not None and epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
     if mode == "exhaustive":
         if n > EXHAUSTIVE_CAP:
@@ -419,6 +411,7 @@ def scan_random_bijections(P: TransitionMatrix, epsilon: float, trials: int,
     Trial t uses the bijection seeded with ``seed + t`` and an exhaustive
     expansion scan, so every failing seed can be replayed exactly.
     With trials = 0 the fraction is undefined and reported as None.
+    ``epsilon`` must be finite and nonnegative.
     """
     if P.n < 2:
         raise StructureError(f"expansion needs at least two states, got n={P.n}")
@@ -426,6 +419,8 @@ def scan_random_bijections(P: TransitionMatrix, epsilon: float, trials: int,
         raise CapacityError(
             f"scan needs exhaustive checks, capped at n <= {EXHAUSTIVE_CAP}, got n={P.n}"
         )
+    if not 0 <= epsilon < math.inf:  # false for nan
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     sets = sum(math.comb(P.n, s) for s in range(1, P.n // 2 + 1))
@@ -439,7 +434,7 @@ def scan_random_bijections(P: TransitionMatrix, epsilon: float, trials: int,
     for t in range(trials):
         trial_seed = seed + t
         f = random_permutation(P.n, trial_seed)
-        report = check_expansion(P, f, epsilon)
+        report = check_expansion(P, f)
         good = report.holds_for(epsilon)
         rows.append((trial_seed, report.epsilon_star, good))
         if not good:

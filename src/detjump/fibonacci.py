@@ -80,11 +80,6 @@ def _check_pair_args(n: int, k: int) -> None:
         raise ValueError(f"need k >= 1, got {k}")
 
 
-def fibonacci_walk_distribution(n: int, k: int) -> Distribution:
-    """Exact law of X_k for the recurrence walk on Z_n."""
-    return fibonacci_walk_marginals(n, k)[k - 1]
-
-
 def fibonacci_walk_marginals(n: int, k_max: int) -> list[Distribution]:
     """Exact laws of X_1, ..., X_{k_max} in one incremental pass.
 

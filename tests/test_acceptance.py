@@ -175,7 +175,7 @@ def test_criterion_09_pair_walk_equals_register_marginal():
         T = dj.build_higher_order_chain(spec)
         joint = dj.Distribution.point_mass(1, n * n)  # pair (0, 1)
         for k in range(1, 51):
-            direct = dj.fibonacci_walk_distribution(n, k)
+            direct = dj.fibonacci_walk_marginals(n, k)[k - 1]
             marginal = joint.probs.reshape(n, n).sum(axis=0)
             assert np.max(np.abs(marginal - direct.probs)) <= 1e-12, (n, k)
             joint = dj.evolve(T, joint, 1)

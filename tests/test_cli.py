@@ -761,6 +761,14 @@ def test_undeclared_keys_exit_2(tmp_path, sections, key):
     assert f"undeclared key {key!r}" in err
 
 
+def test_expansion_no_longer_takes_epsilon(tmp_path):
+    # the report answers every epsilon through epsilon_star, so expansion takes none
+    cfg = _config(tmp_path, analysis={"type": "expansion", "epsilon": 0.5})
+    code, err = _run_quietly(["expansion", "--config", cfg])
+    assert code == 2
+    assert "undeclared key 'epsilon'" in err
+
+
 @pytest.mark.parametrize("command", ["mix", "validate", "compare", "fibonacci", "hof"])
 def test_an_output_path_that_is_a_directory_exits_2_naming_it(tmp_path, command):
     target = tmp_path / "artifacts"

@@ -344,6 +344,18 @@ def test_scan_matches_frozen_golden_after_oracle_audit():
         assert result.rows[t][1] == pytest.approx(SCAN_GOLDEN_FIRST_EPS[t], abs=1e-12)
 
 
+@pytest.mark.parametrize("epsilon, trials",
+                         [(math.nan, 3), (math.inf, 3), (-1.0, 0), (-1e-300, 3)])
+def test_scan_rejects_a_non_finite_or_negative_epsilon_before_the_first_trial(monkeypatch,
+                                                                              epsilon, trials):
+    def no_draws(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(expansion, "random_permutation", no_draws)
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+        dj.scan_random_bijections(dj.build_lazy_cycle_walk(9), epsilon, trials, 3)
+
+
 def test_scan_capacity():
     with pytest.raises(CapacityError):
         dj.scan_random_bijections(dj.build_lazy_cycle_walk(30), 0.1, 5, 1)
@@ -364,9 +376,6 @@ def test_scan_work_over_the_cap_raises_before_the_first_trial(monkeypatch, n):
 
 def test_sampled_draws_over_the_cap_raise_before_drawing():
     P, f = dj.build_lazy_cycle_walk(8), dj.random_permutation(8, 1)
-    R = dj.symmetrized_kernel(P, f)
     for num_samples in (expansion.SAMPLE_CAP + 1, 10**9):
         with pytest.raises(CapacityError, match="SAMPLE_CAP"):
             dj.check_expansion(P, f, mode="sampled", num_samples=num_samples, seed=0)
-        with pytest.raises(CapacityError, match="SAMPLE_CAP"):
-            dj.cheeger_constant_sampled(R, num_samples, seed=0)

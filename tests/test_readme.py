@@ -1,0 +1,34 @@
+"""The README's "Caps and tolerances" table against the constants it names."""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import detjump
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_ROW = re.compile(r"^\| `(\w+)` \| ([^|]+?) \|")
+
+
+def _caps_rows():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Caps and tolerances", 1)[1].split("\n## ", 1)[0]
+    return [m.groups() for m in map(_ROW.match, section.splitlines()) if m]
+
+
+def _value(text):
+    """A stated value: 2^k or a decimal literal."""
+    base, _, power = text.partition("^")
+    return int(base) ** int(power) if power else (int(text) if text.isdigit() else float(text))
+
+
+def test_every_caps_row_names_a_constant_with_its_stated_value():
+    modules = [importlib.import_module(f"detjump.{m.name}")
+               for m in pkgutil.iter_modules(detjump.__path__)]
+    rows = _caps_rows()
+    assert rows
+    for name, stated in rows:
+        found = {m.__name__: getattr(m, name) for m in modules if hasattr(m, name)}
+        assert found, f"{name} is not defined in any detjump module"
+        assert all(v == _value(stated) for v in found.values()), (name, stated, found)

@@ -134,30 +134,10 @@ def test_cheeger_capacity_error():
         dj.cheeger_constant(R)
 
 
-def test_cheeger_sampled_mode_upper_estimates():
-    R = kernel(10)
-    exact, _ = dj.cheeger_constant(R)
-    sampled, witness = dj.cheeger_constant_sampled(R, 64, seed=5)
-    assert sampled >= exact - 1e-12
-    assert witness.size >= 1
-    again, _ = dj.cheeger_constant_sampled(R, 64, seed=5)
-    assert sampled == again
-
-
 def test_cheeger_rejects_single_state_kernel():
     R = dj.TransitionMatrix(np.ones((1, 1)))
     with pytest.raises(StructureError, match="at least two states"):
         dj.cheeger_constant(R)
-    with pytest.raises(StructureError, match="at least two states"):
-        dj.cheeger_constant_sampled(R, 3, seed=0)
-
-
-def test_cheeger_sampled_handles_wide_state_spaces():
-    # above the exhaustive cap, and wide enough that masks span > 64 bits
-    R = kernel(dj.build_lazy_cycle_walk(80), dj.random_permutation(80, 2))
-    phi, witness = dj.cheeger_constant_sampled(R, 40, seed=1)
-    assert 0.0 < phi <= 1.0 + 1e-9
-    assert 1 <= witness.size <= 40
 
 
 def test_cheeger_inequality_on_zoo(chain_zoo):
@@ -485,6 +465,65 @@ def test_translation_invariance_fires_on_cycles_and_cubes():
         assert _one_start(dj.build_hypercube_walk(d).entries), d
 
 
+@pytest.mark.parametrize("n, moduli", [
+    (1, [(1,)]),
+    (2, [(2,), (2,)]),
+    (3, [(3,)]),
+    (4, [(4,), (2, 2)]),
+    (1024, [(1024,), (2,) * 10]),
+])
+def test_groups_declare_axis_moduli_and_the_index_difference(n, moduli):
+    groups = spectral._groups(n)
+    assert [m for m, _ in groups] == moduli
+    j, c = np.arange(n)[None, :], np.arange(n)[:, None]
+    for (m, diff), want in zip(groups, [(j - c) % n, j ^ c]):
+        assert np.array_equal(diff(j, c), want)
+        # digit by digit, j - c is the difference of the digits mod each modulus,
+        # which is what the shift step's per-axis rolls compute
+        for d, dj_, dc, mod in zip(np.unravel_index(diff(j, c), m), np.unravel_index(j, m),
+                                   np.unravel_index(c, m), m):
+            assert np.array_equal(d, (dj_ - dc) % mod)
+
+
+# float.hex of the shift step's profiles, kmax 12 with _SHIFT_RATIO = 1, frozen from
+# the implementation with one branch per group; xor8 moves several cube axes per offset.
+SHIFT_PROFILES = {
+    "cycle64": [
+        "0x1.f800000000000p-1", "0x1.e800000000000p-1", "0x1.d000000000000p-1",
+        "0x1.7800000000000p-1", "0x1.e25ed097b425ep-2", "0x1.2905447a34accp-2",
+        "0x1.6f19a2970059ep-3", "0x1.ccc24fd4ec73ap-4", "0x1.068e1aec37b7ep-4",
+        "0x1.6448ada877f7ep-5", "0x1.e4f27c92a845cp-6", "0x1.0fb2cba677360p-6",
+        "0x1.40dc174b24accp-7",
+    ],
+    "cube6": [
+        "0x1.f800000000000p-1", "0x1.c7fffffffffffp-1", "0x1.1000000000000p-1",
+        "0x1.e5693c746e75ep-3", "0x1.40ccb6f6b94f4p-4", "0x1.dae53ce19cd79p-6",
+        "0x1.205645cab8263p-7", "0x1.ed428dc10d982p-9", "0x1.4210054c02cf8p-10",
+        "0x1.f24f5ebb71cd0p-12", "0x1.4e2a621cbe080p-13", "0x1.a982acb6fe580p-15",
+        "0x1.36f3e16a42600p-16",
+    ],
+    "xor8": [
+        "0x1.c000000000000p-1", "0x1.0cccccccccccdp-1", "0x1.4cccccccccccep-2",
+        "0x1.0624dd2f1a9fcp-2", "0x1.a36e2eb1c432ep-3", "0x1.4f8b588e368f2p-3",
+        "0x1.0c6f7a0b5ed8ep-3", "0x1.ad7f29abcaf4ap-4", "0x1.5798ee2308c3cp-4",
+        "0x1.12e0be826d696p-4", "0x1.b7cdfd9d7bdbdp-5", "0x1.5fd7fe1796498p-5",
+        "0x1.19799812dea14p-5",
+    ],
+}
+
+
+@pytest.mark.parametrize("name, P", [
+    ("cycle64", dj.build_lazy_cycle_walk(64)),
+    ("cube6", dj.build_hypercube_walk(6)),
+    ("xor8", _xor_invariant(np.array([0.4, 0.1, 0.0, 0.2, 0.0, 0.0, 0.3, 0.0]))),
+])
+def test_shift_route_profiles_are_pinned_bit_for_bit(monkeypatch, name, P):
+    Q = _jumped(P)
+    monkeypatch.setattr(spectral, "_SHIFT_RATIO", 1)
+    step = ("shift", *spectral._jump_factor(Q.entries), Q.entries[0])
+    assert [tv.hex() for tv in spectral._worst_tv(Q.n, 12, np.arange(Q.n), step)] == \
+        SHIFT_PROFILES[name]
+    assert [tv.hex() for _, tv in dj.mixing_profile(Q, 12)] == SHIFT_PROFILES[name]
 
 
 @pytest.mark.parametrize("Q", [

@@ -7,8 +7,6 @@ Every kernel runs with blocks of 1 set, of 7 sets and of the default
 size, and the three results must be identical.
 """
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,12 +117,6 @@ def test_sampled_scans_do_not_depend_on_the_block_size(n):
     eps, witness, checked = brute_expansion_over(
         P, f, sampled_sets(n, 60, 8) + [set(include[0].indices())])
     assert (report.epsilon_star, report.witness.mask, report.sets_checked) == (eps, witness, checked)
-    R = dj.symmetrized_kernel(P, f)
-    phi, witness = same_under_blocks(lambda: dj.cheeger_constant_sampled(R, 60, seed=8), n)
-    K = np.rint(81 * R.entries).astype(np.int64)  # lazy cycles: q = 3
-    best = min((Fraction(int(K[np.ix_(sorted(s), sorted(set(range(n)) - s))].sum()), len(s) * 81),
-                sum(1 << i for i in s)) for s in sampled_sets(n, 60, 8))
-    assert (phi, witness.mask) == (float(best[0]), best[1])
 
 
 def test_row_converters_round_trip():
