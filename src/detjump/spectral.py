@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -227,9 +229,15 @@ _GATHER_RATIO = 128
 _SHIFT_RATIO = 32
 # Starts per gathered block: about 2^16 doubles (512 KiB) per n x B array.
 # Blocks of 64 starts at n = 1024 and of 16 at n = 4096 were the fastest
-# tried (0.80 s and 2.1 s); one block of all starts took 1.6 s and 9.3 s.
-# GEMM does its own cache blocking and runs fastest on all starts at once
-# (1.3-1.5x slower on blocks of 64-128), so the GEMM route takes one block.
+# tried (0.80 s and 2.1 s, one thread); one block of all starts took 1.6 s
+# and 9.3 s. GEMM does its own cache blocking and runs fastest on all starts
+# at once (1.3-1.5x slower on blocks of 64-128), so the GEMM route takes one
+# block on BLAS's threads. The blocks of the two sparse steps run on one
+# thread per CPU this process may use, at most one per block; numpy releases
+# the GIL inside their element-wise steps. Each thread reuses its X, dev and
+# step scratch for the whole profile: allocated in the calling thread, they
+# raised the dense benchmark's peak RSS by 0.7 MiB over the single-threaded
+# profile, and allocated in the threads (per-thread malloc arenas) by 3.5 MiB.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -324,15 +332,21 @@ def _gemm_steps(X: np.ndarray, a: np.ndarray) -> Iterator[np.ndarray]:
         yield X
 
 
-def _gather_steps(X: np.ndarray, pred: np.ndarray, wt: np.ndarray) -> Iterator[np.ndarray]:
-    """Q.T @ X as the sum over t of wt[t][:, None] * X[pred[t]], added in increasing t."""
-    acc, term = np.empty_like(X), np.empty_like(X)
+def _gather_steps(X: np.ndarray, acc: np.ndarray, term: np.ndarray, pred: np.ndarray,
+                  wt: np.ndarray) -> Iterator[np.ndarray]:
+    """Q.T @ X as the sum over t of wt[t][:, None] * X[pred[t]], added in increasing t.
+
+    acc and term are the caller's scratch of X's shape; X and acc swap roles
+    after every step. Every index is in range, so the gathers take
+    mode="clip": with the default mode="raise", ``np.take`` fills ``out``
+    through a temporary of its size.
+    """
     wt = wt[:, :, None]
     while True:
-        np.take(X, pred[0], axis=0, out=acc)
+        np.take(X, pred[0], axis=0, out=acc, mode="clip")
         acc *= wt[0]
         for t in range(1, pred.shape[0]):
-            np.take(X, pred[t], axis=0, out=term)
+            np.take(X, pred[t], axis=0, out=term, mode="clip")
             term *= wt[t]
             acc += term
         X, acc = acc, X
@@ -365,19 +379,20 @@ def _translated(dst: np.ndarray, Y: np.ndarray, moduli: tuple[int, ...],
             for combo in itertools.product(*pieces)]
 
 
-def _shift_steps(X: np.ndarray, moduli: tuple[int, ...], s: np.ndarray,
-                 row: np.ndarray) -> Iterator[np.ndarray]:
+def _shift_steps(X: np.ndarray, Y: np.ndarray, spare: np.ndarray, moduli: tuple[int, ...],
+                 s: np.ndarray, row: np.ndarray) -> Iterator[np.ndarray]:
     """Q.T @ X for Q = S R (see ``_jump_factor``), in place: R.T @ (X[s^-1]).
 
     A step permutes the rows of X into Y, then adds the translates of Y
     by the nonzero offsets d of row 0, weight row[d]. Offsets of equal
     weight are summed first and scaled once, in increasing d; the first
-    weight level is written into X, each later one through a spare
-    array. No index table or per-state weight is read.
+    weight level is written into X, each later one through ``spare``; Y
+    and spare are the caller's scratch of X's shape, C-contiguous, since
+    ``_translated`` views them with one axis per modulus. No index table
+    or per-state weight is read.
     """
     inv = np.empty_like(s)
     inv[s] = np.arange(s.size)
-    Y, spare = np.empty_like(X), np.empty_like(X)
     offsets = np.flatnonzero(row)
     levels = []
     for c in sorted(set(row[offsets].tolist())):
@@ -385,7 +400,7 @@ def _shift_steps(X: np.ndarray, moduli: tuple[int, ...], s: np.ndarray,
         levels.append((dst, c, [_translated(dst, Y, moduli, int(d))
                                 for d in offsets[row[offsets] == c]]))
     while True:
-        np.take(X, inv, axis=0, out=Y)
+        np.take(X, inv, axis=0, out=Y, mode="clip")  # in range; see _gather_steps
         for dst, c, (first, *rest) in levels:
             for p, q in first:
                 if rest:
@@ -402,7 +417,17 @@ def _shift_steps(X: np.ndarray, moduli: tuple[int, ...], s: np.ndarray,
         yield X
 
 
-_STEPS = {"gemm": _gemm_steps, "gather": _gather_steps, "shift": _shift_steps}
+# Each route's step, and how many scratch arrays of X's shape it takes from the caller.
+_STEPS = {"gemm": (_gemm_steps, 0), "gather": (_gather_steps, 2), "shift": (_shift_steps, 2)}
+
+
+def _worker_count(blocks: int) -> int:
+    """Threads for a profile: one per block of starts, at most one per CPU this process may use."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform (macOS, Windows)
+        cpus = os.cpu_count() or 1
+    return min(blocks, cpus)
 
 
 def _worst_tv(n: int, k_max: int, starts: np.ndarray, step: tuple) -> np.ndarray:
@@ -412,24 +437,44 @@ def _worst_tv(n: int, k_max: int, starts: np.ndarray, step: tuple) -> np.ndarray
     ("gemm", Q), ("gather", pred, wt) or ("shift", moduli, s, Q[0]); each
     step's operations run in a fixed order, so a route repeats bit for
     bit. GEMM takes all starts in one column-major block; the others take
-    blocks of about _BLOCK_ENTRIES / n starts.
+    blocks of about _BLOCK_ENTRIES / n starts, spread over ``_worker_count``
+    threads. Each thread's X, dev and step scratch are allocated here, once
+    per profile; a block of b starts uses the first n * b entries of each,
+    so a ragged last block still gets contiguous arrays of its own shape.
+    The result is the elementwise max of the threads' maxima, which does
+    not depend on how the blocks were shared out.
     """
     kind, *params = step
-    worst = np.zeros(k_max + 1)
-    width = n if kind == "gemm" else max(1, min(n, _BLOCK_ENTRIES // n))
-    for lo in range(0, starts.size, width):
-        block = starts[lo:lo + width]
-        # Column-major for GEMM: X.T is then the row-major block of rows of Q^k.
-        X = np.zeros((n, block.size), order="F" if kind == "gemm" else "C")
-        X[block, np.arange(block.size)] = 1.0
-        dev = np.empty((block.size, n))  # one start per row: pairwise sums along rows
-        steps = _STEPS[kind](X, *params)
-        for k in range(k_max + 1):
-            np.abs(np.subtract(X.T, 1.0 / n, out=dev), out=dev)
-            worst[k] = max(worst[k], float(dev.sum(axis=1).max()) / 2.0)
-            if k < k_max:
-                X = next(steps)
-    return worst
+    steps, scratch = _STEPS[kind]
+    width = starts.size if kind == "gemm" else max(1, min(starts.size, _BLOCK_ENTRIES // n))
+    # Column-major for GEMM: X.T is then the row-major block of rows of Q^k.
+    order = "F" if kind == "gemm" else "C"
+    blocks = [starts[lo:lo + width] for lo in range(0, starts.size, width)]
+    workers = _worker_count(len(blocks))
+    buffers = [[np.empty(n * width) for _ in range(2 + scratch)] for _ in range(workers)]
+    worst = np.zeros((workers, k_max + 1))
+
+    def run(i: int) -> None:
+        for block in blocks[i::workers]:
+            b = block.size
+            # one start per row of dev: pairwise sums along rows
+            dev = buffers[i][0][:b * n].reshape(b, n)
+            X, *spare = (buf[:n * b].reshape((n, b), order=order) for buf in buffers[i][1:])
+            X.fill(0.0)
+            X[block, np.arange(b)] = 1.0
+            evolve = steps(X, *spare, *params)
+            for k in range(k_max + 1):
+                np.abs(np.subtract(X.T, 1.0 / n, out=dev), out=dev)
+                worst[i, k] = max(worst[i, k], float(dev.sum(axis=1).max()) / 2.0)
+                if k < k_max:
+                    X = next(evolve)
+
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(workers)))
+    return worst.max(axis=0)
 
 
 def mixing_profile(Q: TransitionMatrix, k_max: int, *,
@@ -442,7 +487,9 @@ def mixing_profile(Q: TransitionMatrix, k_max: int, *,
     - starts: when Q is translation-invariant (circulant, or XOR-invariant
       for n a power of two) every start is a worst start and only state 0
       is evolved; otherwise all n starts are evolved, in blocks of about
-      2^16 / n for the two sparse steps below.
+      2^16 / n for the two sparse steps below. Those blocks run on one
+      thread per CPU this process may use, at most one per block, and
+      the profile is the same bit for bit with any number of threads.
     - step: when every row of Q is row 0 translated by s_i, s a
       permutation (compose(f, P) with P circulant or XOR-invariant), and
       w * 32 <= n, a step permutes the rows of X by s^-1 and adds w

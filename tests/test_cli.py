@@ -684,7 +684,7 @@ _SUBSET_FIELDS = {
     "compute_epsilon": st.sampled_from([False, *_ODD_VALUES]),
 }
 _SUBSET_COMMANDS = {
-    "expansion": ("include", "mode", "num_samples", "seed", "epsilon"),
+    "expansion": ("include", "mode", "num_samples", "seed"),
     "spectral": ("compute_epsilon",),
     "scan": ("epsilon", "trials", "seed"),
 }

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -601,6 +603,72 @@ def test_jumped_cycle_over_several_blocks_matches_the_dense_oracle():
     Q = dj.compose(dj.random_permutation(384, 5), dj.build_lazy_cycle_walk(384))
     got = [tv for _, tv in dj.mixing_profile(Q, 30)]
     assert np.abs(np.array(got) - mixing_profile_dense(Q, 30)).max() <= 1e-14
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(spectral, "_worker_count", lambda blocks: min(blocks, workers))
+
+
+@pytest.mark.parametrize("label, Q, step, k_max", [
+    ("jumped 512-cycle", _jumped(dj.build_lazy_cycle_walk(512)), "shift", 30),
+    ("jumped 9-cube", _jumped(dj.build_hypercube_walk(9)), "shift", 30),
+    ("union of 3 permutations", _union_of_permutations(512, [1, 2, 1], 3), "gather", 30),
+    # blocks of 65 starts: 15 full ones and a ragged last block of 25
+    ("jumped 1000-cycle", _jumped(dj.build_lazy_cycle_walk(1000)), "shift", 12),
+])
+def test_profiles_are_bit_identical_for_any_worker_count(monkeypatch, label, Q, step, k_max):
+    seen = []
+    real = spectral._worst_tv
+
+    def spy(n, k_max_, starts, step_):
+        seen.append(step_[0])
+        return real(n, k_max_, starts, step_)
+
+    monkeypatch.setattr(spectral, "_worst_tv", spy)
+    want = mixing_profile_dense(Q, k_max)
+    profiles = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        got = [tv for _, tv in dj.mixing_profile(Q, k_max)]
+        assert np.abs(np.array(got) - want).max() <= 1e-14, workers
+        profiles.append([tv.hex() for tv in got])
+    assert seen == [step] * 3, label
+    assert profiles[1] == profiles[0] and profiles[2] == profiles[0], label
+
+
+def test_worker_count_is_one_per_block_up_to_the_usable_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert [spectral._worker_count(b) for b in (1, 2, 10**6)] == [1, min(2, cpus), cpus]
+
+
+def test_a_pooled_profile_leaves_no_thread_behind(monkeypatch):
+    pools = []
+
+    class Recording(spectral.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", Recording)
+    _force_workers(monkeypatch, 2)
+    before = threading.active_count()
+    dj.mixing_profile(_jumped(dj.build_lazy_cycle_walk(512)), 10)
+    assert pools == [2]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("label, Q", [
+    ("one start", dj.build_lazy_cycle_walk(1024)),
+    ("gemm", _union_of_permutations(256, [1, 2, 3, 1, 2, 3], 3)),
+    ("shift, n * n <= 2^16", _jumped(dj.build_lazy_cycle_walk(192))),
+])
+def test_single_block_chains_start_no_pool(monkeypatch, label, Q):
+    def refuse(workers):
+        raise AssertionError(f"{label}: a pool of {workers} threads for one block")
+
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(spectral, "_worker_count", lambda blocks: blocks)  # any number of CPUs
+    assert len(dj.mixing_profile(Q, 5)) == 6
 
 
 def test_gather_route_repeats_bit_for_bit():
