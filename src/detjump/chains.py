@@ -39,6 +39,39 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_stochastic(a: np.ndarray) -> np.ndarray:
+    """Make ``a`` read-only and return it once it is a square row-stochastic matrix.
+
+    Range and finiteness come from one min/max pair: a NaN or an infinity
+    makes one of them non-finite. The temporaries that locate an offending
+    entry are made only on failure.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise StructureError(f"transition matrix must be square, got shape {a.shape}")
+    n = a.shape[0]
+    if n == 0:
+        raise StructureError("transition matrix must have at least one state")
+    if n > MATRIX_SIZE_CAP:
+        raise CapacityError(
+            f"n={n} exceeds the dense matrix cap MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
+        )
+    lo, hi = float(a.min()), float(a.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise StructureError("transition matrix contains non-finite entries")
+    if lo < 0.0 or hi > 1.0 + STOCHASTIC_TOL:
+        i, j = np.unravel_index(int(np.argmin(a)) if lo < 0.0 else int(np.argmax(a)), a.shape)
+        raise StructureError(f"entry out of [0, 1] at ({i}, {j}): {float(a[i, j])!r}")
+    rowsums = a.sum(axis=1)
+    bad = np.flatnonzero(np.abs(rowsums - 1.0) > STOCHASTIC_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise StructureError(
+            f"row {i} sums to {float(rowsums[i])!r}, expected 1 within {STOCHASTIC_TOL}"
+        )
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """A dense row-stochastic matrix over states {0, ..., n-1}.
@@ -48,32 +81,27 @@ class TransitionMatrix:
     The four standing chain assumptions are checked separately by
     :func:`validate`, so that a malformed chain can still be loaded
     and reported on.
+
+    ``entries`` is a read-only C-order float64 array. The constructor
+    copies the array it is given, so the caller may go on changing its
+    own. The package's builders (the cycle and hypercube walks,
+    :func:`compose`, :func:`load_matrix_csv`, the symmetrized kernel and
+    the register chain) hand over the fresh array they built through
+    :meth:`_take`, which checks it the same way without copying it.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise StructureError(f"transition matrix must be square, got shape {a.shape}")
-        n = a.shape[0]
-        if n == 0:
-            raise StructureError("transition matrix must have at least one state")
-        if n > MATRIX_SIZE_CAP:
-            raise CapacityError(
-                f"n={n} exceeds the dense matrix cap MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
-            )
-        if not np.all(np.isfinite(a)):
-            raise StructureError("transition matrix contains non-finite entries")
-        if np.any(a < 0.0) or np.any(a > 1.0 + STOCHASTIC_TOL):
-            i, j = np.unravel_index(int(np.argmin(a)) if np.any(a < 0) else int(np.argmax(a)), a.shape)
-            raise StructureError(f"entry out of [0, 1] at ({i}, {j}): {a[i, j]!r}")
-        rowsums = a.sum(axis=1)
-        bad = np.flatnonzero(np.abs(rowsums - 1.0) > STOCHASTIC_TOL)
-        if bad.size:
-            i = int(bad[0])
-            raise StructureError(f"row {i} sums to {rowsums[i]!r}, expected 1 within {STOCHASTIC_TOL}")
-        object.__setattr__(self, "entries", _as_readonly(a))
+        a = np.array(self.entries, dtype=np.float64, copy=True, order="C")
+        object.__setattr__(self, "entries", _checked_stochastic(a))
+
+    @classmethod
+    def _take(cls, a: np.ndarray) -> "TransitionMatrix":
+        """Wrap a fresh C-order float64 array that nothing else refers to, without a copy."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", _checked_stochastic(a))
+        return m
 
     @property
     def n(self) -> int:
@@ -199,28 +227,36 @@ def _bfs_levels(states: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def validate(P: TransitionMatrix) -> ValidationReport:
-    """Check the four standing assumptions on a structurally valid matrix."""
+    """Check the four standing assumptions on a structurally valid matrix.
+
+    Both support checks read the edge list, the row-major flat indices
+    u * n + v of the positive entries. The support is symmetric when the
+    reversed edges, sorted, are that same list. Then every state reached
+    from 0 also reaches 0, so the backward search runs only on a
+    one-sided support.
+    """
     a = P.entries
     n = P.n
-    supp = a > 0.0
     violations: dict[str, tuple[int, int]] = {}
 
-    us, vs = np.nonzero(supp)
+    edges = np.flatnonzero(a > 0.0)
+    us, vs = np.divmod(edges, n)
+    reversed_edges = np.sort(vs * n + us)
+    symmetric_support = bool(np.array_equal(edges, reversed_edges))
+
     fwd = _bfs_levels(n, us, vs) >= 0
     irreducible = bool(fwd.all())
     if not irreducible:
         violations["irreducible"] = (0, int(np.flatnonzero(~fwd)[0]))
-    else:
+    elif not symmetric_support:
         bwd = _bfs_levels(n, vs, us) >= 0
         irreducible = bool(bwd.all())
         if not irreducible:
             violations["irreducible"] = (int(np.flatnonzero(~bwd)[0]), 0)
 
-    asym = supp != supp.T
-    symmetric_support = not bool(asym.any())
     if not symmetric_support:
-        i, j = np.argwhere(asym)[0]
-        violations["symmetric_support"] = (int(i), int(j))
+        first = int(np.setxor1d(edges, reversed_edges, assume_unique=True)[0])
+        violations["symmetric_support"] = divmod(first, n)
 
     diag = np.diag(a)
     positive_diagonal = bool(np.all(diag > 0.0))
@@ -255,7 +291,7 @@ def build_lazy_cycle_walk(n: int) -> TransitionMatrix:
     a[idx, idx] = 1.0 / 3.0
     a[idx, (idx + 1) % n] = 1.0 / 3.0
     a[idx, (idx - 1) % n] = 1.0 / 3.0
-    return TransitionMatrix(a)
+    return TransitionMatrix._take(a)
 
 
 def build_hypercube_walk(d: int) -> TransitionMatrix:
@@ -277,15 +313,15 @@ def build_hypercube_walk(d: int) -> TransitionMatrix:
     a[idx, idx] = p
     for i in range(d):
         a[idx, idx ^ (1 << i)] = p
-    return TransitionMatrix(a)
+    return TransitionMatrix._take(a)
 
 
 def min_positive_entry(P: TransitionMatrix) -> float:
     """The smallest strictly positive transition probability."""
-    pos = P.entries[P.entries > 0.0]
-    if pos.size == 0:
+    least = float(np.min(P.entries, where=P.entries > 0.0, initial=np.inf))
+    if least == np.inf:
         raise StructureError("matrix has no positive entries")
-    return float(pos.min())
+    return least
 
 
 def compose(f: Permutation, P: TransitionMatrix) -> TransitionMatrix:
@@ -296,7 +332,7 @@ def compose(f: Permutation, P: TransitionMatrix) -> TransitionMatrix:
     """
     if f.n != P.n:
         raise StructureError(f"dimension mismatch: permutation on {f.n}, matrix on {P.n}")
-    return TransitionMatrix(P.entries[np.asarray(f.forward)])
+    return TransitionMatrix._take(P.entries[np.asarray(f.forward)])
 
 
 def _is_prime(n: int) -> bool:
@@ -355,8 +391,9 @@ def random_permutation(n: int, seed: int) -> Permutation:
     """
     rng = np.random.Generator(np.random.Philox(seed))
     fwd = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    # One call draws j_i in [0, i] for i = n - 1, ..., 1: the same stream as
+    # one scalar draw per i.
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         fwd[i], fwd[j] = fwd[j], fwd[i]
     return Permutation(tuple(fwd))
 
@@ -411,7 +448,7 @@ def load_matrix_csv(path: str | Path) -> tuple[TransitionMatrix, ValidationRepor
         raise StructureError(f"cannot read matrix file {path}: {exc}") from exc
     except ValueError as exc:
         raise StructureError(f"malformed matrix CSV {path}: {exc}") from exc
-    P = TransitionMatrix(raw)
+    P = TransitionMatrix._take(raw)
     return P, validate(P)
 
 

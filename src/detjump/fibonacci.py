@@ -453,7 +453,7 @@ def build_higher_order_chain(spec: HigherOrderChainSpec) -> TransitionMatrix:
     s = np.arange(N)
     T = np.zeros((N, N // n, n))  # T[s, tail, j] is entry (s, tail * n + j)
     T[s, s % (N // n)] = spec.base_kernel.entries[np.asarray(spec.update)]
-    return TransitionMatrix(T.reshape(N, N))
+    return TransitionMatrix._take(T.reshape(N, N))
 
 
 def _successor_edges(spec: HigherOrderChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -39,43 +39,82 @@ CHEEGER_CAP = 24
 SCALE_ROOT_CAP = 1 << 10
 
 
+def _block_pairs(n: int) -> Iterator[tuple[slice, slice]]:
+    """Square blocks (I, J), I <= J, of about _BLOCK_ENTRIES entries covering the upper triangle."""
+    side = math.isqrt(_BLOCK_ENTRIES)
+    for lo in range(0, n, side):
+        for lo2 in range(lo, n, side):
+            yield slice(lo, lo + side), slice(lo2, lo2 + side)
+
+
+def _symmetrize(a: np.ndarray) -> None:
+    """Set a to (a + a.T) / 2 in place, bit for bit, one pair of blocks at a time.
+
+    (x + y) * 0.5 and (x + y) / 2 round the same real number, and x + y
+    equals y + x, so each pair writes what the whole-matrix formula would.
+    """
+    for I, J in _block_pairs(a.shape[0]):
+        mean = a[I, J] + a[J, I].T
+        mean *= 0.5
+        a[I, J] = mean
+        a[J, I] = mean.T
+
+
+def _asymmetry(a: np.ndarray) -> float:
+    """max |a - a.T|, one pair of blocks at a time."""
+    return max(float(np.abs(a[I, J] - a[J, I].T).max()) for I, J in _block_pairs(a.shape[0]))
+
+
 def symmetrized_kernel(P: TransitionMatrix, f: Permutation) -> TransitionMatrix:
     """The doubly stochastic, symmetric PSD kernel attached to (P, f).
 
     Computed as A @ A.T with A = L @ L and L[i][j] = p[i][f^-1(j)]
     (a P-step followed by the jump). The result is symmetrized exactly
-    to strip float asymmetry from the matrix products.
+    to strip float asymmetry from the matrix products. L is dropped once
+    A exists and A once R exists, and R is symmetrized and clipped to
+    [0, 1] in place and handed to the returned matrix without a copy, so
+    at most three n x n arrays are alive at once, P among them.
     """
     if f.n != P.n:
         raise ValueError(f"permutation on {f.n} states, matrix on {P.n}")
     L = P.entries[:, np.asarray(f.inverse)]
     A = L @ L
+    del L
     R = A @ A.T
-    R = (R + R.T) / 2.0
-    return TransitionMatrix(np.clip(R, 0.0, 1.0))
+    del A
+    _symmetrize(R)
+    np.clip(R, 0.0, 1.0, out=R)
+    return TransitionMatrix._take(R)
 
 
 def second_eigenvalue(R: TransitionMatrix) -> float:
     """Second largest eigenvalue of a symmetric stochastic kernel.
 
     Uses a full symmetric eigendecomposition of (R + R.T)/2. The
-    principal eigenvalue must be 1 within EIGEN_TOL with the all-ones
-    vector as eigenvector (checked as R @ 1 = 1, which is robust when
-    the top eigenvalue is degenerate). A degenerate second eigenvalue
-    at 1 is legal input but flagged with a warning, since it cannot
-    arise from a validated chain.
+    asymmetry max |R - R.T| is measured one pair of blocks at a time;
+    when it is exactly 0, as ``symmetrized_kernel`` makes it, (R + R.T)/2
+    is R itself and R's own array goes to the eigensolver, and only
+    otherwise is a symmetrized copy made. The principal eigenvalue must
+    be 1 within EIGEN_TOL with the all-ones vector as eigenvector
+    (checked as R @ 1 = 1, which is robust when the top eigenvalue is
+    degenerate). A degenerate second eigenvalue at 1 is legal input but
+    flagged with a warning, since it cannot arise from a validated chain.
     """
     a = R.entries
-    asym = float(np.abs(a - a.T).max())
+    asym = _asymmetry(a)
     if asym > SYMMETRY_TOL:
         raise InvariantError(f"kernel asymmetry {asym!r} exceeds {SYMMETRY_TOL}")
-    sym = (a + a.T) / 2.0
+    if asym != 0.0:
+        a = a.copy()
+        _symmetrize(a)
     ones = np.ones(R.n)
-    if float(np.abs(sym @ ones - ones).max()) > EIGEN_TOL:
+    if float(np.abs(a @ ones - ones).max()) > EIGEN_TOL:
         raise InvariantError("all-ones vector is not fixed by the kernel")
-    w = np.linalg.eigvalsh(sym)
+    w = np.linalg.eigvalsh(a)
     if abs(float(w[-1]) - 1.0) > EIGEN_TOL:
-        raise InvariantError(f"principal eigenvalue {w[-1]!r} is not 1 within {EIGEN_TOL}")
+        raise InvariantError(
+            f"principal eigenvalue {float(w[-1])!r} is not 1 within {EIGEN_TOL}"
+        )
     if R.n == 1:
         return 0.0
     lam2 = float(w[-2])
@@ -238,6 +277,7 @@ _SHIFT_RATIO = 32
 # step scratch for the whole profile: allocated in the calling thread, they
 # raised the dense benchmark's peak RSS by 0.7 MiB over the single-threaded
 # profile, and allocated in the threads (per-thread malloc arenas) by 3.5 MiB.
+# ``_symmetrize`` and ``_asymmetry`` work on square blocks of the same size.
 _BLOCK_ENTRIES = 1 << 16
 
 

@@ -1,6 +1,9 @@
 import sys
 import tempfile
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -22,6 +25,26 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 def pytest_unconfigure(config):
     _HYPOTHESIS_HOME.cleanup()
+
+
+@contextmanager
+def _allocation_peak():
+    """Trace the block's allocations; on exit, the yielded record's ``bytes``
+    is their peak above what was allocated at its start."""
+    record = SimpleNamespace(bytes=0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        yield record
+        record.bytes = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def allocation_peak():
+    """``with allocation_peak() as peak: ...``, then ``peak.bytes`` is the block's peak."""
+    return _allocation_peak
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,15 +65,77 @@ def test_structural_errors_are_not_assumption_failures():
         dj.TransitionMatrix(np.array([[1.5, -0.5], [0.5, 0.5]]))
 
 
+# Each malformed matrix with its full message: the check reads one min/max
+# pair, so these pin that every failure still names its kind and entry.
+_MALFORMED = [
+    ([[np.nan, 1.0], [0.5, 0.5]], "transition matrix contains non-finite entries"),
+    ([[np.inf, 0.0], [0.5, 0.5]], "transition matrix contains non-finite entries"),
+    ([[-np.inf, 1.0], [0.5, 0.5]], "transition matrix contains non-finite entries"),
+    ([[-0.1, 1.1], [0.5, 0.5]], "entry out of [0, 1] at (0, 0): -0.1"),
+    ([[0.5, 0.5], [0.0, 1.5]], "entry out of [0, 1] at (1, 1): 1.5"),
+    ([[0.5, 0.5], [0.6, 0.6]], "row 1 sums to 1.2, expected 1 within 1e-09"),
+]
+
+
+@pytest.mark.parametrize("rows, message", _MALFORMED)
+def test_malformed_matrices_are_named_with_plain_floats(tmp_path, rows, message):
+    with pytest.raises(StructureError) as given_array:
+        dj.TransitionMatrix(np.array(rows))
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in rows))
+    with pytest.raises(StructureError) as loaded:
+        dj.load_matrix_csv(path)
+    assert str(given_array.value) == str(loaded.value) == message
+
+
+def test_a_callers_array_is_copied():
+    a = np.full((3, 3), 1.0 / 3.0)
+    P = dj.TransitionMatrix(a)
+    a[0] = [1.0, 0.0, 0.0]
+    assert np.all(P.entries == 1.0 / 3.0)
+    assert not P.entries.flags.writeable and a.flags.writeable
+
+
+def _built_matrices(tmp_path):
+    P = dj.build_lazy_cycle_walk(7)
+    path = tmp_path / "m.csv"
+    dj.save_matrix_csv(path, P)
+    spec = dj.higher_order_spec(dj.build_lazy_cycle_walk(3), order=2)
+    return {
+        "lazy_cycle": P,
+        "hypercube": dj.build_hypercube_walk(3),
+        "compose": dj.compose(dj.doubling_permutation(7), P),
+        "load_matrix_csv": dj.load_matrix_csv(path)[0],
+        "symmetrized_kernel": dj.symmetrized_kernel(P, dj.doubling_permutation(7)),
+        "register_chain": dj.build_higher_order_chain(spec),
+    }
+
+
+def test_built_matrices_are_taken_over_read_only(tmp_path):
+    for name, P in _built_matrices(tmp_path).items():
+        assert P.entries.dtype == np.float64 and P.entries.flags.c_contiguous, name
+        assert not P.entries.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            P.entries[0, 0] = 0.5
+
+
 # --- builders ---------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 8), data=st.data())
-def test_irreducibility_pairs_match_the_dense_reachability_oracle(n, data):
+@given(n=st.integers(1, 8), symmetric=st.booleans(), data=st.data())
+def test_irreducibility_pairs_match_the_dense_reachability_oracle(n, symmetric, data):
     supp = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
                                        min_size=n, max_size=n)), dtype=bool)
+    if symmetric:  # where the backward search is skipped
+        supp |= supp.T
     supp[np.arange(n), np.arange(n)] |= ~supp.any(axis=1)  # every row needs an entry
     report = dj.validate(dj.TransitionMatrix(supp / supp.sum(axis=1, keepdims=True)))
+    one_sided = np.argwhere(supp != supp.T)
+    assert report.symmetric_support == (one_sided.size == 0)
+    if one_sided.size:
+        assert report.violations["symmetric_support"] == tuple(int(v) for v in one_sided[0])
+    else:
+        assert "symmetric_support" not in report.violations
     fwd, bwd = reachable_dense(supp, 0), reachable_dense(supp.T, 0)
     assert report.irreducible == bool(fwd.all() and bwd.all())
     if not fwd.all():
@@ -132,15 +192,11 @@ def test_hypercube_capacity_error():
     (dj.build_lazy_cycle_walk, 5000),     # 200 MB, allocated before the cap was checked
     (dj.build_hypercube_walk, 10**20),    # 2^d itself too large to compute
 ])
-def test_builders_check_the_cap_before_allocating(build, size):
-    tracemalloc.start()
-    try:
+def test_builders_check_the_cap_before_allocating(build, size, allocation_peak):
+    with allocation_peak() as peak:
         with pytest.raises(CapacityError, match="MATRIX_SIZE_CAP"):
             build(size)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak.bytes < 1 << 20
 
 
 def test_builders_pass_validation():
@@ -235,6 +291,22 @@ def test_random_permutation_reproducible():
     assert a.forward != c.forward
 
 
+def _scalar_fisher_yates(n, seed):
+    """The reference draw: one scalar rng.integers call per swap."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    fwd = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        fwd[i], fwd[j] = fwd[j], fwd[i]
+    return tuple(fwd)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 100, 255, 256, 257, 1000, 1024, 4096])
+def test_random_permutation_draws_the_scalar_loops_stream(n):
+    for seed in [*range(29), 2**31, 2**32 + 5, 2**63, 2**64 - 1]:
+        assert dj.random_permutation(n, seed).forward == _scalar_fisher_yates(n, seed)
+
+
 def test_random_permutation_uniformity_five_sigma():
     # 10000 consecutive seeds over the 720 permutations of 6 points
     from collections import Counter
@@ -306,6 +378,16 @@ def test_loader_reports_assumption_failures(tmp_path):
     _, report = dj.load_matrix_csv(path)
     assert not report.ok
     assert not report.positive_diagonal
+
+
+def test_loading_a_matrix_holds_one_copy_of_it(tmp_path, allocation_peak):
+    n = 512
+    path = tmp_path / "m.csv"
+    dj.save_matrix_csv(path, dj.build_lazy_cycle_walk(n))
+    with allocation_peak() as peak:
+        P, report = dj.load_matrix_csv(path)
+    assert report.ok and P.n == n
+    assert peak.bytes <= 1.5 * n * n * 8
 
 
 def test_loader_rejects_malformed_csv(tmp_path):

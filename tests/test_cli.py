@@ -477,6 +477,14 @@ def test_output_format_mismatch_rejected(tmp_path, capsys):
     assert "csv" in capsys.readouterr().err
 
 
+def test_out_of_range_file_entry_exits_2_with_a_plain_float(tmp_path, capsys):
+    matrix = tmp_path / "neg.csv"
+    matrix.write_text("-0.1,1.1\n0.5,0.5\n")
+    cfg = write_config(tmp_path, "cfg.json", {"chain": {"family": "file", "path": str(matrix)}})
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.endswith("entry out of [0, 1] at (0, 0): -0.1\n")
+
+
 def test_single_state_file_chain_exits_2(tmp_path, capsys):
     matrix = tmp_path / "one.csv"
     dj.save_matrix_csv(matrix, dj.TransitionMatrix(np.ones((1, 1))))

@@ -88,6 +88,46 @@ def test_second_eigenvalue_rejects_asymmetric_input():
         dj.second_eigenvalue(dj.TransitionMatrix(a))
 
 
+def test_second_eigenvalue_symmetrizes_a_copy_of_a_slightly_asymmetric_kernel():
+    a = kernel(13, dj.doubling_permutation(13)).entries.copy()
+    a[0, 0] -= 1e-12
+    a[0, 1] += 1e-12
+    R = dj.TransitionMatrix(a)
+    assert dj.second_eigenvalue(R) == float(np.linalg.eigvalsh((a + a.T) / 2.0)[-2])
+    assert np.array_equal(R.entries, a)
+
+
+def test_second_eigenvalue_solves_an_exactly_symmetric_kernel_without_a_copy(monkeypatch):
+    R = kernel(13, dj.doubling_permutation(13))
+    seen, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+    dj.second_eigenvalue(R)
+    assert len(seen) == 1 and seen[0] is R.entries
+
+
+@pytest.mark.parametrize("block_entries", [spectral._BLOCK_ENTRIES, 64])
+@pytest.mark.parametrize("n", [1, 7, 128, 129, 1000])
+def test_block_symmetrization_is_the_whole_matrix_formula_bit_for_bit(monkeypatch, n,
+                                                                       block_entries):
+    monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(n)
+    # signs, subnormals and a wide range of exponents, where rounding would show
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-320, 5, (n, n))
+    want = (a + a.T) / 2.0
+    assert spectral._asymmetry(a) == float(np.abs(a - a.T).max())
+    spectral._symmetrize(a)
+    assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
+
+
+def test_kernel_and_eigensolve_hold_at_most_three_matrices(allocation_peak):
+    n = 512
+    P, f = dj.build_lazy_cycle_walk(n), dj.random_permutation(n, 1)
+    with allocation_peak() as peak:
+        dj.second_eigenvalue(dj.symmetrized_kernel(P, f))
+    # P, then L and A, then A and R: three n x n arrays counting P, never four
+    assert peak.bytes + P.entries.nbytes <= 3.1 * n * n * 8
+
+
 def test_second_eigenvalue_below_one_on_zoo(chain_zoo):
     for label, P, f in chain_zoo:
         lam2 = dj.second_eigenvalue(dj.symmetrized_kernel(P, f))
