@@ -184,19 +184,16 @@ class ValidationReport:
     ``symmetric_support`` the first row-major (i, j) where support is
     one-sided; for ``positive_diagonal`` the first (i, i) with a zero
     diagonal; for ``uniform_stationary`` (j, j) for the first column j
-    whose sum is off.
+    whose sum is off. ``aperiodic`` is not an assumption: it reports an
+    irreducible chain whose support graph has period 1.
     """
 
     irreducible: bool
     symmetric_support: bool
     positive_diagonal: bool
     uniform_stationary: bool
+    aperiodic: bool
     violations: dict[str, tuple[int, int]]
-
-    @property
-    def aperiodic(self) -> bool:
-        # A positive diagonal makes an irreducible chain aperiodic.
-        return self.irreducible and self.positive_diagonal
 
     @property
     def ok(self) -> bool:
@@ -224,6 +221,20 @@ def _bfs_levels(states: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         dist[reached] = level
         frontier = np.zeros(states, dtype=bool)
         frontier[reached] = True
+
+
+def _successor_period(states: int, us: np.ndarray, vs: np.ndarray) -> int:
+    """Period of the digraph with edges us -> vs; 0 if not strongly connected.
+
+    Forward and backward BFS from state 0 decide strong connectivity. Then
+    each edge (u, v) contributes the label d(u) + 1 - d(v), with d the
+    forward levels, and the gcd of the labels equals the period.
+    """
+    dist = _bfs_levels(states, us, vs)
+    if np.any(dist < 0) or np.any(_bfs_levels(states, vs, us) < 0):
+        return 0
+    g = int(np.gcd.reduce(np.abs(dist[us] + 1 - dist[vs])))
+    return g if g else 1
 
 
 def validate(P: TransitionMatrix) -> ValidationReport:
@@ -263,6 +274,8 @@ def validate(P: TransitionMatrix) -> ValidationReport:
     if not positive_diagonal:
         i = int(np.flatnonzero(diag <= 0.0)[0])
         violations["positive_diagonal"] = (i, i)
+    # A positive diagonal gives period 1 at once; only other chains pay for the gcd.
+    aperiodic = irreducible and (positive_diagonal or _successor_period(n, us, vs) == 1)
 
     colsums = a.sum(axis=0)
     bad = np.flatnonzero(np.abs(colsums - 1.0) > STOCHASTIC_TOL)
@@ -276,6 +289,7 @@ def validate(P: TransitionMatrix) -> ValidationReport:
         symmetric_support=symmetric_support,
         positive_diagonal=positive_diagonal,
         uniform_stationary=uniform_stationary,
+        aperiodic=aperiodic,
         violations=violations,
     )
 

@@ -95,7 +95,6 @@ class ExperimentConfig:
     chain: dict | None
     bijection: dict | None
     analyses: tuple[dict, ...]
-    output: dict | None
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -214,9 +213,10 @@ _REQUIRED = object()
 class Field:
     """One config key: the values it takes, in words and as a test, and its default.
 
-    A key without a default must be given, and so must a key whose ``when``
-    names an earlier key of its section and the value that makes it needed.
-    ``section`` declares the keys of an object value.
+    A key without a default must be given. A key whose ``when`` names an
+    earlier key of its section and a value is needed when that key has
+    that value, and allowed only then. ``section`` declares the keys of an
+    object value.
     """
 
     what: str
@@ -271,11 +271,11 @@ def _object(section: dict[str, Field] | None = None) -> Field:
     return Field("an object", lambda v: isinstance(v, dict), None, section=section)
 
 
-_OUTPUT = _object({"format": _choice("csv", "json", default=None),
-                   "path": Field("a string", lambda v: isinstance(v, str), None)})
+# An analysis's own artifact path; ``--out`` takes its place.
+_OUTPUT = _object({"path": Field("a string", lambda v: isinstance(v, str), None)})
 
 CONFIG = {"chain": _object(), "bijection": _object(),
-          "analysis": Field("a list", lambda v: isinstance(v, list), ()), "output": _OUTPUT}
+          "analysis": Field("a list", lambda v: isinstance(v, list), ())}
 
 
 @dataclass(frozen=True)
@@ -317,7 +317,7 @@ HOF_SPEC = {
 
 @dataclass(frozen=True)
 class Analysis:
-    """An analysis type: its keys, its subcommand, its artifact and what its runner takes.
+    """An analysis type: its keys, its subcommand and what its runner takes.
 
     The runner gets the checked entry, then the configured chain if
     ``chain``, then the configured bijection if ``bijection``.
@@ -326,7 +326,6 @@ class Analysis:
     fields: dict[str, Field]
     command: str
     help: str
-    format: str
     runner: Callable[..., str]
     chain: bool = False
     bijection: bool = False
@@ -336,26 +335,26 @@ ANALYSES = {
     "mixing": Analysis(
         {"kmax": _int(0), "epsilon": _number(positive=True, default=None),
          "spectral_bound": _flag(), "single_start": _flag()},
-        "mix", "worst-start mixing profile CSV", "csv", _run_mixing, True, True),
+        "mix", "worst-start mixing profile CSV", _run_mixing, True, True),
     "spectral": Analysis(
         {"compute_epsilon": _flag()},
-        "spectral", "spectral/bottleneck report JSON", "json", _run_spectral, True, True),
+        "spectral", "spectral/bottleneck report JSON", _run_spectral, True, True),
     "expansion": Analysis(
         {"mode": _choice("exhaustive", "sampled", default="exhaustive"),
          "num_samples": _int(0, default=None, when=("mode", "sampled")),
          "seed": _int(0, default=None, when=("mode", "sampled")),
          "include": Field("a list of lists of integers",
                           lambda v: isinstance(v, list) and all(map(_is_int_list, v)), ())},
-        "expansion", "expansion scan JSON", "json", _run_expansion, True, True),
+        "expansion", "expansion scan JSON", _run_expansion, True, True),
     "scan": Analysis(  # each trial draws its own bijection
         {"epsilon": _number(), "trials": _int(0), "seed": _int(0)},
-        "scan", "random-bijection scan CSV", "csv", _run_scan, chain=True),
+        "scan", "random-bijection scan CSV", _run_scan, chain=True),
     "fibonacci": Analysis(
         {"n": _int(2), "kmax": _int(1), "c": _number(default=0.0)},
-        "fibonacci", "recurrence-walk distance curve CSV", "csv", _run_fibonacci),
+        "fibonacci", "recurrence-walk distance curve CSV", _run_fibonacci),
     "hof": Analysis(
         {"spec_path": _file()},
-        "hof", "verify a higher-order register chain", "json", _run_hof),
+        "hof", "verify a higher-order register chain", _run_hof),
 }
 
 
@@ -366,14 +365,18 @@ def _check(section: Any, fields: dict[str, Field], where: str) -> dict:
         _require(key in fields, f"{where}: undeclared key {key!r}")
     out = {}
     for name, field in fields.items():
+        when = field.when
+        applies = when is None or out[when[0]] == when[1]
         if name in section:
             value = section[name]
+            if not applies:
+                raise ConfigError(
+                    f"{where}: {name} is not allowed with {when[0]}={out[when[0]]!r:.80}")
             _require(field.ok(value), f"{where}: {name} must be {field.what}, got {value!r:.80}")
             if field.section is not None:
                 value = _check(value, field.section, f"{where}: {name}")
         else:
-            needed = field.default is _REQUIRED or (
-                field.when is not None and out[field.when[0]] == field.when[1])
+            needed = field.default is _REQUIRED or (when is not None and applies)
             _require(not needed, f"{where}: missing {name}, {field.what}")
             value = field.default
         out[name] = value
@@ -411,8 +414,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for i, entry in enumerate(analyses):
         _require(chain is not None or not ANALYSES[entry["type"]].chain,
                  f"{path}: analysis[{i}] ({entry['type']}) needs a chain section")
-    return ExperimentConfig(source=path, chain=chain, bijection=bijection, analyses=analyses,
-                            output=raw["output"])
+    return ExperimentConfig(source=path, chain=chain, bijection=bijection, analyses=analyses)
 
 
 def build_chain(config: ExperimentConfig) -> tuple[TransitionMatrix, ValidationReport]:
@@ -462,17 +464,12 @@ def _write(text: str, target: Path | None) -> Path | None:
     return target
 
 
-def _resolve_output(entry: dict, config: ExperimentConfig, out_override: str | None,
-                    natural_format: str) -> Path | None:
-    spec = entry["output"] or config.output or {"format": None, "path": None}
-    if spec["format"] not in (None, natural_format):
-        raise ConfigError(
-            f"{config.source}: analysis type {entry['type']!r} emits {natural_format}, "
-            f"config asks for {spec['format']}"
-        )
+def _target(entry: dict, out_override: str | None) -> Path | None:
+    """The artifact path: ``--out``, else the analysis's own ``output.path``, else stdout."""
     if out_override is not None:
         return Path(out_override)
-    return Path(spec["path"]) if spec["path"] else None
+    path = (entry["output"] or {}).get("path")
+    return Path(path) if path else None
 
 
 def run(config: ExperimentConfig, *, only_type: str | None = None,
@@ -481,7 +478,8 @@ def run(config: ExperimentConfig, *, only_type: str | None = None,
 
     With ``only_type`` only matching analyses run (the subcommand view).
     ``out_override`` requires exactly one selected analysis. Artifacts
-    without a resolvable path go to stdout.
+    without a path go to stdout. Two selected analyses whose paths
+    resolve to the same file are refused before any of them runs.
     """
     selected = [e for e in config.analyses if only_type is None or e["type"] == only_type]
     if only_type is not None and not selected:
@@ -492,10 +490,15 @@ def run(config: ExperimentConfig, *, only_type: str | None = None,
         raise ConfigError(
             f"{config.source}: --out needs exactly one selected analysis, got {len(selected)}"
         )
+    targets = [_target(entry, out_override) for entry in selected]
+    # realpath is Path.resolve without its RuntimeError on a symlink loop
+    files = [os.path.realpath(t) for t in targets if t is not None]
+    twice = sorted({f for f in files if files.count(f) > 1})
+    _require(not twice, f"{config.source}: more than one analysis writes {', '.join(twice)}")
 
     chain_cache: tuple[TransitionMatrix, ValidationReport] | None = None
     written: list[Path | None] = []
-    for entry in selected:
+    for entry, target in zip(selected, targets):
         kind = ANALYSES[entry["type"]]
         inputs: tuple = ()
         if kind.chain:
@@ -505,7 +508,7 @@ def run(config: ExperimentConfig, *, only_type: str | None = None,
             P = chain_cache[0]
             inputs = (P, build_bijection(config, P.n)) if kind.bijection else (P,)
         text = kind.runner(entry, *inputs)
-        written.append(_write(text, _resolve_output(entry, config, out_override, kind.format)))
+        written.append(_write(text, target))
     return written
 
 
@@ -610,7 +613,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             fields = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
             entry = _check_analysis({"type": kind, **fields}, "command line")
             config = ExperimentConfig(source=Path("<cli>"), chain=None, bijection=None,
-                                      analyses=(entry,), output=None)
+                                      analyses=(entry,))
         run(config, only_type=kind, out_override=args.out)
         return 0
     except ConfigError as exc:

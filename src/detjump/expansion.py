@@ -245,6 +245,23 @@ class ExpansionReport:
         return epsilon <= self.epsilon_star
 
 
+def _atom_matrix(P: TransitionMatrix, f: Permutation) -> np.ndarray:
+    """M = (S[:, f^-1] @ S > 0) in float32, S the support of P, one block of rows at a time.
+
+    Every entry of S[:, f^-1] @ S is an integer count below 2^24, exact in
+    float32, so min(count, 1) is its 0/1 atom. The blocks are written into
+    M itself, and S is freed on return, so the scan that follows holds M alone.
+    """
+    n = P.n
+    S = _support(P)
+    finv = np.asarray(f.inverse)
+    atoms = np.empty((n, n), dtype=np.float32)
+    step = _block_sets(n)
+    for lo in range(0, n, step):
+        np.matmul(S[lo:lo + step, finv], S, out=atoms[lo:lo + step])
+    return np.minimum(atoms, 1, out=atoms)
+
+
 def check_expansion(P: TransitionMatrix, f: Permutation, *,
                     mode: str = "exhaustive", num_samples: int | None = None,
                     seed: int | None = None,
@@ -286,8 +303,7 @@ def check_expansion(P: TransitionMatrix, f: Permutation, *,
             raise ValueError(f"include set on {s.n} states, matrix on {n}")
     extra = list_blocks([s.mask for s in include if 1 <= s.size <= n // 2], n)
 
-    S = _support(P)
-    atoms = (S[:, np.asarray(f.inverse)] @ S > 0).astype(np.float32)
+    atoms = _atom_matrix(P, f)
 
     def efe_size(rows: np.ndarray) -> np.ndarray:
         efe = rows @ atoms

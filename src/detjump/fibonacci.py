@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import MATRIX_SIZE_CAP, Distribution, TransitionMatrix, _bfs_levels, validate
+from .chains import MATRIX_SIZE_CAP, Distribution, TransitionMatrix, _successor_period, validate
 from .errors import BijectionError, CapacityError, InvariantError
 
 # Exact pair-chain evolution cap: one step gathers and averages n^2 doubles.
@@ -467,20 +467,6 @@ def _successor_edges(spec: HigherOrderChainSpec) -> tuple[np.ndarray, np.ndarray
     us, js = np.nonzero(rows > 0.0)
     vs = (us % (spec.states // n)) * n + js
     return us, vs, rows[us, js]
-
-
-def _successor_period(states: int, us: np.ndarray, vs: np.ndarray) -> int:
-    """Period of the digraph with edges us -> vs; 0 if not strongly connected.
-
-    Forward and backward BFS from state 0 decide strong connectivity. Then
-    each edge (u, v) contributes the label d(u) + 1 - d(v), with d the
-    forward levels, and the gcd of the labels equals the period.
-    """
-    dist = _bfs_levels(states, us, vs)
-    if np.any(dist < 0) or np.any(_bfs_levels(states, vs, us) < 0):
-        return 0
-    g = int(np.gcd.reduce(np.abs(dist[us] + 1 - dist[vs])))
-    return g if g else 1
 
 
 @dataclass(frozen=True)

@@ -365,10 +365,16 @@ def _predecessors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pred, wt
 
 
-def _gemm_steps(X: np.ndarray, a: np.ndarray) -> Iterator[np.ndarray]:
-    """Q.T @ X as one GEMM per step, (X.T @ Q).T on the rows of Q^k."""
+def _gemm_steps(X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> Iterator[np.ndarray]:
+    """Q.T @ X as one GEMM per step, (X.T @ Q).T on the rows of Q^k, written into Y.T.
+
+    Y is the caller's column-major scratch of X's shape, so Y.T is a
+    row-major block that the product fills in place; X and Y swap roles
+    after every step.
+    """
     while True:
-        X = (X.T @ a).T
+        np.matmul(X.T, a, out=Y.T)
+        X, Y = Y, X
         yield X
 
 
@@ -458,7 +464,7 @@ def _shift_steps(X: np.ndarray, Y: np.ndarray, spare: np.ndarray, moduli: tuple[
 
 
 # Each route's step, and how many scratch arrays of X's shape it takes from the caller.
-_STEPS = {"gemm": (_gemm_steps, 0), "gather": (_gather_steps, 2), "shift": (_shift_steps, 2)}
+_STEPS = {"gemm": (_gemm_steps, 1), "gather": (_gather_steps, 2), "shift": (_shift_steps, 2)}
 
 
 def _worker_count(blocks: int) -> int:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import detjump as dj
 from detjump.errors import BijectionError, CapacityError, StructureError
-from oracles import reachable_dense
+from oracles import dense_period, reachable_dense
 
 
 def plain_cycle(n):
@@ -144,6 +144,29 @@ def test_irreducibility_pairs_match_the_dense_reachability_oracle(n, symmetric, 
         assert report.violations["irreducible"] == (int(np.flatnonzero(~bwd)[0]), 0)
     else:
         assert "irreducible" not in report.violations
+
+
+@pytest.mark.parametrize("rows,aperiodic", [
+    ([[0, .5, .5], [.5, 0, .5], [.5, .5, 0]], True),  # triangle: cycles of length 2 and 3
+    ([[0, 1], [1, 0]], False),                        # flip: period 2
+    ([[0, .5, 0, .5], [.5, 0, .5, 0], [0, .5, 0, .5], [.5, 0, .5, 0]], False),  # even cycle
+    ([[1 / 3, 1 / 3, 1 / 3]] * 3, True),               # lazy
+    ([[.5, .5, 0], [.5, .5, 0], [0, 0, 1]], False),    # lazy but reducible
+])
+def test_aperiodic_is_read_from_the_exact_period(rows, aperiodic):
+    report = dj.validate(dj.TransitionMatrix(np.array(rows, dtype=float)))
+    assert report.aperiodic is aperiodic
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), lazy=st.booleans(), data=st.data())
+def test_aperiodic_matches_the_dense_period_oracle(n, lazy, data):
+    supp = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                       min_size=n, max_size=n)), dtype=bool)
+    supp[np.arange(n), np.arange(n)] = lazy
+    supp[np.arange(n), (np.arange(n) + 1) % n] |= ~supp.any(axis=1)  # every row needs an entry
+    report = dj.validate(dj.TransitionMatrix(supp / supp.sum(axis=1, keepdims=True)))
+    assert report.aperiodic == (dense_period(supp) == 1)
 
 
 def test_lazy_cycle_n3_is_all_thirds():

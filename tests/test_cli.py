@@ -145,6 +145,23 @@ def test_validate_subcommand_flags_violations(tmp_path, capsys):
     assert report["violations"]["positive_diagonal"] == [0, 0]
 
 
+@pytest.mark.parametrize("n,aperiodic", [(3, True), (4, False), (5, True), (6, False)])
+def test_validate_reports_aperiodic_from_the_period_of_a_non_lazy_chain(tmp_path, capsys, n,
+                                                                        aperiodic):
+    # the plain n-cycle has period 2 for even n and 1 for odd n, diagonal zero either way
+    a = np.zeros((n, n))
+    idx = np.arange(n)
+    a[idx, (idx + 1) % n] = 0.5
+    a[idx, (idx - 1) % n] = 0.5
+    matrix = tmp_path / "plain.csv"
+    dj.save_matrix_csv(matrix, dj.TransitionMatrix(a))
+    cfg = write_config(tmp_path, "cfg.json", {"chain": {"family": "file", "path": str(matrix)}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v.json")]) == 4
+    report = json.loads((tmp_path / "v.json").read_text())
+    assert report["aperiodic"] is aperiodic
+    assert not report["assumptions"]["positive_diagonal"]
+
+
 def test_expansion_json_payload(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "chain": {"family": "lazy_cycle", "n": 12},
@@ -467,14 +484,54 @@ def test_out_flag_with_multiple_selected_analyses_rejected(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
-def test_output_format_mismatch_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_format_is_an_undeclared_key(tmp_path, capsys, fmt):
+    # the analysis type fixes the artifact's format, so there is no key to set it
     cfg = write_config(tmp_path, "fmt.json", {
         "chain": {"family": "lazy_cycle", "n": 9},
         "analysis": [{"type": "mixing", "kmax": 3,
-                      "output": {"format": "json", "path": "x.json"}}],
+                      "output": {"format": fmt, "path": str(tmp_path / "x.csv")}}],
     })
     assert main(["mix", "--config", cfg]) == 2
-    assert "csv" in capsys.readouterr().err
+    assert "output: undeclared key 'format'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("second", ["mix.csv", "sub/../mix.csv", "{tmp}/mix.csv"])
+def test_two_analyses_writing_one_file_exit_2_before_any_runs(tmp_path, monkeypatch, second):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    cfg = write_config(tmp_path, "two.json", {
+        "chain": {"family": "lazy_cycle", "n": 9},
+        "analysis": [{"type": "mixing", "kmax": 3, "output": {"path": "mix.csv"}},
+                     {"type": "mixing", "kmax": 5,
+                      "output": {"path": second.format(tmp=tmp_path)}}],
+    })
+    code, err = _run_quietly(["mix", "--config", cfg])
+    assert code == 2
+    assert f"more than one analysis writes {tmp_path / 'mix.csv'}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "two.json"]
+
+
+def test_an_output_path_in_a_symlink_loop_gives_no_traceback(tmp_path):
+    # Path.resolve raises RuntimeError on a loop; the same-file check must not
+    loop_a, loop_b = tmp_path / "a", tmp_path / "b"
+    loop_a.symlink_to(loop_b)
+    loop_b.symlink_to(loop_a)
+    code, err = _run_quietly(["mix", "--config", mixing_config(tmp_path, kmax=2),
+                              "--out", str(loop_a)])
+    assert code in (0, 2) and "Traceback" not in err
+
+
+def test_one_path_shared_by_analyses_of_another_type_does_not_block_a_subcommand(tmp_path):
+    # only the selected analyses write, so only their paths must differ
+    cfg = write_config(tmp_path, "two.json", {
+        "chain": {"family": "lazy_cycle", "n": 9},
+        "analysis": [{"type": "mixing", "kmax": 3, "output": {"path": str(tmp_path / "a")}},
+                     {"type": "spectral", "output": {"path": str(tmp_path / "a")}}],
+    })
+    assert _run_quietly(["mix", "--config", cfg])[0] == 0
+    assert (tmp_path / "a").read_text().startswith("k,worst_tv")
 
 
 def test_out_of_range_file_entry_exits_2_with_a_plain_float(tmp_path, capsys):
@@ -762,11 +819,31 @@ def test_explicit_bijection_values_must_be_integers(tmp_path, values):
     ({"analysis": {"type": "mixing", "kmax": 2, "output": {"path": "x.csv", "fmt": "csv"}}},
      "fmt"),
     ({"analyses": []}, "analyses"),
+    ({"output": {"path": "x.csv"}}, "output"),
 ])
 def test_undeclared_keys_exit_2(tmp_path, sections, key):
     code, err = _run_quietly(["mix", "--config", _config(tmp_path, **sections)])
     assert code == 2
     assert f"undeclared key {key!r}" in err
+
+
+def test_explicit_bijection_with_both_path_and_values_exits_2(tmp_path):
+    perm = tmp_path / "perm.txt"
+    perm.write_text("0 1 2 3 4\n")
+    cfg = _config(tmp_path, bijection={"kind": "explicit", "path": str(perm),
+                                       "values": [4, 3, 2, 1, 0]})
+    code, err = _run_quietly(["mix", "--config", cfg])
+    assert code == 2
+    assert f"values is not allowed with path={str(perm)!r}" in err
+
+
+@pytest.mark.parametrize("mode", [{}, {"mode": "exhaustive"}])
+@pytest.mark.parametrize("field", ["num_samples", "seed"])
+def test_sampling_keys_in_exhaustive_mode_exit_2(tmp_path, mode, field):
+    cfg = _config(tmp_path, analysis={"type": "expansion", **mode, field: 3})
+    code, err = _run_quietly(["expansion", "--config", cfg])
+    assert code == 2
+    assert f"{field} is not allowed with mode='exhaustive'" in err
 
 
 def test_expansion_no_longer_takes_epsilon(tmp_path):

@@ -379,3 +379,29 @@ def test_sampled_draws_over_the_cap_raise_before_drawing():
     for num_samples in (expansion.SAMPLE_CAP + 1, 10**9):
         with pytest.raises(CapacityError, match="SAMPLE_CAP"):
             dj.check_expansion(P, f, mode="sampled", num_samples=num_samples, seed=0)
+
+
+@pytest.mark.parametrize("n,rows", [(5, 1), (64, 7), (257, None), (1000, 64)])
+def test_atom_matrix_by_row_blocks_equals_the_whole_product(monkeypatch, n, rows):
+    rng = np.random.default_rng(n)
+    a = np.eye(n)
+    for _ in range(3):
+        a[np.arange(n), rng.permutation(n)] += 1.0
+    P, f = dj.TransitionMatrix(a / a.sum(axis=1, keepdims=True)), dj.random_permutation(n, 2)
+    if rows is not None:
+        monkeypatch.setattr(expansion, "SUBSET_BLOCK", rows * n)
+    S = (P.entries > 0.0).astype(np.float32)
+    want = (S[:, np.asarray(f.inverse)] @ S > 0).astype(np.float32)
+    got = expansion._atom_matrix(P, f)
+    assert got.dtype == np.float32 and np.array_equal(got, want)
+
+
+def test_sampled_expansion_builds_its_atoms_in_bounded_memory(allocation_peak):
+    n = 1024
+    P, f = dj.build_lazy_cycle_walk(n), dj.random_permutation(n, 7)
+    with allocation_peak() as peak:
+        dj.check_expansion(P, f, mode="sampled", num_samples=2000, seed=3,
+                           include=[dj.StateSet.from_indices(n, range(0, 300, 3))])
+    # the support S and the atoms, one block of S[:, f^-1] beside them; before, the
+    # permuted S, the product and its boolean were whole n x n temporaries as well
+    assert peak.bytes <= 2.5 * n * n * 4

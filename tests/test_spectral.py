@@ -711,6 +711,20 @@ def test_single_block_chains_start_no_pool(monkeypatch, label, Q):
     assert len(dj.mixing_profile(Q, 5)) == 6
 
 
+@pytest.mark.parametrize("label", ["union of 6 permutations", "dense symmetrized kernel"])
+def test_gemm_route_holds_three_matrices_above_the_chain(allocation_peak, label):
+    n = 512
+    if label == "dense symmetrized kernel":
+        Q = dj.symmetrized_kernel(dj.build_lazy_cycle_walk(n), dj.random_permutation(n, 1))
+    else:
+        Q = _union_of_permutations(n, [1, 2, 3, 1, 2, 3], 3)
+    assert spectral._jump_factor(Q.entries) is None
+    with allocation_peak() as peak:
+        dj.mixing_profile(Q, 30)
+    # the distances, X and the product it steps into, plus a few vectors of n
+    assert peak.bytes <= 3.01 * n * n * 8
+
+
 def test_gather_route_repeats_bit_for_bit():
     Q = _union_of_permutations(512, [1, 2, 1], seed=3)
     assert dj.mixing_profile(Q, 20) == dj.mixing_profile(Q, 20)
