@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -439,21 +440,38 @@ def build_bijection(config: ExperimentConfig, n: int) -> Permutation:
     return build_permutation(params.pop("kind"), n, **params)
 
 
+def _umask() -> int:
+    """The process's file mode creation mask (read by setting it and setting it back)."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def _write(text: str, target: Path | None) -> Path | None:
     """Write one artifact atomically (temp file + rename), or to stdout without a target.
 
-    A target that cannot be written is a config error naming it.
+    The temp file goes beside the file the target names once symbolic
+    links are followed, and replaces that file, so a link stays a link.
+    The artifact keeps the mode of the file it replaces; a new one gets
+    the mode ``open`` would give it, 0o666 under the umask. A target that
+    cannot be written is a config error naming it.
     """
     if target is None:
         sys.stdout.write(text)
         return None
+    path = Path(os.path.realpath(target))
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            mode = 0o666 & ~_umask()
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-            os.replace(tmp, target)
+            os.chmod(tmp, mode)
+            os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

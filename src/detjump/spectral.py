@@ -69,11 +69,13 @@ def symmetrized_kernel(P: TransitionMatrix, f: Permutation) -> TransitionMatrix:
     """The doubly stochastic, symmetric PSD kernel attached to (P, f).
 
     Computed as A @ A.T with A = L @ L and L[i][j] = p[i][f^-1(j)]
-    (a P-step followed by the jump). The result is symmetrized exactly
-    to strip float asymmetry from the matrix products. L is dropped once
-    A exists and A once R exists, and R is symmetrized and clipped to
-    [0, 1] in place and handed to the returned matrix without a copy, so
-    at most three n x n arrays are alive at once, P among them.
+    (a P-step followed by the jump). numpy forms A @ A.T as a symmetric
+    rank-k update that computes one triangle and mirrors it, so R is
+    exactly symmetric as formed; ``second_eigenvalue`` still measures the
+    asymmetry and symmetrizes a copy when there is any. L is dropped once
+    A exists and A once R exists, and R is clipped to [0, 1] in place and
+    handed to the returned matrix without a copy, so at most three n x n
+    arrays are alive at once, P among them.
     """
     if f.n != P.n:
         raise ValueError(f"permutation on {f.n} states, matrix on {P.n}")
@@ -82,7 +84,6 @@ def symmetrized_kernel(P: TransitionMatrix, f: Permutation) -> TransitionMatrix:
     del L
     R = A @ A.T
     del A
-    _symmetrize(R)
     np.clip(R, 0.0, 1.0, out=R)
     return TransitionMatrix._take(R)
 
@@ -92,7 +93,7 @@ def second_eigenvalue(R: TransitionMatrix) -> float:
 
     Uses a full symmetric eigendecomposition of (R + R.T)/2. The
     asymmetry max |R - R.T| is measured one pair of blocks at a time;
-    when it is exactly 0, as ``symmetrized_kernel`` makes it, (R + R.T)/2
+    when it is exactly 0, as ``symmetrized_kernel`` forms it, (R + R.T)/2
     is R itself and R's own array goes to the eigensolver, and only
     otherwise is a symmetrized copy made. The principal eigenvalue must
     be 1 within EIGEN_TOL with the all-ones vector as eigenvector
@@ -273,11 +274,13 @@ _SHIFT_RATIO = 32
 # at once (1.3-1.5x slower on blocks of 64-128), so the GEMM route takes one
 # block on BLAS's threads. The blocks of the two sparse steps run on one
 # thread per CPU this process may use, at most one per block; numpy releases
-# the GIL inside their element-wise steps. Each thread reuses its X, dev and
-# step scratch for the whole profile: allocated in the calling thread, they
+# the GIL inside their element-wise steps. Each thread reuses its X and two
+# step scratch arrays for the whole profile, the distances written into the
+# scratch the next step overwrites: allocated in the calling thread, they
 # raised the dense benchmark's peak RSS by 0.7 MiB over the single-threaded
 # profile, and allocated in the threads (per-thread malloc arenas) by 3.5 MiB.
-# ``_symmetrize`` and ``_asymmetry`` work on square blocks of the same size.
+# ``_jump_factor`` reads rows of w nonzeros in blocks of _BLOCK_ENTRIES // w,
+# and ``_symmetrize`` and ``_asymmetry`` work on square blocks of this size.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -296,15 +299,12 @@ def _groups(n: int) -> list[tuple[tuple[int, ...], Callable]]:
     return groups
 
 
-def _translates_row0(a: np.ndarray, diff: Callable, s: np.ndarray) -> bool:
-    """Whether Q[i, j] == Q[0, diff(j, s_i)] for all i, j, compared exactly in row blocks."""
-    n = a.shape[0]
-    idx = np.arange(n)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for lo in range(0, n, rows):
-        if not np.array_equal(a[lo:lo + rows], a[0, diff(idx, s[lo:lo + rows, None])]):
-            return False
-    return True
+def _carries(a: np.ndarray, block: np.ndarray, first: np.ndarray, diff: Callable,
+             c: np.ndarray) -> np.ndarray:
+    """Whether each row r of block holds row 0's nonzeros Q[0, first] where c[r] moves them."""
+    at = diff(first, diff(0, c)[:, None])  # the j with diff(j, c_r) = first
+    at += np.arange(0, block.size, a.shape[0])[:, None]  # flat, into the C-order block
+    return np.all(block.ravel().take(at) == a[0, first], axis=1)
 
 
 def _jump_factor(a: np.ndarray) -> tuple[tuple[int, ...], np.ndarray] | None:
@@ -316,33 +316,49 @@ def _jump_factor(a: np.ndarray) -> tuple[tuple[int, ...], np.ndarray] | None:
     form, s_i = f(i) - f(0) or f(i) ^ f(0), whenever P is circulant or
     XOR-invariant.
 
+    A translate of row 0 has row 0's w nonzeros, so a row with another
+    count gives None at once. A row with w nonzeros that holds row 0's
+    nonzero entries where a translation puts them is that translate, so
+    every check reads w entries of a row (``_carries``), in blocks of
+    _BLOCK_ENTRIES // w rows, and no n x n index table is built.
     s = identity, Q itself invariant, is tried first for any w; then
-    every row of Q^k is a permutation of row 0. Otherwise, when each row
-    has the w nonzeros of row 0 and w * _SHIFT_RATIO <= n, s_i is the
-    first c that moves row 0's first nonzero onto a nonzero of row i and
-    has Q[i, j] == Q[0, diff(j, c)] on row i's nonzeros; the whole of Q
-    is then checked against s.
+    every row of Q^k is a permutation of row 0. Otherwise, when
+    w * _SHIFT_RATIO <= n, s_i is the first translation that moves a
+    nonzero of row 0, in increasing order, onto row i's first nonzero and
+    carries row 0 onto row i. A chain with a periodic stencil has equal
+    rows, so its s is no permutation whichever translation is taken.
     """
     n = a.shape[0]
     groups = _groups(n)
-    identity = np.arange(n)
-    for moduli, diff in groups:
-        if _translates_row0(a, diff, identity):
-            return moduli, identity
-    counts = np.count_nonzero(a, axis=1)
-    w = int(counts[0])
-    if w * _SHIFT_RATIO > n or np.any(counts != w):
+    first = np.flatnonzero(a[0])
+    w = first.size
+    height = _BLOCK_ENTRIES // w
+    blocks = [(slice(lo, lo + height), a[lo:lo + height]) for lo in range(0, n, height)]
+    lead = np.empty(n, dtype=np.intp)  # each row's first nonzero
+    invariant = [True] * len(groups)
+    for rows, block in blocks:
+        nonzero = block != 0
+        if np.any(np.count_nonzero(nonzero, axis=1) != w):
+            return None
+        lead[rows] = nonzero.argmax(axis=1)
+        identity = np.arange(n)[rows]
+        for g, (_, diff) in enumerate(groups):
+            invariant[g] = invariant[g] and bool(_carries(a, block, first, diff, identity).all())
+    for (moduli, _), ok in zip(groups, invariant):
+        if ok:
+            return moduli, np.arange(n)
+    if w * _SHIFT_RATIO > n:
         return None
-    support = np.nonzero(a)[1].reshape(n, w)  # increasing within each row
-    rows = identity[:, None]
     for moduli, diff in groups:
         s, found = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
-        for t in range(w):  # candidate: row 0's first nonzero lands on support[i, t]
-            c = diff(support[:, t], support[0, 0])
-            hit = ~found & np.all(a[rows, support] == a[0, diff(support, c[:, None])], axis=1)
-            s[hit], found[hit] = c[hit], True
-        if (found.all() and np.bincount(s, minlength=n).max() == 1
-                and _translates_row0(a, diff, s)):
+        for rows, block in blocks:
+            for t in range(w):  # row 0's t-th nonzero lands on the row's first
+                c = diff(lead[rows], first[t])
+                hit = ~found[rows] & _carries(a, block, first, diff, c)
+                s[rows][hit], found[rows][hit] = c[hit], True
+                if found[rows].all():
+                    break
+        if found.all() and np.bincount(s, minlength=n).max() == 1:
             return moduli, s
     return None
 
@@ -365,30 +381,31 @@ def _predecessors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pred, wt
 
 
-def _gemm_steps(X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> Iterator[np.ndarray]:
+def _gemm_steps(X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> Iterator[tuple]:
     """Q.T @ X as one GEMM per step, (X.T @ Q).T on the rows of Q^k, written into Y.T.
 
     Y is the caller's column-major scratch of X's shape, so Y.T is a
     row-major block that the product fills in place; X and Y swap roles
-    after every step.
+    after every step, so the buffer X just left is free until the next.
     """
     while True:
+        yield X, Y
         np.matmul(X.T, a, out=Y.T)
         X, Y = Y, X
-        yield X
 
 
 def _gather_steps(X: np.ndarray, acc: np.ndarray, term: np.ndarray, pred: np.ndarray,
-                  wt: np.ndarray) -> Iterator[np.ndarray]:
+                  wt: np.ndarray) -> Iterator[tuple]:
     """Q.T @ X as the sum over t of wt[t][:, None] * X[pred[t]], added in increasing t.
 
     acc and term are the caller's scratch of X's shape; X and acc swap roles
-    after every step. Every index is in range, so the gathers take
-    mode="clip": with the default mode="raise", ``np.take`` fills ``out``
-    through a temporary of its size.
+    after every step, and term is free between steps. Every index is in
+    range, so the gathers take mode="clip": with the default mode="raise",
+    ``np.take`` fills ``out`` through a temporary of its size.
     """
     wt = wt[:, :, None]
     while True:
+        yield X, term
         np.take(X, pred[0], axis=0, out=acc, mode="clip")
         acc *= wt[0]
         for t in range(1, pred.shape[0]):
@@ -396,46 +413,49 @@ def _gather_steps(X: np.ndarray, acc: np.ndarray, term: np.ndarray, pred: np.nda
             term *= wt[t]
             acc += term
         X, acc = acc, X
-        yield X
 
 
 def _translated(dst: np.ndarray, Y: np.ndarray, moduli: tuple[int, ...],
-                d: int) -> list[tuple]:
-    """Pairs (part of dst, part of Y) that put Y[diff(j, d)] at dst[j], diff as in ``_groups``.
+                offsets: Iterable[int]) -> list[tuple]:
+    """Tuples (part of dst, part of Y per offset d): Y[diff(j, d)] at dst[j], diff of ``_groups``.
 
     In a view with one axis per modulus, each axis rolls by its digit of d:
-    not at all for digit 0, by one reversed view for modulus 2, and by two
-    slices otherwise; the pairs are the products of the axes' pieces. Two
-    slices per cube axis would make 2^b pairs for an offset of b bits: the
-    jumped 10-cube profile (kmax 60) took 2.5-3.0 s that way, 0.67-0.73 s
-    with the reversed views (2-vCPU VM).
+    not at all for digit 0, by one reversed view for modulus 2, and by
+    slices otherwise, cut where any of the offsets wraps; the tuples are
+    the products of the axes' pieces. Two slices per cube axis would make
+    2^b pieces for an offset of b bits: the jumped 10-cube profile (kmax 60)
+    took 2.5-3.0 s that way, 0.67-0.73 s with the reversed views (2-vCPU VM).
     """
+    digits = [np.unravel_index(d, moduli) for d in offsets]
     pieces = []
-    for m, e in zip(moduli, np.unravel_index(d, moduli)):
-        if e == 0:
-            pieces.append([(slice(None), slice(None))])
-        elif m == 2:
-            pieces.append([(slice(None), slice(None, None, -1))])
-        else:
-            pieces.append([(slice(e, None), slice(None, m - e)),
-                           (slice(None, e), slice(m - e, None))])
+    for axis, m in enumerate(moduli):
+        es = [int(e[axis]) for e in digits]
+        if m == 2:
+            pieces.append([(slice(None), [slice(None, None, -1 if e else 1) for e in es])])
+            continue
+        cuts = sorted({0, m, *es})
+        pieces.append([(slice(lo, hi), [slice(lo - e, hi - e) if lo >= e else
+                                        slice(lo - e + m, hi - e + m) for e in es])
+                       for lo, hi in zip(cuts, cuts[1:])])
     shape = moduli + Y.shape[1:]
     dst, Y = dst.reshape(shape), Y.reshape(shape)
-    return [(dst[tuple(p for p, _ in combo)], Y[tuple(q for _, q in combo)])
+    return [(dst[tuple(p for p, _ in combo)],
+             [Y[q] for q in zip(*(qs for _, qs in combo))])
             for combo in itertools.product(*pieces)]
 
 
 def _shift_steps(X: np.ndarray, Y: np.ndarray, spare: np.ndarray, moduli: tuple[int, ...],
-                 s: np.ndarray, row: np.ndarray) -> Iterator[np.ndarray]:
+                 s: np.ndarray, row: np.ndarray) -> Iterator[tuple]:
     """Q.T @ X for Q = S R (see ``_jump_factor``), in place: R.T @ (X[s^-1]).
 
     A step permutes the rows of X into Y, then adds the translates of Y
     by the nonzero offsets d of row 0, weight row[d]. Offsets of equal
-    weight are summed first and scaled once, in increasing d; the first
-    weight level is written into X, each later one through ``spare``; Y
-    and spare are the caller's scratch of X's shape, C-contiguous, since
-    ``_translated`` views them with one axis per modulus. No index table
-    or per-state weight is read.
+    weight are summed first and scaled once, in increasing d, the first
+    two in one ``np.add``; the first weight level is written into X, each
+    later one through ``spare``. Y and spare are the caller's scratch of
+    X's shape, C-contiguous, since ``_translated`` views them with one axis
+    per modulus; Y is free between steps. No index table or per-state
+    weight is read.
     """
     inv = np.empty_like(s)
     inv[s] = np.arange(s.size)
@@ -443,28 +463,45 @@ def _shift_steps(X: np.ndarray, Y: np.ndarray, spare: np.ndarray, moduli: tuple[
     levels = []
     for c in sorted(set(row[offsets].tolist())):
         dst = spare if levels else X
-        levels.append((dst, c, [_translated(dst, Y, moduli, int(d))
-                                for d in offsets[row[offsets] == c]]))
+        ds = offsets[row[offsets] == c].tolist()
+        levels.append((dst, c, len(ds) > 1, _translated(dst, Y, moduli, ds[:2]),
+                       [_translated(dst, Y, moduli, [d]) for d in ds[2:]]))
     while True:
+        yield X, Y
         np.take(X, inv, axis=0, out=Y, mode="clip")  # in range; see _gather_steps
-        for dst, c, (first, *rest) in levels:
-            for p, q in first:
-                if rest:
-                    np.copyto(p, q)
+        for dst, c, summed, first, rest in levels:
+            for p, qs in first:
+                if summed:
+                    np.add(*qs, out=p)
                 else:
-                    np.multiply(q, c, out=p)
-            for pairs in rest:
-                for p, q in pairs:
+                    np.multiply(*qs, c, out=p)
+            for pieces in rest:
+                for p, (q,) in pieces:
                     p += q
-            if rest:
+            if summed:
                 dst *= c
             if dst is spare:
                 X += spare
-        yield X
 
 
 # Each route's step, and how many scratch arrays of X's shape it takes from the caller.
 _STEPS = {"gemm": (_gemm_steps, 1), "gather": (_gather_steps, 2), "shift": (_shift_steps, 2)}
+
+
+def _column_sums(d: np.ndarray) -> np.ndarray:
+    """Column sums of a C-order block d by folding its rows in place: d[:m - h] += d[h:m].
+
+    h = ceil(m / 2), from m = n rows down to one: ceil(log2 n) contiguous
+    adds, each entry in at most that many of them, so the error is at most
+    ceil(log2 n) * 2^-53 of the sum of nonnegative entries, as for a
+    pairwise sum. The result is d's first row.
+    """
+    m = d.shape[0]
+    while m > 1:
+        h = (m + 1) // 2
+        d[:m - h] += d[h:m]
+        m = h
+    return d[0]
 
 
 def _worker_count(blocks: int) -> int:
@@ -484,36 +521,43 @@ def _worst_tv(n: int, k_max: int, starts: np.ndarray, step: tuple) -> np.ndarray
     step's operations run in a fixed order, so a route repeats bit for
     bit. GEMM takes all starts in one column-major block; the others take
     blocks of about _BLOCK_ENTRIES / n starts, spread over ``_worker_count``
-    threads. Each thread's X, dev and step scratch are allocated here, once
+    threads. Each thread's X and step scratch are allocated here, once
     per profile; a block of b starts uses the first n * b entries of each,
     so a ragged last block still gets contiguous arrays of its own shape.
-    The result is the elementwise max of the threads' maxima, which does
-    not depend on how the blocks were shared out.
+
+    The step hands back, with X, a scratch array that it overwrites before
+    reading it, and |X - 1/n| is written there in X's own layout. Where a
+    start's states are contiguous (the column-major GEMM block, one start)
+    numpy's pairwise ``sum(axis=0)`` takes the column sums, as the
+    ``M @ Q`` oracle does; blocks of several starts in C order fold their
+    rows (``_column_sums``), whatever their width. So no read is strided
+    and a start's distance does not depend on its block. The result is the
+    elementwise max of the threads' maxima, which does not depend on how
+    the blocks were shared out.
     """
     kind, *params = step
     steps, scratch = _STEPS[kind]
     width = starts.size if kind == "gemm" else max(1, min(starts.size, _BLOCK_ENTRIES // n))
     # Column-major for GEMM: X.T is then the row-major block of rows of Q^k.
     order = "F" if kind == "gemm" else "C"
+    fold = order == "C" and starts.size > 1
     blocks = [starts[lo:lo + width] for lo in range(0, starts.size, width)]
     workers = _worker_count(len(blocks))
-    buffers = [[np.empty(n * width) for _ in range(2 + scratch)] for _ in range(workers)]
+    buffers = [[np.empty(n * width) for _ in range(1 + scratch)] for _ in range(workers)]
     worst = np.zeros((workers, k_max + 1))
 
     def run(i: int) -> None:
         for block in blocks[i::workers]:
             b = block.size
-            # one start per row of dev: pairwise sums along rows
-            dev = buffers[i][0][:b * n].reshape(b, n)
-            X, *spare = (buf[:n * b].reshape((n, b), order=order) for buf in buffers[i][1:])
+            X, *spare = (buf[:n * b].reshape((n, b), order=order) for buf in buffers[i])
             X.fill(0.0)
             X[block, np.arange(b)] = 1.0
             evolve = steps(X, *spare, *params)
             for k in range(k_max + 1):
-                np.abs(np.subtract(X.T, 1.0 / n, out=dev), out=dev)
-                worst[i, k] = max(worst[i, k], float(dev.sum(axis=1).max()) / 2.0)
-                if k < k_max:
-                    X = next(evolve)
+                X, d = next(evolve)
+                np.abs(np.subtract(X, 1.0 / n, out=d), out=d)
+                sums = _column_sums(d) if fold else d.sum(axis=0)
+                worst[i, k] = max(worst[i, k], float(sums.max()) / 2.0)
 
     if workers == 1:
         run(0)

@@ -194,6 +194,36 @@ def mixing_profile_dense(Q, k_max):
     return out
 
 
+def mixing_profile_exact(Q, k_max):
+    """Worst-start distance to uniform for k = 0 .. k_max as Fractions, for Q's entries as stored.
+
+    Each float entry is the rational Fraction(x); over their common
+    denominator D they are integers N, and start r's law after k steps is
+    row r of N^k / D^k, evolved in Python integers, one successor at a time.
+    """
+    entries = [[Fraction(x) for x in row] for row in np.asarray(Q.entries).tolist()]
+    n = len(entries)
+    D = math.lcm(*(x.denominator for row in entries for x in row))
+    succ = [[(j, int(x * D)) for j, x in enumerate(row) if x] for row in entries]
+    laws = [[int(i == r) for i in range(n)] for r in range(n)]
+    out = []
+    for k in range(k_max + 1):
+        scale = D**k
+        worst = max(sum(abs(n * v - scale) for v in law) for law in laws)
+        out.append(Fraction(worst, 2 * n * scale))
+        if k < k_max:
+            nxt = []
+            for law in laws:
+                new = [0] * n
+                for i, v in enumerate(law):
+                    if v:
+                        for j, x in succ[i]:
+                            new[j] += v * x
+                nxt.append(new)
+            laws = nxt
+    return out
+
+
 def pair_step_loop(joint):
     """One pair-chain move, column by column: (a, b) -> (b, a + b + e)."""
     n = joint.shape[0]

@@ -1,7 +1,10 @@
 import contextlib
+import errno
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -521,6 +524,48 @@ def test_an_output_path_in_a_symlink_loop_gives_no_traceback(tmp_path):
     code, err = _run_quietly(["mix", "--config", mixing_config(tmp_path, kmax=2),
                               "--out", str(loop_a)])
     assert code in (0, 2) and "Traceback" not in err
+
+
+_FIB = ["fibonacci", "--n", "5", "--kmax", "2"]
+
+
+def test_an_output_path_that_is_a_symlink_updates_its_target_and_stays_a_link(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    code, _ = _run_quietly([*_FIB, "--out", str(link)])
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text().startswith("k,")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640  # the replaced file's mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_a_new_artifact_gets_the_mode_open_would_give_under_the_umask(tmp_path, umask, mode):
+    before = os.umask(umask)
+    try:
+        code, _ = _run_quietly([*_FIB, "--out", str(tmp_path / "fib.csv")])
+        assert os.umask(umask) == umask  # the write left the umask as it found it
+    finally:
+        os.umask(before)
+    assert code == 0
+    assert stat.S_IMODE((tmp_path / "fib.csv").stat().st_mode) == mode
+
+
+def test_a_failed_replace_leaves_the_old_artifact_and_no_temp_file(tmp_path, monkeypatch):
+    out = tmp_path / "fib.csv"
+    out.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError(errno.EIO, "I/O error")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, err = _run_quietly([*_FIB, "--out", str(out)])
+    assert code == 2 and f"cannot write {out}: I/O error" in err
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["fib.csv"]
 
 
 def test_one_path_shared_by_analyses_of_another_type_does_not_block_a_subcommand(tmp_path):

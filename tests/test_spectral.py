@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import detjump as dj
 from detjump import spectral
 from detjump.errors import CapacityError, InvariantError, StructureError
-from oracles import brute_cheeger, brute_cheeger_exact, jacobi_eigenvalues, mixing_profile_dense
+from oracles import (brute_cheeger, brute_cheeger_exact, jacobi_eigenvalues, mixing_profile_dense,
+                     mixing_profile_exact)
 
 # Frozen from the Jacobi-rotation oracle (tests/oracles.py); the two
 # eigensolvers agreed to 1.1e-15 when this was generated.
@@ -57,6 +59,15 @@ def test_kernel_symmetric_psd_on_zoo(chain_zoo):
         assert np.array_equal(R.entries, R.entries.T), label
         eigs = np.linalg.eigvalsh(R.entries)
         assert eigs.min() >= -1e-9, label
+
+
+@pytest.mark.parametrize("P", [dj.build_lazy_cycle_walk(1024), dj.build_hypercube_walk(10)],
+                         ids=["cycle1024", "cube10"])
+def test_kernel_is_exactly_symmetric_as_the_product_forms_it(P):
+    # numpy forms A @ A.T by a symmetric rank-k update, one triangle mirrored,
+    # so the kernel needs no symmetrizing pass of its own
+    R = dj.symmetrized_kernel(P, dj.random_permutation(P.n, 1)).entries
+    assert np.array_equal(R, R.T)
 
 
 # --- second eigenvalue ------------------------------------------------------
@@ -528,37 +539,40 @@ def test_groups_declare_axis_moduli_and_the_index_difference(n, moduli):
 
 
 # float.hex of the shift step's profiles, kmax 12 with _SHIFT_RATIO = 1, frozen from
-# the implementation with one branch per group; xor8 moves several cube axes per offset.
+# the implementation that folds the rows of a block for its column sums;
+# test_shift_route_profiles_are_within_4e16_of_exact_rationals holds them to the
+# exact profile. xor8 moves several cube axes per offset.
 SHIFT_PROFILES = {
     "cycle64": [
-        "0x1.f800000000000p-1", "0x1.e800000000000p-1", "0x1.d000000000000p-1",
+        "0x1.f800000000000p-1", "0x1.e7fffffffffffp-1", "0x1.d000000000000p-1",
         "0x1.7800000000000p-1", "0x1.e25ed097b425ep-2", "0x1.2905447a34accp-2",
         "0x1.6f19a2970059ep-3", "0x1.ccc24fd4ec73ap-4", "0x1.068e1aec37b7ep-4",
-        "0x1.6448ada877f7ep-5", "0x1.e4f27c92a845cp-6", "0x1.0fb2cba677360p-6",
+        "0x1.6448ada877f7ep-5", "0x1.e4f27c92a845cp-6", "0x1.0fb2cba677361p-6",
         "0x1.40dc174b24accp-7",
     ],
     "cube6": [
         "0x1.f800000000000p-1", "0x1.c7fffffffffffp-1", "0x1.1000000000000p-1",
-        "0x1.e5693c746e75ep-3", "0x1.40ccb6f6b94f4p-4", "0x1.dae53ce19cd79p-6",
+        "0x1.e5693c746e75ep-3", "0x1.40ccb6f6b94f3p-4", "0x1.dae53ce19cd7ap-6",
         "0x1.205645cab8263p-7", "0x1.ed428dc10d982p-9", "0x1.4210054c02cf8p-10",
         "0x1.f24f5ebb71cd0p-12", "0x1.4e2a621cbe080p-13", "0x1.a982acb6fe580p-15",
         "0x1.36f3e16a42600p-16",
     ],
     "xor8": [
-        "0x1.c000000000000p-1", "0x1.0cccccccccccdp-1", "0x1.4cccccccccccep-2",
+        "0x1.c000000000000p-1", "0x1.0ccccccccccccp-1", "0x1.4cccccccccccdp-2",
         "0x1.0624dd2f1a9fcp-2", "0x1.a36e2eb1c432ep-3", "0x1.4f8b588e368f2p-3",
         "0x1.0c6f7a0b5ed8ep-3", "0x1.ad7f29abcaf4ap-4", "0x1.5798ee2308c3cp-4",
         "0x1.12e0be826d696p-4", "0x1.b7cdfd9d7bdbdp-5", "0x1.5fd7fe1796498p-5",
         "0x1.19799812dea14p-5",
     ],
 }
-
-
-@pytest.mark.parametrize("name, P", [
+_SHIFT_CHAINS = pytest.mark.parametrize("name, P", [
     ("cycle64", dj.build_lazy_cycle_walk(64)),
     ("cube6", dj.build_hypercube_walk(6)),
     ("xor8", _xor_invariant(np.array([0.4, 0.1, 0.0, 0.2, 0.0, 0.0, 0.3, 0.0]))),
 ])
+
+
+@_SHIFT_CHAINS
 def test_shift_route_profiles_are_pinned_bit_for_bit(monkeypatch, name, P):
     Q = _jumped(P)
     monkeypatch.setattr(spectral, "_SHIFT_RATIO", 1)
@@ -566,6 +580,79 @@ def test_shift_route_profiles_are_pinned_bit_for_bit(monkeypatch, name, P):
     assert [tv.hex() for tv in spectral._worst_tv(Q.n, 12, np.arange(Q.n), step)] == \
         SHIFT_PROFILES[name]
     assert [tv.hex() for _, tv in dj.mixing_profile(Q, 12)] == SHIFT_PROFILES[name]
+
+
+@_SHIFT_CHAINS
+def test_shift_route_profiles_are_within_4e16_of_exact_rationals(monkeypatch, name, P):
+    Q = _jumped(P)
+    monkeypatch.setattr(spectral, "_SHIFT_RATIO", 1)
+    exact = mixing_profile_exact(Q, 12)
+    got = dj.mixing_profile(Q, 12)
+    assert max(abs(Fraction(tv) - want) for (_, tv), want in zip(got, exact)) <= 4e-16
+
+
+# float.hex of profiles whose starts' states are contiguous (one start, and the
+# column-major GEMM block), kmax 12, frozen from the implementation that took the
+# distances through a transposed buffer of their own: numpy's pairwise sum adds a
+# start's states in that order wherever the distances are written.
+CONTIGUOUS_PROFILES = {
+    "plain 1024-cycle": [
+        "0x1.ff80000000000p-1", "0x1.fe7ffffffffffp-1", "0x1.fd80000000000p-1",
+        "0x1.fc80000000000p-1", "0x1.fb80000000000p-1", "0x1.fa80000000000p-1",
+        "0x1.f97ffffffffffp-1", "0x1.f90822a5fc051p-1", "0x1.f8580b8ca9570p-1",
+        "0x1.f7fad12a34776p-1", "0x1.f75aff5cd9d39p-1", "0x1.f70c932493deep-1",
+        "0x1.f6a57b3706708p-1",
+    ],
+    "plain 6-cube": [
+        "0x1.f800000000000p-1", "0x1.c7fffffffffffp-1", "0x1.5000000000000p-1",
+        "0x1.5ffffffffffffp-2", "0x1.39bfd03bb55d5p-2", "0x1.8ced8dea092b5p-3",
+        "0x1.31cdd39d5bf43p-3", "0x1.a1d96b8f617bep-4", "0x1.329ff8f79fed8p-4",
+        "0x1.af0b3b8e21e56p-5", "0x1.36e2ab5bb2303p-5", "0x1.b98daa01bac4ap-6",
+        "0x1.3c7f03557a602p-6",
+    ],
+    "union of 6 permutations": [
+        "0x1.fe00000000000p-1", "0x1.f600000000000p-1", "0x1.cc00000000000p-1",
+        "0x1.3b2f684bda12fp-1", "0x1.3c00000000000p-2", "0x1.296a673e28086p-3",
+        "0x1.113cc0705f846p-4", "0x1.e2093f53b1ceap-6", "0x1.cd72d4ce7c501p-7",
+        "0x1.a3f5042ccb0cep-8", "0x1.850b7ea6477e6p-9", "0x1.56f9c16959e8cp-10",
+        "0x1.441a73fe9e550p-11",
+    ],
+}
+
+
+@pytest.mark.parametrize("label, Q, route", [
+    ("plain 1024-cycle", dj.build_lazy_cycle_walk(1024), (1, "shift")),
+    ("plain 6-cube", dj.build_hypercube_walk(6), (1, "gemm")),
+    ("union of 6 permutations", _union_of_permutations(256, [1, 2, 3, 1, 2, 3], 3),
+     (256, "gemm")),
+])
+def test_one_start_and_gemm_profiles_are_pinned_bit_for_bit(monkeypatch, label, Q, route):
+    seen = []
+    real = spectral._worst_tv
+
+    def spy(n, k_max, starts, step):
+        seen.append((starts.size, step[0]))
+        return real(n, k_max, starts, step)
+
+    monkeypatch.setattr(spectral, "_worst_tv", spy)
+    assert [tv.hex() for _, tv in dj.mixing_profile(Q, 12)] == CONTIGUOUS_PROFILES[label]
+    assert seen == [route], label
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), b=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_folded_column_sums_are_within_the_pairwise_bound_of_fsum(n, b, seed):
+    rng = np.random.default_rng(seed)
+    # nonnegative like |X - 1/n|, over a wide range of exponents
+    d = rng.random((n, b)) * 10.0 ** rng.integers(-30, 5, (n, b))
+    want = [math.fsum(col) for col in d.T.tolist()]
+    first = d[:, :1].copy()
+    got = spectral._column_sums(d).tolist()
+    bound = math.ceil(math.log2(n)) * 2.0**-53
+    for g, w in zip(got, want):
+        assert abs(g - w) <= bound * w
+    # a column's sum does not depend on the width of its block
+    assert spectral._column_sums(first)[0] == got[0]
 
 
 @pytest.mark.parametrize("Q", [
@@ -584,6 +671,20 @@ def test_translation_invariance_misses_a_near_miss_with_one_swap(Q):
     start0 = spectral._worst_tv(Q.n, 40, np.zeros(1, dtype=np.intp), ("gemm", a))
     assert max(w - s for w, s in zip(want, start0)) > 1e-3  # start 0 is not the worst
     _assert_matches_dense(Q, 40, np.arange(Q.n))
+
+
+@pytest.mark.parametrize("P", [dj.build_lazy_cycle_walk(64), _jumped(dj.build_lazy_cycle_walk(64))],
+                         ids=["plain", "jumped"])
+def test_a_row_with_one_more_nonzero_than_row_0_is_no_translate(P):
+    # row 5 keeps row 0's translated entries and gains 1e-12 more mass, within
+    # STOCHASTIC_TOL: the entries the check reads all match, the count does not
+    a = P.entries.copy()
+    a[5, np.flatnonzero(a[5] == 0)[-1]] = 1e-12
+    Q = dj.TransitionMatrix(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SHIFT_RATIO", 1)
+        assert spectral._jump_factor(Q.entries) is None
+    _assert_matches_dense(Q, 20, np.arange(Q.n))
 
 
 @pytest.mark.parametrize("label, Q, starts, step", [
@@ -712,7 +813,7 @@ def test_single_block_chains_start_no_pool(monkeypatch, label, Q):
 
 
 @pytest.mark.parametrize("label", ["union of 6 permutations", "dense symmetrized kernel"])
-def test_gemm_route_holds_three_matrices_above_the_chain(allocation_peak, label):
+def test_gemm_route_holds_two_matrices_above_the_chain(allocation_peak, label):
     n = 512
     if label == "dense symmetrized kernel":
         Q = dj.symmetrized_kernel(dj.build_lazy_cycle_walk(n), dj.random_permutation(n, 1))
@@ -721,8 +822,21 @@ def test_gemm_route_holds_three_matrices_above_the_chain(allocation_peak, label)
     assert spectral._jump_factor(Q.entries) is None
     with allocation_peak() as peak:
         dj.mixing_profile(Q, 30)
-    # the distances, X and the product it steps into, plus a few vectors of n
-    assert peak.bytes <= 3.01 * n * n * 8
+    # X and the product it steps into, which holds the distances between steps,
+    # plus a few vectors of n
+    assert peak.bytes <= 2.01 * n * n * 8
+
+
+def test_shift_route_holds_three_blocks_per_thread_above_the_chain(monkeypatch,
+                                                                   allocation_peak):
+    Q = _jumped(dj.build_lazy_cycle_walk(1024))  # 16 blocks of 64 starts
+    _force_workers(monkeypatch, 2)
+    with allocation_peak() as peak:
+        dj.mixing_profile(Q, 10)
+    # X, Y and spare per thread, 2^16 doubles each, the distances in Y; plus s,
+    # its inverse, the starts and a few other vectors of n
+    blocks = 2 * 3 * spectral._BLOCK_ENTRIES * 8
+    assert blocks <= peak.bytes <= blocks + 16 * Q.n * 8
 
 
 def test_gather_route_repeats_bit_for_bit():
