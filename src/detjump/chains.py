@@ -112,35 +112,61 @@ class TransitionMatrix:
         return bool(np.all(np.abs(self.entries.sum(axis=0) - 1.0) <= STOCHASTIC_TOL))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection f on {0, ..., n-1}, stored with its inverse."""
+def _index_array(values, n: int | None, error: type[Exception], what: str) -> np.ndarray:
+    """A read-only intp copy of ``values``, refused unless it is 1-D with integers in [0, n).
 
-    forward: tuple[int, ...]
-    inverse: tuple[int, ...] = field(init=False, repr=False)
+    With ``n`` None the bound is the length of ``values``. Floats, bools,
+    strings and integers numpy can hold only as objects are refused, as
+    is any value outside [0, n); ``error`` is raised with a message
+    naming ``what``.
+    """
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise error(f"{what} must be a 1-D sequence, got shape {a.shape}")
+    if n is None:
+        n = a.shape[0]
+    if a.size and a.dtype.kind not in "iu":
+        raise error(f"{what} entries out of range: need integers in [0, {n}), got {a.dtype}")
+    bad = np.flatnonzero((a < 0) | (a >= n))
+    if bad.size:
+        i = int(bad[0])
+        raise error(f"{what} entry {a[i]} at position {i} out of range [0, {n})")
+    out = a.astype(np.intp)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Permutation:
+    """A bijection f on {0, ..., n-1}, stored with its inverse.
+
+    ``forward`` and ``inverse`` are read-only intp arrays, so either one
+    indexes a numpy array directly. The constructor takes any 1-D
+    sequence of integers and copies it; floats, bools and images outside
+    [0, n) raise BijectionError, as does a repeated image.
+    """
+
+    forward: np.ndarray
+    inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.forward)
-        fwd = tuple(int(v) for v in self.forward)
-        seen = [False] * n
-        for i, v in enumerate(fwd):
-            if not 0 <= v < n:
-                raise BijectionError(f"image {v} at position {i} outside [0, {n})")
-            if seen[v]:
-                raise BijectionError(f"image {v} repeated; map is not a bijection")
-            seen[v] = True
-        inv = [0] * n
-        for i, v in enumerate(fwd):
-            inv[v] = i
+        fwd = _index_array(self.forward, None, BijectionError, "permutation")
+        n = fwd.shape[0]
+        repeated = np.flatnonzero(np.bincount(fwd, minlength=n) > 1)
+        if repeated.size:
+            raise BijectionError(f"image {int(repeated[0])} repeated; map is not a bijection")
+        inv = np.empty(n, dtype=np.intp)
+        inv[fwd] = np.arange(n)
+        inv.setflags(write=False)
         object.__setattr__(self, "forward", fwd)
-        object.__setattr__(self, "inverse", tuple(inv))
+        object.__setattr__(self, "inverse", inv)
 
     @property
     def n(self) -> int:
-        return len(self.forward)
+        return self.forward.shape[0]
 
     def __call__(self, i: int) -> int:
-        return self.forward[i]
+        return int(self.forward[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,7 +372,7 @@ def compose(f: Permutation, P: TransitionMatrix) -> TransitionMatrix:
     """
     if f.n != P.n:
         raise StructureError(f"dimension mismatch: permutation on {f.n}, matrix on {P.n}")
-    return TransitionMatrix._take(P.entries[np.asarray(f.forward)])
+    return TransitionMatrix._take(P.entries[f.forward])
 
 
 def _is_prime(n: int) -> bool:
@@ -365,14 +391,16 @@ def _is_prime(n: int) -> bool:
 
 
 def identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(n)))
+    return Permutation(np.arange(n))
 
 
 def affine_permutation(n: int, a: int) -> Permutation:
     """i -> a*i mod n; a bijection iff gcd(a, n) = 1."""
     if math.gcd(a, n) != 1:
         raise BijectionError(f"i -> {a}*i mod {n} is not a bijection: gcd({a}, {n}) != 1")
-    return Permutation(tuple((a * i) % n for i in range(n)))
+    i = np.arange(n)
+    # a % n first, so the products stay below n^2 for any integer a.
+    return Permutation(i * (a % n) % n if n else i)
 
 
 def doubling_permutation(n: int) -> Permutation:
@@ -386,15 +414,15 @@ def cubing_permutation(n: int) -> Permutation:
         raise BijectionError(f"cubing map needs a prime modulus, got {n}")
     if math.gcd(3, n - 1) != 1:
         raise BijectionError(f"cubing map mod {n} is not a bijection: gcd(3, {n - 1}) != 1")
-    perm = Permutation(tuple(pow(i, 3, n) for i in range(n)))
-    return perm
+    # Python's pow: i**3 overflows int64 above 2^21.
+    return Permutation([pow(i, 3, n) for i in range(n)])
 
 
 def inversion_permutation(n: int) -> Permutation:
     """0 -> 0 and j -> j^-1 mod n for j != 0; requires n prime."""
     if not _is_prime(n):
         raise BijectionError(f"inversion map needs a prime modulus, got {n}")
-    return Permutation((0,) + tuple(pow(j, n - 2, n) for j in range(1, n)))
+    return Permutation([0] + [pow(j, n - 2, n) for j in range(1, n)])
 
 
 def random_permutation(n: int, seed: int) -> Permutation:
@@ -409,11 +437,11 @@ def random_permutation(n: int, seed: int) -> Permutation:
     # one scalar draw per i.
     for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         fwd[i], fwd[j] = fwd[j], fwd[i]
-    return Permutation(tuple(fwd))
+    return Permutation(fwd)
 
 
 def explicit_permutation(values: Sequence[int]) -> Permutation:
-    return Permutation(tuple(int(v) for v in values))
+    return Permutation(values)
 
 
 def build_permutation(kind: str, n: int, *, a: int | None = None,
@@ -488,4 +516,4 @@ def load_permutation(path: str | Path) -> Permutation:
 
 def save_permutation(path: str | Path, f: Permutation) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(" ".join(str(v) for v in f.forward) + "\n")
+        fh.write(" ".join(map(str, f.forward.tolist())) + "\n")

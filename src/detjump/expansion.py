@@ -101,12 +101,8 @@ class StateSet:
         return StateSet(self.n, ~self.mask & ((1 << self.n) - 1))
 
     def map_through(self, f: Permutation) -> "StateSet":
-        """The image set {f(i) : i in self}."""
-        mask = 0
-        for i in range(self.n):
-            if self.mask >> i & 1:
-                mask |= 1 << f.forward[i]
-        return StateSet(self.n, mask)
+        """The image set {f(i) : i in self}: state j is in it when f^-1(j) is in self."""
+        return StateSet(self.n, int(row_masks(set_rows([self.mask], self.n)[:, f.inverse])[0]))
 
 
 # --- the subset engine -----------------------------------------------------------
@@ -213,11 +209,13 @@ def _support(P: TransitionMatrix) -> np.ndarray:
 def expand(P: TransitionMatrix, A: StateSet) -> StateSet:
     """One-step expansion E(A): states reachable from A in one P-step.
 
-    With a positive diagonal this is always a superset of A.
+    E(A) is the nonzero pattern of 1_A @ P: a sum of nonnegative entries
+    is positive exactly when one of them is, so this is exact and needs
+    no n x n support. With a positive diagonal it is always a superset of A.
     """
     if A.n != P.n:
         raise ValueError(f"set on {A.n} states, matrix on {P.n}")
-    return StateSet(P.n, int(row_masks(set_rows([A.mask], P.n) @ _support(P))[0]))
+    return StateSet(P.n, int(row_masks(set_rows([A.mask], P.n, np.float64) @ P.entries)[0]))
 
 
 def external_boundary(P: TransitionMatrix, A: StateSet) -> StateSet:
@@ -254,11 +252,10 @@ def _atom_matrix(P: TransitionMatrix, f: Permutation) -> np.ndarray:
     """
     n = P.n
     S = _support(P)
-    finv = np.asarray(f.inverse)
     atoms = np.empty((n, n), dtype=np.float32)
     step = _block_sets(n)
     for lo in range(0, n, step):
-        np.matmul(S[lo:lo + step, finv], S, out=atoms[lo:lo + step])
+        np.matmul(S[lo:lo + step, f.inverse], S, out=atoms[lo:lo + step])
     return np.minimum(atoms, 1, out=atoms)
 
 

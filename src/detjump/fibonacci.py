@@ -33,7 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import MATRIX_SIZE_CAP, Distribution, TransitionMatrix, _successor_period, validate
+from .chains import (
+    MATRIX_SIZE_CAP,
+    Distribution,
+    TransitionMatrix,
+    _index_array,
+    _successor_period,
+    validate,
+)
 from .errors import BijectionError, CapacityError, InvariantError
 
 # Exact pair-chain evolution cap: one step gathers and averages n^2 doubles.
@@ -143,32 +150,27 @@ def fourier_tv_bound(n: int, k: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _pisano_period(n: int) -> int:
-    """Period of the Fibonacci sequence modulo n (period of the pair map)."""
+def _fib_residues(n: int) -> np.ndarray:
+    """F_k mod n for k in one full period, as a read-only array.
+
+    Walks the pairs (F_k, F_{k+1}) mod n until (0, 1) recurs.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return 1
-    a, b = 0, 1
-    t = 0
-    while True:
+    terms = [0]
+    a, b = 1 % n, 1 % n  # (F_1, F_2)
+    while (a, b) != (0, 1 % n):
+        terms.append(a)
         a, b = b, (a + b) % n
-        t += 1
-        if (a, b) == (0, 1):
-            return t
+    out = np.array(terms, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _fib_residues(n: int) -> np.ndarray:
-    """F_k mod n for k in one full period, as a read-only array."""
-    period = _pisano_period(n)
-    out = np.empty(period, dtype=np.int64)
-    a, b = 0, 1
-    for i in range(period):
-        out[i] = a
-        a, b = b, (a + b) % n
-    out.setflags(write=False)
-    return out
+def _pisano_period(n: int) -> int:
+    """Period of the Fibonacci sequence modulo n (period of the pair map)."""
+    return len(_fib_residues(n))
 
 
 @dataclass(frozen=True)
@@ -357,16 +359,16 @@ def _digit_sum(s: np.ndarray, n: int, digits: int) -> np.ndarray:
     return total
 
 
-def _additive_table(n: int, order: int) -> tuple[int, ...]:
+def _additive_table(n: int, order: int) -> np.ndarray:
     s = np.arange(n**order)
-    return tuple((_digit_sum(s, n, order) % n).tolist())
+    return _digit_sum(s, n, order) % n
 
 
-def _cubing_table(n: int, order: int) -> tuple[int, ...]:
+def _cubing_table(n: int, order: int) -> np.ndarray:
     pw = n ** (order - 1)
     s = np.arange(n**order)
     first = s // pw
-    return tuple(((first**3 % n + _digit_sum(s % pw, n, order - 1)) % n).tolist())
+    return (first**3 % n + _digit_sum(s % pw, n, order - 1)) % n
 
 
 _BUILTIN_UPDATES = {"additive": _additive_table, "cubing": _cubing_table}
@@ -378,7 +380,9 @@ class HigherOrderChainSpec:
 
     ``update`` is a flat table mapping the encoded state
     (x_1, ..., x_r) -> x_1 * n^(r-1) + ... + x_r to the new last symbol
-    f(x_1, ..., x_r). For every fixed tail (x_2, ..., x_r) the map
+    f(x_1, ..., x_r), held as a read-only intp array copied from the 1-D
+    integer sequence given; floats, bools and values outside [0, n) raise
+    ValueError. For every fixed tail (x_2, ..., x_r) the map
     x_1 -> f(x_1, ..., x_r) must be a bijection on Z_n; violations are
     rejected with a witness tail and colliding pair. At most
     REGISTER_STATE_CAP states.
@@ -386,7 +390,7 @@ class HigherOrderChainSpec:
 
     base_n: int
     order: int
-    update: tuple[int, ...]
+    update: np.ndarray
     base_kernel: TransitionMatrix
 
     def __post_init__(self) -> None:
@@ -396,14 +400,10 @@ class HigherOrderChainSpec:
             raise ValueError(
                 f"base kernel has {self.base_kernel.n} states, expected {n}"
             )
-        if len(self.update) != states:
-            raise ValueError(f"update table has {len(self.update)} entries, expected {states}")
-        try:
-            table = np.fromiter(self.update, dtype=np.int64, count=states)
-        except (OverflowError, TypeError, ValueError):
-            raise ValueError("update table value out of range") from None
-        if np.any((table < 0) | (table >= n)):
-            raise ValueError("update table value out of range")
+        table = _index_array(self.update, n, ValueError, "update table")
+        if table.shape[0] != states:
+            raise ValueError(f"update table has {table.shape[0]} entries, expected {states}")
+        object.__setattr__(self, "update", table)
         images = table.reshape(n, states // n)  # images[x1, tail]
         ordered = np.sort(images, axis=0)
         collided = np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
@@ -432,10 +432,8 @@ def higher_order_spec(base_kernel: TransitionMatrix, order: int = 2,
             raise ValueError(
                 f"unknown update {update!r}; builtins: {sorted(_BUILTIN_UPDATES)}"
             )
-        table = _BUILTIN_UPDATES[update](n, order)
-    else:
-        table = tuple(int(v) for v in update)
-    return HigherOrderChainSpec(base_n=n, order=order, update=table, base_kernel=base_kernel)
+        update = _BUILTIN_UPDATES[update](n, order)
+    return HigherOrderChainSpec(base_n=n, order=order, update=update, base_kernel=base_kernel)
 
 
 def build_higher_order_chain(spec: HigherOrderChainSpec) -> TransitionMatrix:
@@ -452,7 +450,7 @@ def build_higher_order_chain(spec: HigherOrderChainSpec) -> TransitionMatrix:
         )
     s = np.arange(N)
     T = np.zeros((N, N // n, n))  # T[s, tail, j] is entry (s, tail * n + j)
-    T[s, s % (N // n)] = spec.base_kernel.entries[np.asarray(spec.update)]
+    T[s, s % (N // n)] = spec.base_kernel.entries[spec.update]
     return TransitionMatrix._take(T.reshape(N, N))
 
 
@@ -463,7 +461,7 @@ def _successor_edges(spec: HigherOrderChainSpec) -> tuple[np.ndarray, np.ndarray
     P[update[u], j], for each j in the support of that base-kernel row.
     """
     n = spec.base_n
-    rows = spec.base_kernel.entries[np.asarray(spec.update)]
+    rows = spec.base_kernel.entries[spec.update]
     us, js = np.nonzero(rows > 0.0)
     vs = (us % (spec.states // n)) * n + js
     return us, vs, rows[us, js]

@@ -47,19 +47,6 @@ def _block_pairs(n: int) -> Iterator[tuple[slice, slice]]:
             yield slice(lo, lo + side), slice(lo2, lo2 + side)
 
 
-def _symmetrize(a: np.ndarray) -> None:
-    """Set a to (a + a.T) / 2 in place, bit for bit, one pair of blocks at a time.
-
-    (x + y) * 0.5 and (x + y) / 2 round the same real number, and x + y
-    equals y + x, so each pair writes what the whole-matrix formula would.
-    """
-    for I, J in _block_pairs(a.shape[0]):
-        mean = a[I, J] + a[J, I].T
-        mean *= 0.5
-        a[I, J] = mean
-        a[J, I] = mean.T
-
-
 def _asymmetry(a: np.ndarray) -> float:
     """max |a - a.T|, one pair of blocks at a time."""
     return max(float(np.abs(a[I, J] - a[J, I].T).max()) for I, J in _block_pairs(a.shape[0]))
@@ -79,7 +66,7 @@ def symmetrized_kernel(P: TransitionMatrix, f: Permutation) -> TransitionMatrix:
     """
     if f.n != P.n:
         raise ValueError(f"permutation on {f.n} states, matrix on {P.n}")
-    L = P.entries[:, np.asarray(f.inverse)]
+    L = P.entries[:, f.inverse]
     A = L @ L
     del L
     R = A @ A.T
@@ -94,11 +81,11 @@ def second_eigenvalue(R: TransitionMatrix) -> float:
     Uses a full symmetric eigendecomposition of (R + R.T)/2. The
     asymmetry max |R - R.T| is measured one pair of blocks at a time;
     when it is exactly 0, as ``symmetrized_kernel`` forms it, (R + R.T)/2
-    is R itself and R's own array goes to the eigensolver, and only
-    otherwise is a symmetrized copy made. The principal eigenvalue must
-    be 1 within EIGEN_TOL with the all-ones vector as eigenvector
-    (checked as R @ 1 = 1, which is robust when the top eigenvalue is
-    degenerate). A degenerate second eigenvalue at 1 is legal input but
+    is R itself and R's own array goes to the eigensolver. Otherwise
+    (R + R.T)/2 is formed as a new array, R + R.T halved in place. The
+    principal eigenvalue must be 1 within EIGEN_TOL with the all-ones
+    vector as eigenvector (checked as R @ 1 = 1, which is robust when the
+    top eigenvalue is degenerate). A degenerate second eigenvalue at 1 is legal input but
     flagged with a warning, since it cannot arise from a validated chain.
     """
     a = R.entries
@@ -106,8 +93,10 @@ def second_eigenvalue(R: TransitionMatrix) -> float:
     if asym > SYMMETRY_TOL:
         raise InvariantError(f"kernel asymmetry {asym!r} exceeds {SYMMETRY_TOL}")
     if asym != 0.0:
-        a = a.copy()
-        _symmetrize(a)
+        # (x + y) * 0.5 rounds the same real number as (x + y) / 2, and x + y
+        # equals y + x, so this is the formula bit for bit and exactly symmetric.
+        a = a + a.T
+        a *= 0.5
     ones = np.ones(R.n)
     if float(np.abs(a @ ones - ones).max()) > EIGEN_TOL:
         raise InvariantError("all-ones vector is not fixed by the kernel")
@@ -280,7 +269,7 @@ _SHIFT_RATIO = 32
 # raised the dense benchmark's peak RSS by 0.7 MiB over the single-threaded
 # profile, and allocated in the threads (per-thread malloc arenas) by 3.5 MiB.
 # ``_jump_factor`` reads rows of w nonzeros in blocks of _BLOCK_ENTRIES // w,
-# and ``_symmetrize`` and ``_asymmetry`` work on square blocks of this size.
+# and ``_asymmetry`` works on square blocks of this size.
 _BLOCK_ENTRIES = 1 << 16
 
 

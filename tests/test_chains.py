@@ -269,13 +269,13 @@ def test_compose_dimension_mismatch():
 # --- permutation builders ---------------------------------------------------
 
 def test_doubling_n5():
-    assert dj.doubling_permutation(5).forward == (0, 2, 4, 1, 3)
+    assert dj.doubling_permutation(5).forward.tolist() == [0, 2, 4, 1, 3]
 
 
 def test_cubing_n5_by_enumeration():
     f = dj.cubing_permutation(5)
-    assert f.forward == tuple(pow(i, 3, 5) for i in range(5))
-    assert f.forward == (0, 1, 3, 2, 4)
+    assert f.forward.tolist() == [pow(i, 3, 5) for i in range(5)]
+    assert f.forward.tolist() == [0, 1, 3, 2, 4]
     assert sorted(f.forward) == list(range(5))
 
 
@@ -295,6 +295,8 @@ def test_affine_requires_coprime_multiplier():
         dj.affine_permutation(12, 2)
     f = dj.affine_permutation(12, 5)
     assert sorted(f.forward) == list(range(12))
+    for a in (5 + 12 * 2**70, -7):  # both are 5 mod 12
+        assert np.array_equal(dj.affine_permutation(12, a).forward, f.forward)
 
 
 def test_inversion_inverts():
@@ -310,8 +312,8 @@ def test_random_permutation_reproducible():
     a = dj.random_permutation(30, 12345)
     b = dj.random_permutation(30, 12345)
     c = dj.random_permutation(30, 12346)
-    assert a.forward == b.forward
-    assert a.forward != c.forward
+    assert np.array_equal(a.forward, b.forward)
+    assert not np.array_equal(a.forward, c.forward)
 
 
 def _scalar_fisher_yates(n, seed):
@@ -327,7 +329,8 @@ def _scalar_fisher_yates(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 100, 255, 256, 257, 1000, 1024, 4096])
 def test_random_permutation_draws_the_scalar_loops_stream(n):
     for seed in [*range(29), 2**31, 2**32 + 5, 2**63, 2**64 - 1]:
-        assert dj.random_permutation(n, seed).forward == _scalar_fisher_yates(n, seed)
+        f = dj.random_permutation(n, seed)
+        assert np.array_equal(f.forward, _scalar_fisher_yates(n, seed))
 
 
 def test_random_permutation_uniformity_five_sigma():
@@ -335,7 +338,8 @@ def test_random_permutation_uniformity_five_sigma():
     from collections import Counter
 
     trials = 10_000
-    counts = Counter(dj.random_permutation(6, seed).forward for seed in range(trials))
+    counts = Counter(tuple(dj.random_permutation(6, seed).forward.tolist())
+                     for seed in range(trials))
     assert len(counts) <= 720
     p = 1.0 / 720.0
     sigma = (p * (1 - p) / trials) ** 0.5
@@ -360,11 +364,30 @@ def test_explicit_permutation_rejects_non_bijections():
         dj.build_permutation("explicit", 4, values=[0, 1, 2])
 
 
+@pytest.mark.parametrize("values", [(1.9, 0.2), [True, False], [[0, 1]], [2**70, 0], ["1", "0"]])
+def test_permutation_refuses_entries_that_are_not_integers_in_range(values):
+    with pytest.raises(BijectionError):
+        dj.Permutation(values)
+    with pytest.raises(BijectionError):
+        dj.explicit_permutation(values)
+
+
+def test_permutation_arrays_are_read_only_copies():
+    values = np.array([2, 0, 1])
+    f = dj.Permutation(values)
+    values[0] = 1
+    assert f.forward.tolist() == [2, 0, 1] and f.inverse.tolist() == [1, 2, 0]
+    for a in (f.forward, f.inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
 def test_build_permutation_dispatch():
-    assert dj.build_permutation("identity", 4).forward == (0, 1, 2, 3)
-    assert dj.build_permutation("doubling", 5).forward == (0, 2, 4, 1, 3)
-    assert dj.build_permutation("affine", 5, a=3).forward == (0, 3, 1, 4, 2)
-    assert dj.build_permutation("random", 5, seed=0).forward == dj.random_permutation(5, 0).forward
+    assert dj.build_permutation("identity", 4).forward.tolist() == [0, 1, 2, 3]
+    assert dj.build_permutation("doubling", 5).forward.tolist() == [0, 2, 4, 1, 3]
+    assert dj.build_permutation("affine", 5, a=3).forward.tolist() == [0, 3, 1, 4, 2]
+    assert np.array_equal(dj.build_permutation("random", 5, seed=0).forward,
+                          dj.random_permutation(5, 0).forward)
     with pytest.raises(ValueError):
         dj.build_permutation("random", 5)
     with pytest.raises(ValueError):
@@ -426,7 +449,7 @@ def test_permutation_file_roundtrip(tmp_path):
     f = dj.random_permutation(9, 4)
     path = tmp_path / "perm.txt"
     dj.save_permutation(path, f)
-    assert dj.load_permutation(path).forward == f.forward
+    assert np.array_equal(dj.load_permutation(path).forward, f.forward)
     (tmp_path / "bad.txt").write_text("0 1 junk\n")
     with pytest.raises(StructureError):
         dj.load_permutation(tmp_path / "bad.txt")

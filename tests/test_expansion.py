@@ -83,6 +83,17 @@ def test_expand_agrees_with_row_and_column_oracles(chain_zoo):
             assert got == brute_expand_via_columns(P, subset), label
 
 
+def test_expand_holds_no_n_by_n_support(allocation_peak):
+    n = 4096
+    P = dj.build_lazy_cycle_walk(n)
+    A = dj.StateSet.from_indices(n, range(0, n, 5))
+    with allocation_peak() as peak:
+        boundary = dj.external_boundary(P, A)
+    assert boundary == dj.StateSet.from_indices(n, [i for i in range(n) if i % 5 in (1, 4)])
+    # a row of the set and its product; a float32 support alone would be 64 MiB
+    assert peak.bytes < 1 << 20
+
+
 def test_external_boundary_cycle_arc():
     P = dj.build_lazy_cycle_walk(7)
     assert dj.external_boundary(P, S(7, 0, 1, 2)).indices() == (3, 6)

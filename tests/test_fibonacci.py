@@ -332,7 +332,7 @@ def test_explicit_table_equals_builtin():
     table = tuple((x + y) % 3 for x in range(3) for y in range(3))
     a = dj.higher_order_spec(base, 2, "additive")
     b = dj.higher_order_spec(base, 2, table)
-    assert a.update == b.update
+    assert np.array_equal(a.update, b.update)
 
 
 def test_order_three_register_chain():
@@ -358,8 +358,8 @@ def test_register_chain_is_irreducible_and_doubly_stochastic():
 
 @pytest.mark.parametrize("n,r", [(2, 2), (2, 5), (3, 3), (4, 2), (5, 3), (7, 2), (16, 3)])
 def test_builtin_tables_match_loop_forms(n, r):
-    assert fibonacci._additive_table(n, r) == additive_table_loop(n, r)
-    assert fibonacci._cubing_table(n, r) == cubing_table_loop(n, r)
+    assert tuple(fibonacci._additive_table(n, r).tolist()) == additive_table_loop(n, r)
+    assert tuple(fibonacci._cubing_table(n, r).tolist()) == cubing_table_loop(n, r)
 
 
 def _random_register_spec(data):
@@ -439,7 +439,7 @@ def test_bijection_witness_matches_loop_scan(n, r, seed):
     expected = first_collision_loop(table, n, r)
     base = dj.build_lazy_cycle_walk(3) if n == 3 else dj.TransitionMatrix(np.full((n, n), 1 / n))
     if expected is None:
-        assert dj.higher_order_spec(base, r, table).update == tuple(table)
+        assert dj.higher_order_spec(base, r, table).update.tolist() == table
         return
     with pytest.raises(BijectionError) as err:
         dj.higher_order_spec(base, r, table)
@@ -481,6 +481,27 @@ def test_spec_rejects_out_of_range_table_values():
         table[4] = bad
         with pytest.raises(ValueError, match="out of range"):
             dj.higher_order_spec(base, 2, table)
+
+
+def test_spec_refuses_float_tables_at_construction():
+    base = dj.build_lazy_cycle_walk(3)
+    floats = [v + 0.5 for v in dj.higher_order_spec(base, 2, "additive").update.tolist()]
+    with pytest.raises(ValueError, match="out of range"):
+        dj.higher_order_spec(base, 2, floats)
+    with pytest.raises(ValueError, match="out of range"):
+        dj.HigherOrderChainSpec(base_n=3, order=2, update=floats, base_kernel=base)
+    with pytest.raises(ValueError, match="out of range"):
+        dj.higher_order_spec(base, 2, [True, False] * 4 + [True])
+
+
+def test_spec_update_is_a_read_only_copy():
+    base = dj.build_lazy_cycle_walk(3)
+    table = np.array([(x + y) % 3 for x in range(3) for y in range(3)])
+    spec = dj.HigherOrderChainSpec(base_n=3, order=2, update=table, base_kernel=base)
+    table[0] = 1
+    assert spec.update[0] == 0
+    with pytest.raises(ValueError, match="read-only"):
+        spec.update[0] = 1
 
 
 def test_spec_validation_errors():

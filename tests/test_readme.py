@@ -1,5 +1,7 @@
-"""The README against the code: the "Caps and tolerances" table and the example configs."""
+"""The README against the code: the quick start, the "Caps and tolerances" table and the
+example configs."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -48,3 +50,15 @@ def test_every_example_config_loads(tmp_path):
         path = tmp_path / f"example{i}.json"
         path.write_text(block, encoding="utf-8")
         assert load_config(path).analyses
+
+
+def test_quick_start_runs_and_prints_what_it_claims(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Quick start (library)", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```", section, re.M | re.S).group(1)
+    exec(compile(block, "README quick start", "exec"), {})
+    # "(60, ~5e-14) vs ~0.64 for plain P at k=100"
+    k, tv = ast.literal_eval(capsys.readouterr().out)
+    assert k == 60 and tv < 1e-13
+    k, plain = detjump.mixing_profile(detjump.build_lazy_cycle_walk(101), 100)[100]
+    assert k == 100 and abs(plain - 0.64) < 0.01
