@@ -33,19 +33,35 @@ STOCHASTIC_TOL = 1e-9
 DISTRIBUTION_TOL = 1e-12
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True, order="C")
-    out.setflags(write=False)
-    return out
+def _checked_rows(a: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Make ``a`` read-only and return it once each row is a probability vector within ``tol``.
+
+    A 1-D ``a`` is one row. Entries must lie in [0, 1 + tol] and each row
+    must sum to 1 within ``tol``; ``what`` names the array in the message
+    for a non-finite entry, and in the one for a 1-D sum. Range and
+    finiteness come from one min/max pair: a NaN or an infinity makes one
+    of them non-finite. The temporaries that locate an offending entry are
+    made only on failure.
+    """
+    lo, hi = float(a.min()), float(a.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise StructureError(f"{what} contains non-finite entries")
+    if lo < 0.0 or hi > 1.0 + tol:
+        at = np.unravel_index(int(np.argmin(a)) if lo < 0.0 else int(np.argmax(a)), a.shape)
+        raise StructureError(
+            f"entry out of [0, 1] at ({', '.join(map(str, at))}): {float(a[at])!r}")
+    sums = a.sum(axis=-1, keepdims=True)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    if bad.size:
+        i = int(bad[0])
+        row = f"row {i}" if a.ndim == 2 else what
+        raise StructureError(f"{row} sums to {float(sums.flat[i])!r}, expected 1 within {tol}")
+    a.setflags(write=False)
+    return a
 
 
 def _checked_stochastic(a: np.ndarray) -> np.ndarray:
-    """Make ``a`` read-only and return it once it is a square row-stochastic matrix.
-
-    Range and finiteness come from one min/max pair: a NaN or an infinity
-    makes one of them non-finite. The temporaries that locate an offending
-    entry are made only on failure.
-    """
+    """Make ``a`` read-only and return it once it is a square row-stochastic matrix."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructureError(f"transition matrix must be square, got shape {a.shape}")
     n = a.shape[0]
@@ -55,21 +71,7 @@ def _checked_stochastic(a: np.ndarray) -> np.ndarray:
         raise CapacityError(
             f"n={n} exceeds the dense matrix cap MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
         )
-    lo, hi = float(a.min()), float(a.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise StructureError("transition matrix contains non-finite entries")
-    if lo < 0.0 or hi > 1.0 + STOCHASTIC_TOL:
-        i, j = np.unravel_index(int(np.argmin(a)) if lo < 0.0 else int(np.argmax(a)), a.shape)
-        raise StructureError(f"entry out of [0, 1] at ({i}, {j}): {float(a[i, j])!r}")
-    rowsums = a.sum(axis=1)
-    bad = np.flatnonzero(np.abs(rowsums - 1.0) > STOCHASTIC_TOL)
-    if bad.size:
-        i = int(bad[0])
-        raise StructureError(
-            f"row {i} sums to {float(rowsums[i])!r}, expected 1 within {STOCHASTIC_TOL}"
-        )
-    a.setflags(write=False)
-    return a
+    return _checked_rows(a, STOCHASTIC_TOL, "transition matrix")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,20 +173,21 @@ class Permutation:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """A probability vector over {0, ..., n-1}."""
+    """A probability vector over {0, ..., n-1}.
+
+    ``probs`` is a read-only float64 copy of the nonempty 1-D array given.
+    Its entries must be finite and in [0, 1], and they must sum to 1
+    within ``DISTRIBUTION_TOL``; anything else raises StructureError, as
+    does a ``point_mass`` state that is not an integer in [0, n).
+    """
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = np.array(self.probs, dtype=np.float64, copy=True, order="C")
         if p.ndim != 1 or p.size == 0:
             raise StructureError(f"distribution must be a nonempty vector, got shape {p.shape}")
-        if np.any(p < 0.0):
-            raise StructureError("distribution has a negative entry")
-        s = float(p.sum())
-        if abs(s - 1.0) > DISTRIBUTION_TOL:
-            raise StructureError(f"distribution sums to {s!r}, expected 1 within {DISTRIBUTION_TOL}")
-        object.__setattr__(self, "probs", _as_readonly(p))
+        object.__setattr__(self, "probs", _checked_rows(p, DISTRIBUTION_TOL, "distribution"))
 
     @property
     def n(self) -> int:
@@ -196,8 +199,9 @@ class Distribution:
 
     @staticmethod
     def point_mass(i: int, n: int) -> "Distribution":
+        state = _index_array([i], n, StructureError, "point mass state")
         p = np.zeros(n)
-        p[i] = 1.0
+        p[state] = 1.0
         return Distribution(p)
 
 

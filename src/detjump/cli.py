@@ -19,7 +19,7 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -112,9 +112,19 @@ def _json_artifact(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _record(report: Any) -> dict:
+    """A report dataclass's fields as JSON values; a StateSet lists its states, None is left out."""
+    out = {}
+    for field in dataclass_fields(report):
+        value = getattr(report, field.name)
+        if value is not None:
+            out[field.name] = list(value.indices()) if isinstance(value, StateSet) else value
+    return out
+
+
 def _run_mixing(params: dict, P: TransitionMatrix, f: Permutation) -> str:
     epsilon, want_spectral = params["epsilon"], params["spectral_bound"]
-    profile = mixing_profile(compose(f, P), params["kmax"], single_start=params["single_start"])
+    profile = mixing_profile(compose(f, P), params["kmax"])
     n = P.n
     delta = min_positive_entry(P)
     lam2 = second_eigenvalue(symmetrized_kernel(P, f)) if want_spectral else None
@@ -136,31 +146,15 @@ def _run_mixing(params: dict, P: TransitionMatrix, f: Permutation) -> str:
 
 def _run_spectral(params: dict, P: TransitionMatrix, f: Permutation) -> str:
     eps = check_expansion(P, f).epsilon_star if params["compute_epsilon"] else None
-    report = spectral_report(P, f, expansion_epsilon=eps)
-    payload = {
-        "n": report.n,
-        "delta": report.delta,
-        "lambda2": report.lambda2,
-        "cheeger": report.cheeger,
-        "cheeger_witness": sorted(report.cheeger_witness.indices()),
-    }
-    if report.expansion_epsilon is not None:
-        payload["expansion_epsilon"] = report.expansion_epsilon
-    return _json_artifact(payload)
+    return _json_artifact(_record(spectral_report(P, f, expansion_epsilon=eps)))
 
 
 def _run_expansion(params: dict, P: TransitionMatrix, f: Permutation) -> str:
-    report = check_expansion(
+    return _json_artifact(_record(check_expansion(
         P, f, mode=params["mode"], num_samples=params["num_samples"],
         seed=params["seed"],
         include=[StateSet.from_indices(P.n, idxs) for idxs in params["include"]],
-    )
-    return _json_artifact({
-        "epsilon_star": report.epsilon_star,
-        "witness": sorted(report.witness.indices()),
-        "mode": report.mode,
-        "sets_checked": report.sets_checked,
-    })
+    )))
 
 
 def _run_scan(params: dict, P: TransitionMatrix) -> str:
@@ -197,12 +191,7 @@ def _run_hof(params: dict) -> str:
     _require(base.n == raw["base_n"],
              f"{spec_path}: base kernel has {base.n} states, spec says {raw['base_n']}")
     spec = higher_order_spec(base, order=raw["order"], update=raw["update"])
-    result = verify_uniform_ergodicity(spec)
-    return _json_artifact({
-        "states": spec.states,
-        "ergodic": result.ergodic,
-        "uniform_stationary": result.uniform_stationary,
-    })
+    return _json_artifact({"states": spec.states, **_record(verify_uniform_ergodicity(spec))})
 
 
 # --- the config schema: every section, family, kind and analysis type, once ---------
@@ -335,7 +324,7 @@ class Analysis:
 ANALYSES = {
     "mixing": Analysis(
         {"kmax": _int(0), "epsilon": _number(positive=True, default=None),
-         "spectral_bound": _flag(), "single_start": _flag()},
+         "spectral_bound": _flag()},
         "mix", "worst-start mixing profile CSV", _run_mixing, True, True),
     "spectral": Analysis(
         {"compute_epsilon": _flag()},
@@ -571,7 +560,7 @@ def run_compare(config_a: ExperimentConfig, config_b: ExperimentConfig,
         P, report = build_chain(cfg)
         _require_standing_assumptions(cfg, report)
         f = build_bijection(cfg, P.n)
-        return mixing_profile(compose(f, P), entry["kmax"], single_start=entry["single_start"])
+        return mixing_profile(compose(f, P), entry["kmax"])
 
     rows_a, rows_b = profile(config_a, ea), profile(config_b, eb)
     lines = ["k,worst_tv_A,worst_tv_B"]

@@ -27,6 +27,7 @@ import numpy as np
 from .chains import (
     Permutation,
     TransitionMatrix,
+    _index_array,
     build_lazy_cycle_walk,
     doubling_permutation,
     min_positive_entry,
@@ -67,12 +68,11 @@ class StateSet:
 
     @staticmethod
     def from_indices(n: int, indices: Iterable[int]) -> "StateSet":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"state {i} out of range for n={n}")
-            mask |= 1 << i
-        return StateSet(n, mask)
+        """The set of the given states; ValueError unless each is an integer in [0, n)."""
+        states = _index_array(list(indices), n, ValueError, "state set")
+        row = np.zeros((1, n), dtype=np.uint8)
+        row[0, states] = 1
+        return StateSet(n, int(row_masks(row)[0]))
 
     @staticmethod
     def full(n: int) -> "StateSet":

@@ -177,26 +177,30 @@ def _pisano_period(n: int) -> int:
 class FibResidueSequence:
     """One full period of a Fibonacci-type residue sequence modulo n.
 
-    Validates the recurrence (with wraparound) and the no-adjacent-zeros
-    property: a sequence with some nonzero term can never have two
-    consecutive zero residues, else every term would vanish.
+    The period is the number of terms. Validates the recurrence (with
+    wraparound) and the no-adjacent-zeros property: a sequence with some
+    nonzero term can never have two consecutive zero residues, else every
+    term would vanish.
     """
 
     n: int
     terms: tuple[int, ...]
-    period: int
 
     def __post_init__(self) -> None:
-        t = self.terms
-        if len(t) != self.period or self.period < 1:
-            raise ValueError("terms must cover exactly one period")
-        for k in range(self.period):
-            if (t[k] + t[(k + 1) % self.period]) % self.n != t[(k + 2) % self.period]:
+        t, period = self.terms, len(self.terms)
+        if period < 1:
+            raise ValueError("terms must cover one period, got none")
+        for k in range(period):
+            if (t[k] + t[(k + 1) % period]) % self.n != t[(k + 2) % period]:
                 raise InvariantError(f"recurrence fails at index {k}")
         if any(v % self.n for v in t):
-            for k in range(self.period):
-                if t[k] == 0 and t[(k + 1) % self.period] == 0:
+            for k in range(period):
+                if t[k] == 0 and t[(k + 1) % period] == 0:
                     raise InvariantError(f"adjacent zero residues at index {k}")
+
+    @property
+    def period(self) -> int:
+        return len(self.terms)
 
 
 def fib_residue_sequence(n: int, a: int = 1) -> FibResidueSequence:
@@ -208,7 +212,7 @@ def fib_residue_sequence(n: int, a: int = 1) -> FibResidueSequence:
     period = _pisano_period(n // math.gcd(a, n))
     base = _fib_residues(n)
     terms = tuple(int(v) for v in (a * np.resize(base, period)) % n)
-    return FibResidueSequence(n=n, terms=terms, period=period)
+    return FibResidueSequence(n=n, terms=terms)
 
 
 def residue_window_length(n: int) -> float:
@@ -226,17 +230,21 @@ class WindowCheck:
     worst_gap: int
 
 
-def _window_gaps(n: int, a: np.ndarray, horizon: np.ndarray) -> np.ndarray:
+def _window_gaps(n: int, a: np.ndarray) -> np.ndarray:
     """Worst first-hit gap of a * F_k mod n for each frequency in ``a``.
 
-    Row i covers indices k < horizon[i] + wlen + 1 (its own length); a hit
-    is an index whose residue b satisfies 3*b >= n and 3*b <= 2*n, read
-    from a table over Z_n. The next hit at or after each index comes from
-    a reversed running minimum of hit positions. Starts 0 .. horizon[i]
-    count; a start with no later hit in its row, as in a row with no hit
-    at all, scores the row length.
+    Row i covers the starts 0 .. h_i, h_i one full period of a_i * F_k
+    mod n plus the window length w, which by periodicity covers every
+    start; the row itself runs over the indices k < h_i + w + 1. A hit is
+    an index whose residue b satisfies 3*b >= n and 3*b <= 2*n, read from
+    a table over Z_n. The next hit at or after each index comes from a
+    reversed running minimum of hit positions. A start with no later hit
+    in its row, as in a row with no hit at all, scores the row length.
     """
     wlen = int(math.floor(residue_window_length(n)))
+    divisors, inverse = np.unique(np.gcd(a, n), return_inverse=True)
+    periods = np.array([_pisano_period(n // int(d)) for d in divisors], dtype=np.int64)
+    horizon = periods[inverse] + wlen
     length = horizon + wlen + 1
     cols = np.arange(int(length.max()), dtype=np.int32)
     r = np.arange(n)
@@ -250,16 +258,9 @@ def _window_gaps(n: int, a: np.ndarray, horizon: np.ndarray) -> np.ndarray:
     return np.where(worst < cols.size, worst, length)
 
 
-def _default_horizons(n: int, a: np.ndarray) -> np.ndarray:
-    """One full period of a * F_k mod n plus the window length, for each a."""
-    divisors, inverse = np.unique(np.gcd(a, n), return_inverse=True)
-    periods = np.array([_pisano_period(n // int(d)) for d in divisors], dtype=np.int64)
-    return periods[inverse] + int(math.floor(residue_window_length(n)))
-
-
 @lru_cache(maxsize=None)
 def _window_table(n: int) -> np.ndarray | None:
-    """Default-horizon worst gaps for a = 1 .. n-1, or None when too large.
+    """Worst gaps for a = 1 .. n-1, or None when too large.
 
     The widest row (a = 1) spans the full Pisano period of n plus twice
     the window length; the table is built only while all n - 1 rows fit
@@ -268,36 +269,31 @@ def _window_table(n: int) -> np.ndarray | None:
     wlen = int(math.floor(residue_window_length(n)))
     if (n - 1) * (_pisano_period(n) + 2 * wlen + 1) > _FACTOR_BLOCK:
         return None
-    a = np.arange(1, n, dtype=np.int64)
-    out = _window_gaps(n, a, _default_horizons(n, a))
+    out = _window_gaps(n, np.arange(1, n, dtype=np.int64))
     out.setflags(write=False)
     return out
 
 
-def check_residue_window(n: int, a: int, horizon: int | None = None) -> WindowCheck:
+def check_residue_window(n: int, a: int) -> WindowCheck:
     """Check the middle-third window property of a * F_k mod n.
 
-    For every start j in [0, horizon], some k in [j, j + w] with
-    w = 8 + 3*log_{3/2}(n) must satisfy the exact integer membership
-    3*b_k >= n and 3*b_k <= 2*n. The horizon defaults to one full period
-    of the pair sequence plus the window length, which covers every j by
-    periodicity. worst_gap is the largest distance from a start to its
-    first in-window index. Default-horizon answers for all a come from
-    one cached per-modulus table.
+    For every start j, some k in [j, j + w] with w = 8 + 3*log_{3/2}(n)
+    must satisfy the exact integer membership 3*b_k >= n and
+    3*b_k <= 2*n. The starts checked run over one full period of the pair
+    sequence plus the window length, which covers every j by periodicity.
+    worst_gap is the largest distance from a start to its first in-window
+    index. Answers for all a come from one cached per-modulus table while
+    it fits, else from the same kernel on one row.
     """
     if n < 2:
         raise ValueError(f"need modulus n >= 2, got {n}")
     if not 0 < a < n:
         raise ValueError(f"need 1 <= a < n, got a={a}")
-    if horizon is not None and horizon < 0:
-        raise ValueError(f"need horizon >= 0, got {horizon}")
-    table = _window_table(n) if horizon is None else None
+    table = _window_table(n)
     if table is not None:
         worst = int(table[a - 1])
     else:
-        row = np.array([a], dtype=np.int64)
-        horizons = _default_horizons(n, row) if horizon is None else np.array([horizon])
-        worst = int(_window_gaps(n, row, horizons)[0])
+        worst = int(_window_gaps(n, np.array([a], dtype=np.int64))[0])
     return WindowCheck(holds=bool(worst <= residue_window_length(n)), worst_gap=worst)
 
 
@@ -378,6 +374,8 @@ _BUILTIN_UPDATES = {"additive": _additive_table, "cubing": _cubing_table}
 class HigherOrderChainSpec:
     """A shift-register chain: order-r memory over a base chain on Z_n.
 
+    n, read as ``base_n``, is the number of states of ``base_kernel``.
+
     ``update`` is a flat table mapping the encoded state
     (x_1, ..., x_r) -> x_1 * n^(r-1) + ... + x_r to the new last symbol
     f(x_1, ..., x_r), held as a read-only intp array copied from the 1-D
@@ -388,7 +386,6 @@ class HigherOrderChainSpec:
     REGISTER_STATE_CAP states.
     """
 
-    base_n: int
     order: int
     update: np.ndarray
     base_kernel: TransitionMatrix
@@ -396,10 +393,6 @@ class HigherOrderChainSpec:
     def __post_init__(self) -> None:
         n, r = self.base_n, self.order
         states = _register_states(n, r)
-        if self.base_kernel.n != n:
-            raise ValueError(
-                f"base kernel has {self.base_kernel.n} states, expected {n}"
-            )
         table = _index_array(self.update, n, ValueError, "update table")
         if table.shape[0] != states:
             raise ValueError(f"update table has {table.shape[0]} entries, expected {states}")
@@ -418,6 +411,10 @@ class HigherOrderChainSpec:
             )
 
     @property
+    def base_n(self) -> int:
+        return self.base_kernel.n
+
+    @property
     def states(self) -> int:
         return self.base_n**self.order
 
@@ -433,7 +430,7 @@ def higher_order_spec(base_kernel: TransitionMatrix, order: int = 2,
                 f"unknown update {update!r}; builtins: {sorted(_BUILTIN_UPDATES)}"
             )
         update = _BUILTIN_UPDATES[update](n, order)
-    return HigherOrderChainSpec(base_n=n, order=order, update=update, base_kernel=base_kernel)
+    return HigherOrderChainSpec(order=order, update=update, base_kernel=base_kernel)
 
 
 def build_higher_order_chain(spec: HigherOrderChainSpec) -> TransitionMatrix:

@@ -198,8 +198,8 @@ def expansion_tv_bound(n: int, epsilon: float, delta: float, k: int) -> float:
         raise ValueError(f"need k >= 1, got {k}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:  # false for nan
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     shrink = epsilon * epsilon * delta**8 / 2.0
     if shrink > 1.0:
         raise ValueError(f"epsilon={epsilon} too large: epsilon^2*delta^8/2 exceeds 1")

@@ -305,13 +305,17 @@ def test_mix_rejects_an_epsilon_too_large_for_a_float(tmp_path, capsys):
     assert "finite positive" in capsys.readouterr().err
 
 
-def test_mix_single_start_on_a_jumped_chain_exits_2(tmp_path, capsys):
-    cfg = mixing_config(tmp_path, n=16, bijection={"kind": "random", "seed": 0}, kmax=6,
-                        single_start=True)
-    assert main(["mix", "--config", cfg]) == 2
-    assert "translation-invariant" in capsys.readouterr().err
-    plain = mixing_config(tmp_path, "plain.json", n=16, kmax=6, single_start=True)
-    assert main(["compare", "--config-a", plain, "--config-b", cfg]) == 2
+@pytest.mark.parametrize("bijection", [None, {"kind": "random", "seed": 0}],
+                         ids=["plain", "jumped"])
+@pytest.mark.parametrize("command", ["mix", "compare"])
+def test_single_start_is_an_undeclared_mixing_key(tmp_path, capsys, command, bijection):
+    # the route, one start or all, follows from the chain; the key is not settable
+    cfg = mixing_config(tmp_path, n=16, bijection=bijection, kmax=6, single_start=True)
+    plain = mixing_config(tmp_path, "plain.json", n=16, kmax=6)
+    argv = ["mix", "--config", cfg] if command == "mix" else \
+        ["compare", "--config-a", plain, "--config-b", cfg]
+    assert main(argv) == 2
+    assert "undeclared key 'single_start'" in capsys.readouterr().err
 
 
 def test_hof_subcommand(tmp_path):
@@ -647,8 +651,7 @@ _CHAIN_ANALYSIS = {
     "validate": st.just({"type": "mixing", "kmax": 1}),
     "mix": st.fixed_dictionaries({"type": st.just("mixing"), "kmax": st.integers(0, 4),
                                   "epsilon": st.sampled_from([0.5, 1.0]),
-                                  "spectral_bound": st.booleans(),
-                                  "single_start": st.booleans()}),
+                                  "spectral_bound": st.booleans()}),
     "compare": st.fixed_dictionaries({"type": st.just("mixing"), "kmax": st.integers(0, 4)}),
     "spectral": st.fixed_dictionaries({"type": st.just("spectral"),
                                        "compute_epsilon": st.booleans()}),
@@ -758,7 +761,6 @@ def test_fuzz_small_file_chains_mix_and_compare(tmp_path_factory, data, n):
     rows = _small_chain_rows(data, n)
     matrix.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
     analysis = {"type": "mixing", "kmax": data.draw(st.integers(0, 8), label="kmax"),
-                "single_start": data.draw(st.booleans(), label="single_start"),
                 "spectral_bound": data.draw(st.booleans(), label="spectral_bound")}
     if data.draw(st.booleans(), label="with_epsilon"):
         analysis["epsilon"] = data.draw(st.sampled_from([0.25, 1.0]), label="epsilon")

@@ -49,6 +49,19 @@ def test_state_set_basics():
         dj.StateSet.from_indices(4, [4])
 
 
+@pytest.mark.parametrize("indices", [[1.5], [True], [-1], [5], [[1, 2]]])
+def test_state_set_from_indices_takes_only_states(indices):
+    # 1.5 used to raise TypeError from 1 << 1.5, and True to read as state 1
+    with pytest.raises(ValueError, match="state set"):
+        dj.StateSet.from_indices(5, indices)
+
+
+def test_state_set_from_indices_any_iterable_and_large_n():
+    assert dj.StateSet.from_indices(5, iter([4, 0, 4])).indices() == (0, 4)
+    assert dj.StateSet.from_indices(5, []).mask == 0
+    assert dj.StateSet.from_indices(130, range(0, 130, 64)).mask == 1 | 1 << 64 | 1 << 128
+
+
 def test_state_set_map_through():
     f = dj.doubling_permutation(5)
     assert S(5, 1, 2).map_through(f).indices() == (2, 4)

@@ -138,7 +138,7 @@ def test_residue_sequence_scaled_period_divides():
 
 def test_residue_sequence_rejects_adjacent_zeros():
     with pytest.raises(InvariantError):
-        dj.FibResidueSequence(n=4, terms=(0, 0, 1), period=3)
+        dj.FibResidueSequence(n=4, terms=(0, 0, 1))
 
 
 def test_no_adjacent_zero_residues_up_to_200():
@@ -180,15 +180,8 @@ def test_window_holds_for_moduli_up_to_60():
             assert dj.check_residue_window(n, a).holds, (n, a)
 
 
-def test_window_explicit_horizon():
-    full = dj.check_residue_window(30, 7)
-    short = dj.check_residue_window(30, 7, horizon=5)
-    assert short.holds
-    assert short.worst_gap <= full.worst_gap
-
-
-def _window(n, a, horizon=None):
-    check = dj.check_residue_window(n, a, horizon)
+def _window(n, a):
+    check = dj.check_residue_window(n, a)
     return check.holds, check.worst_gap
 
 
@@ -196,15 +189,6 @@ def test_window_matches_searchsorted_form_everywhere():
     for n in range(2, 401):
         for a in range(1, n):
             assert _window(n, a) == residue_window_searchsorted(n, a), (n, a)
-
-
-def test_window_matches_searchsorted_form_explicit_horizons():
-    for n in range(2, 401):
-        for a in sorted({1, max(1, n // 3), max(1, n // 2), n - 1}):
-            period = _pisano_period(n // math.gcd(a, n))
-            for horizon in sorted({0, 1, 5, period - 1, 3 * period}):
-                assert _window(n, a, horizon) == residue_window_searchsorted(n, a, horizon), \
-                    (n, a, horizon)
 
 
 @pytest.fixture
@@ -235,11 +219,6 @@ def test_window_table_is_cached_and_read_only(window_tables):
     table = _window_table(50)
     assert table is _window_table(50)
     assert table.shape == (49,) and not table.flags.writeable
-
-
-def test_window_rejects_negative_horizon():
-    with pytest.raises(ValueError):
-        dj.check_residue_window(30, 7, horizon=-1)
 
 
 def test_window_length_bracket_at_22():
@@ -458,7 +437,7 @@ def test_register_cap_checked_before_any_table():
             dj.higher_order_spec(two, order, "additive")
         assert time.monotonic() - t0 < 1.0
     with pytest.raises(CapacityError):
-        dj.HigherOrderChainSpec(base_n=2, order=40, update=(), base_kernel=two)
+        dj.HigherOrderChainSpec(order=40, update=(), base_kernel=two)
     assert dj.higher_order_spec(two, 16, "additive").states == REGISTER_STATE_CAP
 
 
@@ -489,7 +468,7 @@ def test_spec_refuses_float_tables_at_construction():
     with pytest.raises(ValueError, match="out of range"):
         dj.higher_order_spec(base, 2, floats)
     with pytest.raises(ValueError, match="out of range"):
-        dj.HigherOrderChainSpec(base_n=3, order=2, update=floats, base_kernel=base)
+        dj.HigherOrderChainSpec(order=2, update=floats, base_kernel=base)
     with pytest.raises(ValueError, match="out of range"):
         dj.higher_order_spec(base, 2, [True, False] * 4 + [True])
 
@@ -497,7 +476,7 @@ def test_spec_refuses_float_tables_at_construction():
 def test_spec_update_is_a_read_only_copy():
     base = dj.build_lazy_cycle_walk(3)
     table = np.array([(x + y) % 3 for x in range(3) for y in range(3)])
-    spec = dj.HigherOrderChainSpec(base_n=3, order=2, update=table, base_kernel=base)
+    spec = dj.HigherOrderChainSpec(order=2, update=table, base_kernel=base)
     table[0] = 1
     assert spec.update[0] == 0
     with pytest.raises(ValueError, match="read-only"):
@@ -511,7 +490,7 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         dj.higher_order_spec(base, 2, "nope")
     with pytest.raises(ValueError):
-        dj.HigherOrderChainSpec(base_n=3, order=2, update=(0,) * 8, base_kernel=base)
+        dj.HigherOrderChainSpec(order=2, update=(0,) * 8, base_kernel=base)
     with pytest.raises(CapacityError):
         dj.build_higher_order_chain(dj.higher_order_spec(dj.build_lazy_cycle_walk(17), 3,
                                                          "additive"))

@@ -1,5 +1,5 @@
-"""The README against the code: the quick start, the "Caps and tolerances" table and the
-example configs."""
+"""The README against the code: the quick start, the "Caps and tolerances" table, the
+analysis parameter table, the hof spec example and the example configs."""
 
 import ast
 import importlib
@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import detjump
-from detjump.cli import load_config
+from detjump.cli import ANALYSES, HOF_SPEC, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _ROW = re.compile(r"^\| `(\w+)` \| ([^|]+?) \|")
@@ -50,6 +50,25 @@ def test_every_example_config_loads(tmp_path):
         path = tmp_path / f"example{i}.json"
         path.write_text(block, encoding="utf-8")
         assert load_config(path).analyses
+
+
+def test_analysis_table_names_exactly_the_declared_keys():
+    # a row's parameters are its backticked names outside parentheses (which hold values)
+    text = README.read_text(encoding="utf-8")
+    section = text.split("| type ", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for m in re.finditer(r"^\| `(\w+)` +\| ([^|]+)\|", section, re.M):
+        rows[m.group(1)] = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", m.group(2))))
+    assert rows.keys() == ANALYSES.keys()
+    for kind, analysis in ANALYSES.items():
+        assert rows[kind] == analysis.fields.keys(), kind
+
+
+def test_hof_spec_example_names_exactly_the_declared_keys():
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    specs = [json.loads(block) for block in blocks if "base_kernel_csv" in block]
+    assert len(specs) == 1
+    assert specs[0].keys() == HOF_SPEC.keys()
 
 
 def test_quick_start_runs_and_prints_what_it_claims(capsys):

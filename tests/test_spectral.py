@@ -230,6 +230,13 @@ def test_expansion_bound_rejects_bad_parameters():
         dj.expansion_tv_bound(9, 1e9, 1.0, 2)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_expansion_bound_rejects_a_non_finite_epsilon(epsilon):
+    # nan used to pass every check and return nan
+    with pytest.raises(ValueError, match="positive and finite"):
+        dj.expansion_tv_bound(16, epsilon, 1 / 3, 5)
+
+
 def test_spectral_bound_zero_base():
     assert dj.spectral_tv_bound(0.0, 100, 3) == 0.0
 
