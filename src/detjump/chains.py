@@ -195,7 +195,7 @@ class Distribution:
 
     @staticmethod
     def uniform(n: int) -> "Distribution":
-        return Distribution(np.full(n, 1.0 / n))
+        return Distribution(np.full(n, 1.0) / n)
 
     @staticmethod
     def point_mass(i: int, n: int) -> "Distribution":
@@ -454,31 +454,29 @@ def build_permutation(kind: str, n: int, *, a: int | None = None,
     """Dispatch on a named permutation family.
 
     Kinds: identity, doubling, affine (needs ``a``), cubing, inversion,
-    random (needs ``seed``), explicit (needs ``values``).
+    random (needs ``seed``), explicit (needs ``values``). A parameter
+    the kind does not take is a ValueError.
     """
-    if kind == "identity":
-        return identity_permutation(n)
-    if kind == "doubling":
-        return doubling_permutation(n)
+    plain = {"identity": identity_permutation, "doubling": doubling_permutation,
+             "cubing": cubing_permutation, "inversion": inversion_permutation}
+    takes = {"affine": "a", "random": "seed", "explicit": "values"}.get(kind)
+    if takes is None and kind not in plain:
+        raise ValueError(f"unknown permutation kind {kind!r}")
+    params = {"a": a, "seed": seed, "values": values}
+    for name, value in params.items():
+        if value is not None and name != takes:
+            raise ValueError(f"{kind!r} permutation takes no parameter {name}")
+    if takes is not None and params[takes] is None:
+        raise ValueError(f"{kind} permutation needs parameter {takes}")
     if kind == "affine":
-        if a is None:
-            raise ValueError("affine permutation needs parameter a")
         return affine_permutation(n, a)
-    if kind == "cubing":
-        return cubing_permutation(n)
-    if kind == "inversion":
-        return inversion_permutation(n)
     if kind == "random":
-        if seed is None:
-            raise ValueError("random permutation needs an explicit seed")
         return random_permutation(n, seed)
     if kind == "explicit":
-        if values is None:
-            raise ValueError("explicit permutation needs a value list")
         if len(values) != n:
             raise BijectionError(f"explicit permutation has {len(values)} values, expected {n}")
         return explicit_permutation(values)
-    raise ValueError(f"unknown permutation kind {kind!r}")
+    return plain[kind](n)
 
 
 def load_matrix_csv(path: str | Path) -> tuple[TransitionMatrix, ValidationReport]:

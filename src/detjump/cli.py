@@ -1,9 +1,11 @@
 """Experiment orchestration: JSON configs in, deterministic artifacts out.
 
 One config describes a chain, an optional bijection, and a list of
-analyses; each analysis writes one CSV or JSON artifact atomically
-(temp file + rename). Everything is a pure function of the config bytes
-and the seeds it contains, so identical runs produce identical bytes.
+chain analyses; each subcommand runs the analyses of its one type, and
+each writes one CSV or JSON artifact atomically (temp file + rename).
+`fibonacci` and `hof` read no config: their flags are their one
+analysis. Everything is a pure function of the inputs and the seeds
+they contain, so identical runs produce identical bytes.
 
 Exit codes: 0 success, 2 config error, 3 capacity error, 4 invariant
 violation detected during analysis, including a chain that fails the
@@ -93,7 +95,7 @@ def _load_json(path: Path) -> Any:
 @dataclass(frozen=True)
 class ExperimentConfig:
     source: Path
-    chain: dict | None
+    chain: dict
     bijection: dict | None
     analyses: tuple[dict, ...]
 
@@ -257,14 +259,14 @@ def _file(**kw: Any) -> Field:
                  lambda v: isinstance(v, str) and Path(v).is_file(), **kw)
 
 
-def _object(section: dict[str, Field] | None = None) -> Field:
-    return Field("an object", lambda v: isinstance(v, dict), None, section=section)
+def _object(section: dict[str, Field] | None = None, default: Any = None) -> Field:
+    return Field("an object", lambda v: isinstance(v, dict), default, section=section)
 
 
 # An analysis's own artifact path; ``--out`` takes its place.
 _OUTPUT = _object({"path": Field("a string", lambda v: isinstance(v, str), None)})
 
-CONFIG = {"chain": _object(), "bijection": _object(),
+CONFIG = {"chain": _object(default=_REQUIRED), "bijection": _object(),
           "analysis": Field("a list", lambda v: isinstance(v, list), ())}
 
 
@@ -309,8 +311,10 @@ HOF_SPEC = {
 class Analysis:
     """An analysis type: its keys, its subcommand and what its runner takes.
 
-    The runner gets the checked entry, then the configured chain if
-    ``chain``, then the configured bijection if ``bijection``.
+    A ``chain`` analysis is an entry of a config's analysis list; its
+    runner gets the checked entry, then the configured chain, then the
+    configured bijection if ``bijection``. Any other analysis is its
+    subcommand's flags, and its runner gets only the checked flags.
     """
 
     fields: dict[str, Field]
@@ -384,39 +388,35 @@ def _check_variant(section: Any, key: str, kinds: dict[str, dict[str, Field]],
     return {key: tag, **_check(rest, kinds[tag], f"{where} ({tag})")}
 
 
-def _check_analysis(entry: Any, where: str) -> dict:
-    kinds = {t: {**a.fields, "output": _OUTPUT} for t, a in ANALYSES.items()}
-    return _check_variant(entry, "type", kinds, where)
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and check an experiment config file, filling in every default."""
+    """Parse and check an experiment config file, filling in every default.
+
+    The chain section is required and every analysis is a chain analysis;
+    a `fibonacci` or `hof` entry is refused, naming its subcommand.
+    """
     path = Path(path)
     raw = _check(_load_json(path), CONFIG, str(path))
-    chain, bijection = raw["chain"], raw["bijection"]
-    if chain is not None:
-        chain = _check_variant(chain, "family", {k: f.fields for k, f in CHAINS.items()},
-                               f"{path}: chain")
+    chain = _check_variant(raw["chain"], "family", {k: f.fields for k, f in CHAINS.items()},
+                           f"{path}: chain")
+    bijection = raw["bijection"]
     if bijection is not None:
         bijection = _check_variant(bijection, "kind", BIJECTIONS, f"{path}: bijection")
-    analyses = tuple(_check_analysis(entry, f"{path}: analysis[{i}]")
-                     for i, entry in enumerate(raw["analysis"]))
-    for i, entry in enumerate(analyses):
-        _require(chain is not None or not ANALYSES[entry["type"]].chain,
-                 f"{path}: analysis[{i}] ({entry['type']}) needs a chain section")
-    return ExperimentConfig(source=path, chain=chain, bijection=bijection, analyses=analyses)
+    kinds = {t: {**a.fields, "output": _OUTPUT} for t, a in ANALYSES.items() if a.chain}
+    flags_only = [t for t in ANALYSES if t not in kinds]
+    analyses = []
+    for i, entry in enumerate(raw["analysis"]):
+        where = f"{path}: analysis[{i}]"
+        tag = entry.get("type") if isinstance(entry, dict) else None
+        if tag in flags_only:  # a list: a JSON tag need not be hashable
+            raise ConfigError(f"{where}: a {tag} analysis is not read from a config; "
+                              f"run `detjump {ANALYSES[tag].command}` with its flags")
+        analyses.append(_check_variant(entry, "type", kinds, where))
+    return ExperimentConfig(source=path, chain=chain, bijection=bijection,
+                            analyses=tuple(analyses))
 
 
 def build_chain(config: ExperimentConfig) -> tuple[TransitionMatrix, ValidationReport]:
-    _require(config.chain is not None, f"{config.source}: missing chain section")
     return CHAINS[config.chain["family"]].build(config.chain)
-
-
-def _require_standing_assumptions(config: ExperimentConfig, report: ValidationReport) -> None:
-    """Chain analyses rely on the standing assumptions; a failed one exits 4, as in `validate`."""
-    if not report.ok:
-        failed = ", ".join(f"{name} at {pair}" for name, pair in sorted(report.violations.items()))
-        raise InvariantError(f"{config.source}: chain fails the standing assumptions: {failed}")
 
 
 def build_bijection(config: ExperimentConfig, n: int) -> Permutation:
@@ -436,7 +436,7 @@ def _umask() -> int:
     return mask
 
 
-def _write(text: str, target: Path | None) -> Path | None:
+def _write(text: str, target: str | Path | None) -> Path | None:
     """Write one artifact atomically (temp file + rename), or to stdout without a target.
 
     The temp file goes beside the file the target names once symbolic
@@ -448,6 +448,7 @@ def _write(text: str, target: Path | None) -> Path | None:
     if target is None:
         sys.stdout.write(text)
         return None
+    target = Path(target)
     path = Path(os.path.realpath(target))
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -471,6 +472,19 @@ def _write(text: str, target: Path | None) -> Path | None:
     return target
 
 
+def _chain_inputs(config: ExperimentConfig, bijection: bool) -> tuple:
+    """The configured chain, then the configured bijection if ``bijection``.
+
+    Chain analyses rely on the standing assumptions; a chain that fails
+    one exits 4, as in `validate`.
+    """
+    P, report = build_chain(config)
+    if not report.ok:
+        failed = ", ".join(f"{name} at {pair}" for name, pair in sorted(report.violations.items()))
+        raise InvariantError(f"{config.source}: chain fails the standing assumptions: {failed}")
+    return (P, build_bijection(config, P.n)) if bijection else (P,)
+
+
 def _target(entry: dict, out_override: str | None) -> Path | None:
     """The artifact path: ``--out``, else the analysis's own ``output.path``, else stdout."""
     if out_override is not None:
@@ -479,20 +493,16 @@ def _target(entry: dict, out_override: str | None) -> Path | None:
     return Path(path) if path else None
 
 
-def run(config: ExperimentConfig, *, only_type: str | None = None,
-        out_override: str | None = None) -> list[Path | None]:
-    """Execute the config's analyses in order, one artifact each.
+def run(config: ExperimentConfig, kind: str, out_override: str | None = None) -> list[Path | None]:
+    """Execute the config's analyses of type ``kind`` in order, one artifact each.
 
-    With ``only_type`` only matching analyses run (the subcommand view).
     ``out_override`` requires exactly one selected analysis. Artifacts
     without a path go to stdout. Two selected analyses whose paths
     resolve to the same file are refused before any of them runs.
     """
-    selected = [e for e in config.analyses if only_type is None or e["type"] == only_type]
-    if only_type is not None and not selected:
-        raise ConfigError(f"{config.source}: no analysis of type {only_type!r} in config")
+    selected = [e for e in config.analyses if e["type"] == kind]
     if not selected:
-        raise ConfigError(f"{config.source}: analysis list is empty")
+        raise ConfigError(f"{config.source}: no analysis of type {kind!r} in config")
     if out_override is not None and len(selected) != 1:
         raise ConfigError(
             f"{config.source}: --out needs exactly one selected analysis, got {len(selected)}"
@@ -502,21 +512,10 @@ def run(config: ExperimentConfig, *, only_type: str | None = None,
     files = [os.path.realpath(t) for t in targets if t is not None]
     twice = sorted({f for f in files if files.count(f) > 1})
     _require(not twice, f"{config.source}: more than one analysis writes {', '.join(twice)}")
-
-    chain_cache: tuple[TransitionMatrix, ValidationReport] | None = None
-    written: list[Path | None] = []
-    for entry, target in zip(selected, targets):
-        kind = ANALYSES[entry["type"]]
-        inputs: tuple = ()
-        if kind.chain:
-            if chain_cache is None:
-                chain_cache = build_chain(config)
-                _require_standing_assumptions(config, chain_cache[1])
-            P = chain_cache[0]
-            inputs = (P, build_bijection(config, P.n)) if kind.bijection else (P,)
-        text = kind.runner(entry, *inputs)
-        written.append(_write(text, target))
-    return written
+    analysis = ANALYSES[kind]
+    inputs = _chain_inputs(config, analysis.bijection)
+    return [_write(analysis.runner(entry, *inputs), target)
+            for entry, target in zip(selected, targets)]
 
 
 def run_validate(config: ExperimentConfig, out_override: str | None) -> int:
@@ -535,7 +534,7 @@ def run_validate(config: ExperimentConfig, out_override: str | None) -> int:
         },
         "violations": {k: list(v) for k, v in sorted(report.violations.items())},
     }
-    _write(_json_artifact(payload), None if out_override is None else Path(out_override))
+    _write(_json_artifact(payload), out_override)
     return 0 if report.ok else 4
 
 
@@ -557,16 +556,14 @@ def run_compare(config_a: ExperimentConfig, config_b: ExperimentConfig,
         )
 
     def profile(cfg: ExperimentConfig, entry: dict) -> list[tuple[int, float]]:
-        P, report = build_chain(cfg)
-        _require_standing_assumptions(cfg, report)
-        f = build_bijection(cfg, P.n)
+        P, f = _chain_inputs(cfg, True)
         return mixing_profile(compose(f, P), entry["kmax"])
 
     rows_a, rows_b = profile(config_a, ea), profile(config_b, eb)
     lines = ["k,worst_tv_A,worst_tv_B"]
     for (k, tva), (_, tvb) in zip(rows_a, rows_b):
         lines.append(f"{k},{_fmt(tva)},{_fmt(tvb)}")
-    _write("\n".join(lines) + "\n", None if out_override is None else Path(out_override))
+    _write("\n".join(lines) + "\n", out_override)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -613,15 +610,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "compare":
             run_compare(load_config(args.config_a), load_config(args.config_b), args.out)
             return 0
-        kind = next(t for t, a in ANALYSES.items() if a.command == args.command)
-        if ANALYSES[kind].chain:
-            config = load_config(args.config)
-        else:  # the subcommand's own arguments are the config's one analysis
-            fields = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
-            entry = _check_analysis({"type": kind, **fields}, "command line")
-            config = ExperimentConfig(source=Path("<cli>"), chain=None, bijection=None,
-                                      analyses=(entry,))
-        run(config, only_type=kind, out_override=args.out)
+        kind, analysis = next((t, a) for t, a in ANALYSES.items() if a.command == args.command)
+        if analysis.chain:
+            run(load_config(args.config), kind, args.out)
+        else:  # the subcommand's own flags are its one analysis
+            flags = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+            _write(analysis.runner(_check(flags, analysis.fields, f"command line ({kind})")),
+                   args.out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

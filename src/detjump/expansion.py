@@ -63,6 +63,13 @@ class StateSet:
     mask: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "mask"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"state set {name} must be an integer, got {value!r:.80}")
+            object.__setattr__(self, name, int(value))
+        if self.n < 0:
+            raise ValueError(f"state set n must be >= 0, got {self.n}")
         if self.mask < 0 or self.mask >> self.n:
             raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
 
@@ -270,7 +277,9 @@ def check_expansion(P: TransitionMatrix, f: Permutation, *,
     spread as evenly as possible over the sizes 1 .. n//2 and uniform
     within each size, using a seeded Philox stream; it is a
     lower-confidence mode whose epsilon_star can only overestimate the
-    exhaustive value. Sets in ``include`` are always checked on top.
+    exhaustive value; exhaustive mode takes no ``num_samples`` or
+    ``seed``. Sets in ``include`` are checked on top, except those
+    whose size is outside 1 .. n/2, which are skipped.
     Each block of sets is counted by one product with the atom matrix
     M = (S[:, f^-1] @ S > 0), S the support of P. The report answers the
     expansion condition for any epsilon via ``holds_for``.
@@ -282,6 +291,8 @@ def check_expansion(P: TransitionMatrix, f: Permutation, *,
         raise StructureError(f"expansion needs at least two states, got n={n}")
 
     if mode == "exhaustive":
+        if num_samples is not None or seed is not None:
+            raise ValueError("exhaustive mode takes no num_samples or seed")
         if n > EXHAUSTIVE_CAP:
             raise CapacityError(
                 f"exhaustive expansion scan capped at n <= {EXHAUSTIVE_CAP}, got n={n}; "

@@ -35,6 +35,7 @@ import numpy as np
 
 from .chains import (
     MATRIX_SIZE_CAP,
+    STOCHASTIC_TOL,
     Distribution,
     TransitionMatrix,
     _index_array,
@@ -489,6 +490,6 @@ def verify_uniform_ergodicity(spec: HigherOrderChainSpec) -> ErgodicityReport:
         raise ValueError("base kernel must be irreducible")
     us, vs, probs = _successor_edges(spec)
     colsums = np.bincount(vs, weights=probs, minlength=spec.states)
-    uniform = bool(np.all(np.abs(colsums - 1.0) <= 1e-9))
+    uniform = bool(np.all(np.abs(colsums - 1.0) <= STOCHASTIC_TOL))
     return ErgodicityReport(ergodic=_successor_period(spec.states, us, vs) == 1,
                             uniform_stationary=uniform)

@@ -390,8 +390,15 @@ def test_build_permutation_dispatch():
                           dj.random_permutation(5, 0).forward)
     with pytest.raises(ValueError):
         dj.build_permutation("random", 5)
-    with pytest.raises(ValueError):
-        dj.build_permutation("nope", 5)
+    with pytest.raises(ValueError, match="unknown permutation kind 'nope'"):
+        dj.build_permutation("nope", 5, a=3)
+    # a parameter the kind does not take is refused, not ignored
+    for kind, params, name in [("identity", {"a": 3, "seed": 9}, "a"),
+                               ("identity", {"seed": 9}, "seed"),
+                               ("affine", {"a": 3, "seed": 9}, "seed"),
+                               ("random", {"seed": 1, "values": [0, 1, 2, 3, 4]}, "values")]:
+        with pytest.raises(ValueError, match=f"takes no parameter {name}"):
+            dj.build_permutation(kind, 5, **params)
 
 
 # --- distributions ----------------------------------------------------------
@@ -403,6 +410,8 @@ def test_distribution_validation():
         dj.Distribution(np.array([1.5, -0.5]))
     u = dj.Distribution.uniform(4)
     assert np.allclose(u.probs, 0.25)
+    with pytest.raises(StructureError, match="nonempty vector"):
+        dj.Distribution.uniform(0)
     pm = dj.Distribution.point_mass(2, 4)
     assert pm.probs[2] == 1.0 and pm.probs.sum() == 1.0
 

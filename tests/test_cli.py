@@ -256,9 +256,10 @@ def test_fibonacci_rejects_non_finite_c(capsys):
         assert "finite" in err and "Traceback" not in err
 
 
-def test_fibonacci_config_rejects_an_int_c_too_large_for_a_float(tmp_path):
-    cfg = write_config(tmp_path, "fib.json",
-                       {"analysis": [{"type": "fibonacci", "n": 30, "kmax": 5, "c": 10**400}]})
+def test_scan_config_rejects_an_int_epsilon_too_large_for_a_float(tmp_path):
+    cfg = write_config(tmp_path, "scan.json", {
+        "chain": {"family": "lazy_cycle", "n": 5},
+        "analysis": [{"type": "scan", "epsilon": 10**400, "trials": 1, "seed": 0}]})
     with pytest.raises(ConfigError, match="finite"):
         load_config(cfg)
 
@@ -466,20 +467,20 @@ def test_stdout_fallback_when_no_out(tmp_path, capsys):
 def test_run_executes_analyses_in_order_with_own_outputs(tmp_path):
     from detjump.cli import load_config, run
 
-    mix_out = tmp_path / "artifacts" / "mix.csv"
-    exp_out = tmp_path / "artifacts" / "exp.json"
+    long_out = tmp_path / "artifacts" / "long.csv"
+    short_out = tmp_path / "artifacts" / "short.csv"
     cfg_path = write_config(tmp_path, "multi.json", {
         "chain": {"family": "lazy_cycle", "n": 12},
         "bijection": {"kind": "random", "seed": 4},
         "analysis": [
-            {"type": "mixing", "kmax": 10, "output": {"path": str(mix_out)}},
-            {"type": "expansion", "output": {"path": str(exp_out)}},
+            {"type": "mixing", "kmax": 10, "output": {"path": str(long_out)}},
+            {"type": "mixing", "kmax": 4, "output": {"path": str(short_out)}},
         ],
     })
-    written = run(load_config(cfg_path))
-    assert [p.name for p in written] == ["mix.csv", "exp.json"]
-    assert mix_out.read_text().startswith("k,worst_tv")
-    assert "epsilon_star" in json.loads(exp_out.read_text())
+    written = run(load_config(cfg_path), "mixing")
+    assert [p.name for p in written] == ["long.csv", "short.csv"]
+    assert long_out.read_text().startswith("k,worst_tv")
+    assert [len(p.read_text().splitlines()) for p in written] == [12, 6]
 
 
 def test_out_flag_with_multiple_selected_analyses_rejected(tmp_path, capsys):
@@ -829,6 +830,22 @@ def _config(tmp_path, chain=_CYCLE, analysis=_MIX, **sections):
                                                **sections})
 
 
+@pytest.mark.parametrize("entry", [{"type": "fibonacci", "n": 30, "kmax": 5},
+                                   {"type": "hof", "spec_path": "hof.json"}])
+@pytest.mark.parametrize("command", ["mix", "spectral", "validate"])
+def test_fibonacci_and_hof_entries_in_a_config_exit_2_naming_their_subcommand(
+        tmp_path, command, entry):
+    # no subcommand runs them from a config, so the config is refused and nothing is written
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "chain": _CYCLE, "analysis": [_MIX, {**entry, "output": {"path": str(out)}}]})
+    code, err = _run_quietly([command, "--config", cfg])
+    assert code == 2
+    assert f"analysis[1]: a {entry['type']} analysis" in err
+    assert f"run `detjump {entry['type']}` with its flags" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command,sections,field", [
     ("mix", {"analysis": {"type": "mixing", "kmax": True}}, "kmax"),
     ("mix", {"chain": {"family": "hypercube", "d": True}}, "d"),
@@ -976,6 +993,16 @@ _SECTION_ANALYSIS = {"validate": {"type": "mixing", "kmax": 2},
                      "spectral": {"type": "spectral"},
                      "expansion": {"type": "expansion"},
                      "scan": {"type": "scan", "epsilon": 0.5, "trials": 1, "seed": 1}}
+
+
+@pytest.mark.parametrize("command", sorted(_SECTION_ANALYSIS))
+def test_a_config_without_a_chain_exits_2(tmp_path, command):
+    cfg = write_config(tmp_path, "cfg.json", {"analysis": [_SECTION_ANALYSIS[command]]})
+    argv = (["compare", "--config-a", cfg, "--config-b", cfg] if command == "compare"
+            else [command, "--config", cfg])
+    code, err = _run_quietly(argv)
+    assert code == 2
+    assert "missing chain, an object" in err
 
 
 @settings(max_examples=60, deadline=None)

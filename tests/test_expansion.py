@@ -49,6 +49,20 @@ def test_state_set_basics():
         dj.StateSet.from_indices(4, [4])
 
 
+@pytest.mark.parametrize("args,message", [
+    ((4, True), "mask must be an integer"), ((4, 1.5), "mask must be an integer"),
+    ((4.0, 1), "n must be an integer"), ((-1, 0), "n must be >= 0"),
+])
+def test_state_set_refuses_arguments_that_are_not_its_integers(args, message):
+    with pytest.raises(ValueError, match=f"state set {message}"):
+        dj.StateSet(*args)
+
+
+def test_state_set_takes_numpy_integers():
+    s = dj.StateSet(np.int64(4), np.uint64(5))
+    assert (s.n, s.mask, s.indices()) == (4, 5, (0, 2))
+
+
 @pytest.mark.parametrize("indices", [[1.5], [True], [-1], [5], [[1, 2]]])
 def test_state_set_from_indices_takes_only_states(indices):
     # 1.5 used to raise TypeError from 1 << 1.5, and True to read as state 1
@@ -184,6 +198,14 @@ def test_check_expansion_capacity_error():
     P = dj.build_lazy_cycle_walk(30)
     with pytest.raises(CapacityError):
         dj.check_expansion(P, dj.identity_permutation(30))
+
+
+@pytest.mark.parametrize("kwargs", [{"num_samples": 5, "seed": 3}, {"num_samples": 5},
+                                    {"seed": 3}, {"mode": "exhaustive", "seed": 0}])
+def test_exhaustive_mode_refuses_sampling_arguments(kwargs):
+    P, f = dj.build_lazy_cycle_walk(6), dj.random_permutation(6, 1)
+    with pytest.raises(ValueError, match="exhaustive mode takes no"):
+        dj.check_expansion(P, f, **kwargs)
 
 
 def test_check_expansion_sampled_reproducible():

@@ -38,6 +38,18 @@ def test_every_caps_row_names_a_constant_with_its_stated_value():
         assert all(v == _value(stated) for v in found.values()), (name, stated, found)
 
 
+def test_caps_table_names_exactly_the_caps_and_tolerances_of_the_modules():
+    # every *_CAP and *_TOL constant, SUBSET_BLOCK and SCAN_TRIAL_SETS, each with its value
+    named = re.compile(r"[A-Z][A-Z_]*_(CAP|TOL)|SUBSET_BLOCK|SCAN_TRIAL_SETS")
+    constants = {name: value
+                 for m in pkgutil.iter_modules(detjump.__path__)
+                 for name, value in vars(importlib.import_module(f"detjump.{m.name}")).items()
+                 if named.fullmatch(name)}
+    rows = dict(_caps_rows())
+    assert rows.keys() == constants.keys()
+    assert {name: _value(stated) for name, stated in rows.items()} == constants
+
+
 def _example_configs():
     blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     return [block for block in blocks if "analysis" in json.loads(block)]
