@@ -19,7 +19,6 @@ from .chains import (
     compose,
     cubing_permutation,
     doubling_permutation,
-    explicit_permutation,
     identity_permutation,
     inversion_permutation,
     load_matrix_csv,
@@ -44,10 +43,8 @@ from .expansion import (
     StateSet,
     boundary_histogram,
     check_expansion,
-    count_sets_with_boundary,
     doubling_counterexample,
     expand,
-    external_boundary,
     max_degree,
     scan_random_bijections,
 )

@@ -109,10 +109,6 @@ class TransitionMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def is_doubly_stochastic(self) -> bool:
-        return bool(np.all(np.abs(self.entries.sum(axis=0) - 1.0) <= STOCHASTIC_TOL))
-
 
 def _index_array(values, n: int | None, error: type[Exception], what: str) -> np.ndarray:
     """A read-only intp copy of ``values``, refused unless it is 1-D with integers in [0, n).
@@ -444,10 +440,6 @@ def random_permutation(n: int, seed: int) -> Permutation:
     return Permutation(fwd)
 
 
-def explicit_permutation(values: Sequence[int]) -> Permutation:
-    return Permutation(values)
-
-
 def build_permutation(kind: str, n: int, *, a: int | None = None,
                       seed: int | None = None,
                       values: Sequence[int] | None = None) -> Permutation:
@@ -475,14 +467,14 @@ def build_permutation(kind: str, n: int, *, a: int | None = None,
     if kind == "explicit":
         if len(values) != n:
             raise BijectionError(f"explicit permutation has {len(values)} values, expected {n}")
-        return explicit_permutation(values)
+        return Permutation(values)
     return plain[kind](n)
 
 
-def load_matrix_csv(path: str | Path) -> tuple[TransitionMatrix, ValidationReport]:
+def load_matrix_csv(path: str | Path) -> TransitionMatrix:
     """Load a transition matrix from CSV (n rows of n decimal entries).
 
-    The loader also runs :func:`validate` so callers immediately see
+    Only the structural contract is checked; :func:`validate` reports
     which standing assumptions the loaded chain satisfies.
     """
     path = Path(path)
@@ -492,8 +484,7 @@ def load_matrix_csv(path: str | Path) -> tuple[TransitionMatrix, ValidationRepor
         raise StructureError(f"cannot read matrix file {path}: {exc}") from exc
     except ValueError as exc:
         raise StructureError(f"malformed matrix CSV {path}: {exc}") from exc
-    P = TransitionMatrix._take(raw)
-    return P, validate(P)
+    return TransitionMatrix._take(raw)
 
 
 def save_matrix_csv(path: str | Path, P: TransitionMatrix) -> None:
@@ -513,7 +504,7 @@ def load_permutation(path: str | Path) -> Permutation:
         values = [int(tok) for tok in text.split()]
     except ValueError as exc:
         raise StructureError(f"malformed permutation file {path}: {exc}") from exc
-    return explicit_permutation(values)
+    return Permutation(values)
 
 
 def save_permutation(path: str | Path, f: Permutation) -> None:

@@ -126,9 +126,12 @@ def _record(report: Any) -> dict:
 
 def _run_mixing(params: dict, P: TransitionMatrix, f: Permutation) -> str:
     epsilon, want_spectral = params["epsilon"], params["spectral_bound"]
-    profile = mixing_profile(compose(f, P), params["kmax"])
     n = P.n
-    delta = min_positive_entry(P)
+    if epsilon is not None:
+        delta = min_positive_entry(P)
+        expansion_tv_bound(n, epsilon, delta, 1)  # refuses a bad epsilon before any step
+    profile = mixing_profile(compose(f, P), params["kmax"])
+    # Eigensolve after the profile: BLAS threads left spinning by it slow a profile.
     lam2 = second_eigenvalue(symmetrized_kernel(P, f)) if want_spectral else None
     header = ["k", "worst_tv"]
     if epsilon is not None:
@@ -189,7 +192,7 @@ def _run_fibonacci(params: dict) -> str:
 def _run_hof(params: dict) -> str:
     spec_path = params["spec_path"]
     raw = _check(_load_json(Path(spec_path)), HOF_SPEC, spec_path)
-    base, _report = load_matrix_csv(raw["base_kernel_csv"])
+    base = load_matrix_csv(raw["base_kernel_csv"])
     _require(base.n == raw["base_n"],
              f"{spec_path}: base kernel has {base.n} states, spec says {raw['base_n']}")
     spec = higher_order_spec(base, order=raw["order"], update=raw["update"])
@@ -272,19 +275,15 @@ CONFIG = {"chain": _object(default=_REQUIRED), "bijection": _object(),
 
 @dataclass(frozen=True)
 class Family:
-    """A chain family: its keys, and its builder returning the chain and its report."""
+    """A chain family: its keys, and its builder returning the chain."""
 
     fields: dict[str, Field]
-    build: Callable[[dict], tuple[TransitionMatrix, ValidationReport]]
-
-
-def _validated(P: TransitionMatrix) -> tuple[TransitionMatrix, ValidationReport]:
-    return P, validate(P)
+    build: Callable[[dict], TransitionMatrix]
 
 
 CHAINS = {
-    "lazy_cycle": Family({"n": _int(3)}, lambda c: _validated(build_lazy_cycle_walk(c["n"]))),
-    "hypercube": Family({"d": _int(1)}, lambda c: _validated(build_hypercube_walk(c["d"]))),
+    "lazy_cycle": Family({"n": _int(3)}, lambda c: build_lazy_cycle_walk(c["n"])),
+    "hypercube": Family({"d": _int(1)}, lambda c: build_hypercube_walk(c["d"])),
     "file": Family({"path": _file()}, lambda c: load_matrix_csv(c["path"])),
 }
 
@@ -416,7 +415,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def build_chain(config: ExperimentConfig) -> tuple[TransitionMatrix, ValidationReport]:
-    return CHAINS[config.chain["family"]].build(config.chain)
+    """The configured chain and its one report on the standing assumptions."""
+    P = CHAINS[config.chain["family"]].build(config.chain)
+    return P, validate(P)
 
 
 def build_bijection(config: ExperimentConfig, n: int) -> Permutation:
@@ -540,13 +541,17 @@ def run_validate(config: ExperimentConfig, out_override: str | None) -> int:
 
 def run_compare(config_a: ExperimentConfig, config_b: ExperimentConfig,
                 out_override: str | None) -> None:
-    """Side-by-side worst-start mixing table for two configs."""
+    """Side-by-side worst-start mixing table for two configs.
+
+    Each config gives its chain, its bijection and the ``kmax`` of its one
+    mixing analysis; the table goes to ``out_override`` or stdout.
+    """
 
     def mixing_entry(cfg: ExperimentConfig) -> dict:
-        for entry in cfg.analyses:
-            if entry["type"] == "mixing":
-                return entry
-        raise ConfigError(f"{cfg.source}: compare needs a mixing analysis in each config")
+        entries = [e for e in cfg.analyses if e["type"] == "mixing"]
+        _require(len(entries) == 1, f"{cfg.source}: compare needs exactly one mixing analysis "
+                                    f"in each config, got {len(entries)}")
+        return entries[0]
 
     ea, eb = mixing_entry(config_a), mixing_entry(config_b)
     if ea["kmax"] != eb["kmax"]:

@@ -92,8 +92,11 @@ class StateSet:
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.mask >> i & 1)
 
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
+    def __contains__(self, i: object) -> bool:
+        """Whether ``i`` is a member; a value that is not an integer in [0, n) is not."""
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            return False
+        return 0 <= i < self.n and bool(self.mask >> int(i) & 1)
 
     def __or__(self, other: "StateSet") -> "StateSet":
         return StateSet(self.n, self.mask | other.mask)
@@ -223,11 +226,6 @@ def expand(P: TransitionMatrix, A: StateSet) -> StateSet:
     if A.n != P.n:
         raise ValueError(f"set on {A.n} states, matrix on {P.n}")
     return StateSet(P.n, int(row_masks(set_rows([A.mask], P.n, np.float64) @ P.entries)[0]))
-
-
-def external_boundary(P: TransitionMatrix, A: StateSet) -> StateSet:
-    """E(A) minus A."""
-    return expand(P, A) - A
 
 
 @dataclass(frozen=True)
@@ -375,7 +373,8 @@ def boundary_histogram(P: TransitionMatrix) -> dict[int, int]:
     """Count, for every realized boundary mask, the sets B with that boundary.
 
     Enumerates all 2^n subsets B and buckets them by the mask of
-    E(B) minus B. Capped at n <= BOUNDARY_CAP.
+    E(B) minus B, so ``.get(A.mask, 0)`` is the number of sets whose
+    external boundary is A. Capped at n <= BOUNDARY_CAP.
     """
     n = P.n
     if n > BOUNDARY_CAP:
@@ -390,13 +389,6 @@ def boundary_histogram(P: TransitionMatrix) -> dict[int, int]:
         for v, c in zip(values.tolist(), counts.tolist()):
             hist[v] = hist.get(v, 0) + c
     return dict(sorted(hist.items()))
-
-
-def count_sets_with_boundary(P: TransitionMatrix, A: StateSet) -> int:
-    """Exact number of sets B whose external boundary is A."""
-    if A.n != P.n:
-        raise ValueError(f"set on {A.n} states, matrix on {P.n}")
-    return boundary_histogram(P).get(A.mask, 0)
 
 
 def max_degree(P: TransitionMatrix) -> int:

@@ -154,7 +154,8 @@ def fourier_tv_bound(n: int, k: int) -> float:
 def _fib_residues(n: int) -> np.ndarray:
     """F_k mod n for k in one full period, as a read-only array.
 
-    Walks the pairs (F_k, F_{k+1}) mod n until (0, 1) recurs.
+    Its length is the Pisano period of n. Walks the pairs (F_k, F_{k+1})
+    mod n until (0, 1) recurs.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -166,12 +167,6 @@ def _fib_residues(n: int) -> np.ndarray:
     out = np.array(terms, dtype=np.int64)
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def _pisano_period(n: int) -> int:
-    """Period of the Fibonacci sequence modulo n (period of the pair map)."""
-    return len(_fib_residues(n))
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,7 @@ def fib_residue_sequence(n: int, a: int = 1) -> FibResidueSequence:
         raise ValueError(f"need modulus n >= 2, got {n}")
     if not 0 < a < n:
         raise ValueError(f"need 1 <= a < n, got a={a}")
-    period = _pisano_period(n // math.gcd(a, n))
+    period = len(_fib_residues(n // math.gcd(a, n)))
     base = _fib_residues(n)
     terms = tuple(int(v) for v in (a * np.resize(base, period)) % n)
     return FibResidueSequence(n=n, terms=terms)
@@ -244,7 +239,7 @@ def _window_gaps(n: int, a: np.ndarray) -> np.ndarray:
     """
     wlen = int(math.floor(residue_window_length(n)))
     divisors, inverse = np.unique(np.gcd(a, n), return_inverse=True)
-    periods = np.array([_pisano_period(n // int(d)) for d in divisors], dtype=np.int64)
+    periods = np.array([len(_fib_residues(n // int(d))) for d in divisors], dtype=np.int64)
     horizon = periods[inverse] + wlen
     length = horizon + wlen + 1
     cols = np.arange(int(length.max()), dtype=np.int32)
@@ -268,7 +263,7 @@ def _window_table(n: int) -> np.ndarray | None:
     in one block of _FACTOR_BLOCK entries.
     """
     wlen = int(math.floor(residue_window_length(n)))
-    if (n - 1) * (_pisano_period(n) + 2 * wlen + 1) > _FACTOR_BLOCK:
+    if (n - 1) * (len(_fib_residues(n)) + 2 * wlen + 1) > _FACTOR_BLOCK:
         return None
     out = _window_gaps(n, np.arange(1, n, dtype=np.int64))
     out.setflags(write=False)

@@ -165,6 +165,16 @@ def _bottleneck(R: TransitionMatrix, blocks: Iterable[np.ndarray]) -> tuple[floa
     return c / (size * D), StateSet(R.n, mask)
 
 
+def _check_bottleneck_size(n: int) -> None:
+    """Refuse an exact bottleneck search on n states unless 2 <= n <= CHEEGER_CAP."""
+    if n > CHEEGER_CAP:
+        raise CapacityError(
+            f"exact bottleneck search capped at n <= {CHEEGER_CAP}, got n={n}"
+        )
+    if n < 2:
+        raise StructureError(f"bottleneck ratio needs at least two states, got n={n}")
+
+
 def cheeger_constant(R: TransitionMatrix) -> tuple[float, StateSet]:
     """Exact bottleneck ratio of a symmetric doubly stochastic kernel.
 
@@ -175,14 +185,8 @@ def cheeger_constant(R: TransitionMatrix) -> tuple[float, StateSet]:
     are exact; for a kernel without one, they hold up to float rounding.
     Exhaustive; capped at n <= CHEEGER_CAP.
     """
-    n = R.n
-    if n > CHEEGER_CAP:
-        raise CapacityError(
-            f"exact bottleneck search capped at n <= {CHEEGER_CAP}, got n={n}"
-        )
-    if n < 2:
-        raise StructureError(f"bottleneck ratio needs at least two states, got n={n}")
-    return _bottleneck(R, small_set_blocks(n, np.float64))
+    _check_bottleneck_size(R.n)
+    return _bottleneck(R, small_set_blocks(R.n, np.float64))
 
 
 def expansion_tv_bound(n: int, epsilon: float, delta: float, k: int) -> float:
@@ -652,7 +656,11 @@ class SpectralReport:
 
 def spectral_report(P: TransitionMatrix, f: Permutation, *,
                     expansion_epsilon: float | None = None) -> SpectralReport:
-    """Compute the symmetrized kernel and summarize its spectrum."""
+    """Compute the symmetrized kernel and summarize its spectrum.
+
+    A chain outside 2 <= n <= CHEEGER_CAP is refused before the kernel is built.
+    """
+    _check_bottleneck_size(P.n)
     R = symmetrized_kernel(P, f)
     lam2 = second_eigenvalue(R)
     phi, witness = cheeger_constant(R)

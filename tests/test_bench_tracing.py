@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import detjump as dj
-from detjump import cli
+from detjump import cli, fibonacci
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -80,3 +80,36 @@ def test_one_job_per_subcommand_records_its_spans(tracing, tmp_path):
         assert (name, expected) in spans, (name, expected)
     assert ("mix", "chains.build_lazy_cycle_walk") in spans
     assert ("validate", "chains.build_lazy_cycle_walk") in spans
+
+
+def test_every_counter_reads_the_arguments_it_names(tracing, tmp_path):
+    # a counter binds the traced call's arguments by name, so a renamed argument fails here
+    chain = {"family": "lazy_cycle", "n": 8}
+    jump = {"kind": "random", "seed": 1}
+    configs = {
+        "sampled": {"chain": chain, "bijection": jump, "analysis": [
+            {"type": "expansion", "mode": "sampled", "num_samples": 20, "seed": 3}]},
+        "exhaustive": {"chain": chain, "bijection": jump, "analysis": [{"type": "expansion"}]},
+        "spectral": {"chain": chain, "bijection": jump, "analysis": [{"type": "spectral"}]},
+        "mix": {"chain": chain, "bijection": jump, "analysis": [{"type": "mixing", "kmax": 3}]},
+    }
+    tracer = tracing.Tracer()
+    with tracer.installed(0):
+        for name, obj in configs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            command = "expansion" if name in ("sampled", "exhaustive") else name
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / f"{name}.out")]) == 0, name
+        assert cli.main(["fibonacci", "--n", "22", "--kmax", "4",
+                         "--out", str(tmp_path / "fib.out")]) == 0
+        spec = dj.higher_order_spec(dj.build_lazy_cycle_walk(3), order=2)
+        # looked up on the module, as the tracer wraps it
+        assert fibonacci.build_higher_order_chain(spec).n == 9
+    counted = {}
+    for s in tracer.spans:
+        counted.setdefault(s.name, set()).update(s.counts)
+    for name in tracing._COUNTERS:
+        assert counted.get(name), name
+    assert {"exhaustive_sets", "sampled_sets"} <= counted["expansion.check_expansion"]
+    assert counted["fibonacci.build_higher_order_chain"] == {"register_states"}

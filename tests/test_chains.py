@@ -105,7 +105,7 @@ def _built_matrices(tmp_path):
         "lazy_cycle": P,
         "hypercube": dj.build_hypercube_walk(3),
         "compose": dj.compose(dj.doubling_permutation(7), P),
-        "load_matrix_csv": dj.load_matrix_csv(path)[0],
+        "load_matrix_csv": dj.load_matrix_csv(path),
         "symmetrized_kernel": dj.symmetrized_kernel(P, dj.doubling_permutation(7)),
         "register_chain": dj.build_higher_order_chain(spec),
     }
@@ -201,7 +201,7 @@ def test_hypercube_d3_delta_and_row_support():
 
 def test_hypercube_d2_doubly_stochastic_and_symmetric():
     P = dj.build_hypercube_walk(2)
-    assert P.is_doubly_stochastic
+    assert dj.validate(P).uniform_stationary
     assert np.array_equal(P.entries, P.entries.T)
 
 
@@ -357,9 +357,9 @@ def test_permutation_inverse_property(n, seed):
 
 def test_explicit_permutation_rejects_non_bijections():
     with pytest.raises(BijectionError):
-        dj.explicit_permutation([0, 0, 1])
+        dj.build_permutation("explicit", 3, values=[0, 0, 1])
     with pytest.raises(BijectionError):
-        dj.explicit_permutation([0, 1, 3])
+        dj.build_permutation("explicit", 3, values=[0, 1, 3])
     with pytest.raises(BijectionError):
         dj.build_permutation("explicit", 4, values=[0, 1, 2])
 
@@ -369,7 +369,7 @@ def test_permutation_refuses_entries_that_are_not_integers_in_range(values):
     with pytest.raises(BijectionError):
         dj.Permutation(values)
     with pytest.raises(BijectionError):
-        dj.explicit_permutation(values)
+        dj.build_permutation("explicit", len(values), values=values)
 
 
 def test_permutation_arrays_are_read_only_copies():
@@ -441,7 +441,8 @@ def test_matrix_csv_roundtrip_and_validation(tmp_path):
     P = dj.build_lazy_cycle_walk(6)
     path = tmp_path / "m.csv"
     dj.save_matrix_csv(path, P)
-    loaded, report = dj.load_matrix_csv(path)
+    loaded = dj.load_matrix_csv(path)
+    report = dj.validate(loaded)
     assert np.array_equal(loaded.entries, P.entries)
     assert report.ok
 
@@ -449,7 +450,7 @@ def test_matrix_csv_roundtrip_and_validation(tmp_path):
 def test_loader_reports_assumption_failures(tmp_path):
     path = tmp_path / "m.csv"
     dj.save_matrix_csv(path, plain_cycle(5))
-    _, report = dj.load_matrix_csv(path)
+    report = dj.validate(dj.load_matrix_csv(path))
     assert not report.ok
     assert not report.positive_diagonal
 
@@ -459,7 +460,8 @@ def test_loading_a_matrix_holds_one_copy_of_it(tmp_path, allocation_peak):
     path = tmp_path / "m.csv"
     dj.save_matrix_csv(path, dj.build_lazy_cycle_walk(n))
     with allocation_peak() as peak:
-        P, report = dj.load_matrix_csv(path)
+        P = dj.load_matrix_csv(path)
+        report = dj.validate(P)
     assert report.ok and P.n == n
     assert peak.bytes <= 1.5 * n * n * 8
 

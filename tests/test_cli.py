@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detjump as dj
+from detjump import chains, cli, fibonacci
 from detjump.cli import load_config, main
 from detjump.errors import ConfigError
 from detjump.fibonacci import MARGINAL_ENTRY_CAP
@@ -119,6 +120,29 @@ def test_compare_kmax_mismatch_exits_2(tmp_path, capsys):
     b = mixing_config(tmp_path, "b.json", kmax=20)
     assert main(["compare", "--config-a", a, "--config-b", b]) == 2
     assert "kmax" in capsys.readouterr().err
+
+
+def test_compare_refuses_a_config_with_two_mixing_entries(tmp_path, capsys):
+    # compare reads one entry's kmax; a second entry, or the first's output.path, would be ignored
+    chain = {"family": "lazy_cycle", "n": 9}
+    two = write_config(tmp_path, "two.json", {"chain": chain, "analysis": [
+        {"type": "mixing", "kmax": 5, "output": {"path": str(tmp_path / "a_out.csv")}},
+        {"type": "mixing", "kmax": 5, "epsilon": 0.5}]})
+    one = mixing_config(tmp_path, "one.json", n=9, kmax=5)
+    for argv in (["--config-a", one, "--config-b", two], ["--config-a", two, "--config-b", one]):
+        assert main(["compare", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "two.json" in captured.err and "exactly one mixing analysis" in captured.err
+        assert "got 2" in captured.err and captured.out == ""
+    assert not (tmp_path / "a_out.csv").exists()
+
+
+def test_compare_needs_a_mixing_entry_in_each_config(tmp_path, capsys):
+    spectral_only = write_config(tmp_path, "spectral.json", {
+        "chain": {"family": "lazy_cycle", "n": 9}, "analysis": [{"type": "spectral"}]})
+    one = mixing_config(tmp_path, "one.json", n=9, kmax=5)
+    assert main(["compare", "--config-a", one, "--config-b", spectral_only]) == 2
+    assert "spectral.json: compare needs exactly one mixing analysis" in capsys.readouterr().err
 
 
 def test_validate_subcommand_good_chain(tmp_path, capsys):
@@ -286,6 +310,18 @@ def test_mix_kmax_over_the_step_cap_exits_3(tmp_path, capsys, command, kmax):
     assert "MIXING_STEP_CAP" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kmax", [10**9, 10**20])
+@pytest.mark.parametrize("command", ["mix", "compare"])
+def test_mix_kmax_over_the_step_cap_with_an_epsilon_exits_3(tmp_path, capsys, command, kmax):
+    # the bound_expansion column is not built per step before the cap is checked
+    cfg = mixing_config(tmp_path, n=5, kmax=kmax, epsilon=0.5, spectral_bound=True)
+    argv = ["mix", "--config", cfg] if command == "mix" else \
+        ["compare", "--config-a", cfg, "--config-b", cfg]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "MIXING_STEP_CAP" in err and "Traceback" not in err
+
+
 def test_compare_jumped_column_is_byte_equal_to_mix(tmp_path):
     # n = 128 with a random jump takes the shift step (w = 3, 3 * 32 <= 128)
     plain = mixing_config(tmp_path, "plain.json", n=128, kmax=40)
@@ -298,6 +334,66 @@ def test_compare_jumped_column_is_byte_equal_to_mix(tmp_path):
     mixed = [line.split(",")[1] for line in mix_out.read_text().splitlines()]
     compared = [line.split(",")[2] for line in cmp_out.read_text().splitlines()]
     assert compared[1:] == mixed[1:] and len(mixed) == 42
+
+
+def test_mix_refuses_an_epsilon_outside_the_bound_before_the_profile(tmp_path, capsys,
+                                                                    monkeypatch):
+    profiled = []
+    monkeypatch.setattr(cli, "mixing_profile", lambda *args: profiled.append(args))
+    cfg = mixing_config(tmp_path, n=16, bijection={"kind": "random", "seed": 1}, kmax=200,
+                        epsilon=1e6)
+    assert main(["mix", "--config", cfg]) == 2
+    assert "epsilon^2*delta^8/2 exceeds 1" in capsys.readouterr().err
+    assert profiled == []
+
+
+def _count_validate_calls(monkeypatch):
+    """Route the chains, cli and fibonacci bindings of ``validate`` through one counter."""
+    calls = []
+    original = chains.validate
+
+    def counted(P):
+        calls.append(P.n)
+        return original(P)
+
+    for module in (chains, cli, fibonacci):
+        monkeypatch.setattr(module, "validate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["lazy_cycle", "file"])
+def test_every_subcommand_validates_each_chain_once(tmp_path, monkeypatch, family):
+    chain = {"family": "lazy_cycle", "n": 8}
+    if family == "file":
+        dj.save_matrix_csv(tmp_path / "chain.csv", dj.build_lazy_cycle_walk(8))
+        chain = {"family": "file", "path": str(tmp_path / "chain.csv")}
+    jump = {"kind": "random", "seed": 1}
+
+    def config(name, analysis, **sections):
+        return write_config(tmp_path, name, {"chain": chain, "analysis": [analysis],
+                                             **sections})
+
+    mix = config("mix.json", {"type": "mixing", "kmax": 3}, bijection=jump)
+    dj.save_matrix_csv(tmp_path / "base.csv", dj.build_lazy_cycle_walk(3))
+    spec = write_config(tmp_path, "hof.json", {"base_n": 3, "order": 2, "update": "additive",
+                                               "base_kernel_csv": str(tmp_path / "base.csv")})
+    jobs = {
+        "validate": (["validate", "--config", mix], [8]),
+        "mix": (["mix", "--config", mix], [8]),
+        "spectral": (["spectral", "--config",
+                      config("spectral.json", {"type": "spectral"}, bijection=jump)], [8]),
+        "expansion": (["expansion", "--config",
+                       config("expansion.json", {"type": "expansion"}, bijection=jump)], [8]),
+        "scan": (["scan", "--config", config("scan.json", {
+            "type": "scan", "epsilon": 0.5, "trials": 2, "seed": 1})], [8]),
+        "compare": (["compare", "--config-a", mix, "--config-b", mix], [8, 8]),
+        "hof": (["hof", "--config", spec], [3]),
+    }
+    calls = _count_validate_calls(monkeypatch)
+    for name, (argv, expected) in jobs.items():
+        calls.clear()
+        assert main([*argv, "--out", str(tmp_path / f"{name}.out")]) == 0, name
+        assert calls == expected, name
 
 
 def test_mix_rejects_an_epsilon_too_large_for_a_float(tmp_path, capsys):

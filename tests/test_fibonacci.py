@@ -17,7 +17,6 @@ from detjump.fibonacci import (
     _fib_residues,
     _pair_index,
     _pair_step,
-    _pisano_period,
     _successor_period,
     _window_table,
 )
@@ -132,7 +131,7 @@ def test_pisano_period_mod3_is_eight():
 
 def test_residue_sequence_scaled_period_divides():
     seq = dj.fib_residue_sequence(10, 5)
-    assert _pisano_period(10) % seq.period == 0
+    assert len(_fib_residues(10)) % seq.period == 0
     assert seq.terms[1] == 5
 
 
@@ -294,7 +293,7 @@ def test_cubing_register_chain_is_doubly_stochastic():
     spec = dj.higher_order_spec(base, 2, "cubing")
     T = dj.build_higher_order_chain(spec)
     assert T.n == 25
-    assert T.is_doubly_stochastic
+    assert dj.validate(T).uniform_stationary
 
 
 def test_squaring_update_rejected_with_witness():

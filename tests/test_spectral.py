@@ -894,6 +894,26 @@ def test_spectral_report_consistency():
     assert report.cheeger_witness.size >= 1
 
 
+def test_spectral_report_refuses_a_chain_over_the_cap_before_building_the_kernel(
+        allocation_peak):
+    n = 1024
+    P, f = dj.build_lazy_cycle_walk(n), dj.random_permutation(n, 1)
+    with allocation_peak() as peak:
+        with pytest.raises(CapacityError, match="bottleneck search capped"):
+            dj.spectral_report(P, f)
+    # the symmetrized kernel alone would be an 8 MiB array
+    assert peak.bytes < 1 << 20
+
+
+def test_spectral_report_refuses_a_single_state_chain_before_building_the_kernel(monkeypatch):
+    def never(*args):
+        raise AssertionError("symmetrized_kernel called")
+
+    monkeypatch.setattr(spectral, "symmetrized_kernel", never)
+    with pytest.raises(StructureError, match="at least two states"):
+        dj.spectral_report(dj.TransitionMatrix(np.ones((1, 1))), dj.identity_permutation(1))
+
+
 def test_spectral_report_rejects_inconsistent_epsilon():
     P = dj.build_lazy_cycle_walk(12)
     f = dj.identity_permutation(12)
