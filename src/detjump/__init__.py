@@ -8,7 +8,6 @@ with explicit tolerances and reproducible seeds.
 """
 
 from .chains import (
-    Distribution,
     Permutation,
     TransitionMatrix,
     ValidationReport,
@@ -67,7 +66,6 @@ from .fibonacci import (
 from .spectral import (
     SpectralReport,
     cheeger_constant,
-    evolve,
     expansion_tv_bound,
     mixing_profile,
     second_eigenvalue,

@@ -29,19 +29,18 @@ from .errors import BijectionError, CapacityError, StructureError
 MATRIX_SIZE_CAP = 4096
 # Tolerance for row/column sums of stochastic matrices.
 STOCHASTIC_TOL = 1e-9
-# Tolerance for probability vectors.
+# Tolerance on each row of the recurrence walk's marginals.
 DISTRIBUTION_TOL = 1e-12
 
 
 def _checked_rows(a: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Make ``a`` read-only and return it once each row is a probability vector within ``tol``.
+    """Make the 2-D ``a`` read-only and return it once each row is a probability vector.
 
-    A 1-D ``a`` is one row. Entries must lie in [0, 1 + tol] and each row
-    must sum to 1 within ``tol``; ``what`` names the array in the message
-    for a non-finite entry, and in the one for a 1-D sum. Range and
-    finiteness come from one min/max pair: a NaN or an infinity makes one
-    of them non-finite. The temporaries that locate an offending entry are
-    made only on failure.
+    Entries must lie in [0, 1 + tol] and each row must sum to 1 within
+    ``tol``; ``what`` names the array in the message for a non-finite
+    entry. Range and finiteness come from one min/max pair: a NaN or an
+    infinity makes one of them non-finite. The temporaries that locate an
+    offending entry are made only on failure.
     """
     lo, hi = float(a.min()), float(a.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -50,12 +49,11 @@ def _checked_rows(a: np.ndarray, tol: float, what: str) -> np.ndarray:
         at = np.unravel_index(int(np.argmin(a)) if lo < 0.0 else int(np.argmax(a)), a.shape)
         raise StructureError(
             f"entry out of [0, 1] at ({', '.join(map(str, at))}): {float(a[at])!r}")
-    sums = a.sum(axis=-1, keepdims=True)
+    sums = a.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
     if bad.size:
         i = int(bad[0])
-        row = f"row {i}" if a.ndim == 2 else what
-        raise StructureError(f"{row} sums to {float(sums.flat[i])!r}, expected 1 within {tol}")
+        raise StructureError(f"row {i} sums to {float(sums[i])!r}, expected 1 within {tol}")
     a.setflags(write=False)
     return a
 
@@ -165,40 +163,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return int(self.forward[i])
-
-
-@dataclass(frozen=True, eq=False)
-class Distribution:
-    """A probability vector over {0, ..., n-1}.
-
-    ``probs`` is a read-only float64 copy of the nonempty 1-D array given.
-    Its entries must be finite and in [0, 1], and they must sum to 1
-    within ``DISTRIBUTION_TOL``; anything else raises StructureError, as
-    does a ``point_mass`` state that is not an integer in [0, n).
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=np.float64, copy=True, order="C")
-        if p.ndim != 1 or p.size == 0:
-            raise StructureError(f"distribution must be a nonempty vector, got shape {p.shape}")
-        object.__setattr__(self, "probs", _checked_rows(p, DISTRIBUTION_TOL, "distribution"))
-
-    @property
-    def n(self) -> int:
-        return self.probs.shape[0]
-
-    @staticmethod
-    def uniform(n: int) -> "Distribution":
-        return Distribution(np.full(n, 1.0) / n)
-
-    @staticmethod
-    def point_mass(i: int, n: int) -> "Distribution":
-        state = _index_array([i], n, StructureError, "point mass state")
-        p = np.zeros(n)
-        p[state] = 1.0
-        return Distribution(p)
 
 
 @dataclass(frozen=True)

@@ -98,20 +98,33 @@ class StateSet:
             return False
         return 0 <= i < self.n and bool(self.mask >> int(i) & 1)
 
-    def __or__(self, other: "StateSet") -> "StateSet":
-        return StateSet(self.n, self.mask | other.mask)
+    def _mask_of(self, other: object) -> int | None:
+        """``other``'s mask when it is a set on the same n, None when it is no set."""
+        if not isinstance(other, StateSet):
+            return None
+        if other.n != self.n:
+            raise ValueError(f"set on {self.n} states, other set on {other.n}")
+        return other.mask
 
-    def __and__(self, other: "StateSet") -> "StateSet":
-        return StateSet(self.n, self.mask & other.mask)
+    def __or__(self, other: object) -> "StateSet":
+        m = self._mask_of(other)
+        return NotImplemented if m is None else StateSet(self.n, self.mask | m)
 
-    def __sub__(self, other: "StateSet") -> "StateSet":
-        return StateSet(self.n, self.mask & ~other.mask)
+    def __and__(self, other: object) -> "StateSet":
+        m = self._mask_of(other)
+        return NotImplemented if m is None else StateSet(self.n, self.mask & m)
+
+    def __sub__(self, other: object) -> "StateSet":
+        m = self._mask_of(other)
+        return NotImplemented if m is None else StateSet(self.n, self.mask & ~m)
 
     def complement(self) -> "StateSet":
         return StateSet(self.n, ~self.mask & ((1 << self.n) - 1))
 
     def map_through(self, f: Permutation) -> "StateSet":
         """The image set {f(i) : i in self}: state j is in it when f^-1(j) is in self."""
+        if f.n != self.n:
+            raise ValueError(f"set on {self.n} states, bijection on {f.n}")
         return StateSet(self.n, int(row_masks(set_rows([self.mask], self.n)[:, f.inverse])[0]))
 
 

@@ -34,10 +34,11 @@ from typing import Sequence
 import numpy as np
 
 from .chains import (
+    DISTRIBUTION_TOL,
     MATRIX_SIZE_CAP,
     STOCHASTIC_TOL,
-    Distribution,
     TransitionMatrix,
+    _checked_rows,
     _index_array,
     _successor_period,
     validate,
@@ -88,13 +89,15 @@ def _check_pair_args(n: int, k: int) -> None:
         raise ValueError(f"need k >= 1, got {k}")
 
 
-def fibonacci_walk_marginals(n: int, k_max: int) -> list[Distribution]:
+def fibonacci_walk_marginals(n: int, k_max: int) -> np.ndarray:
     """Exact laws of X_1, ..., X_{k_max} in one incremental pass.
 
     Evolves the joint law of (X_{k-1}, X_k) from the point mass at
-    (0, 1) and marginalizes the current coordinate after every step.
-    The n * k_max stored entries are capped at MARGINAL_ENTRY_CAP,
-    checked before the first step.
+    (0, 1) and writes the marginal of the current coordinate into row
+    k - 1 of one float64 (k_max, n) array, returned read-only once every
+    row is a probability vector within DISTRIBUTION_TOL (else
+    StructureError naming the row). The n * k_max stored entries are
+    capped at MARGINAL_ENTRY_CAP, checked before the first step.
     """
     _check_pair_args(n, k_max)
     if n * k_max > MARGINAL_ENTRY_CAP:
@@ -105,11 +108,12 @@ def fibonacci_walk_marginals(n: int, k_max: int) -> list[Distribution]:
     index = _pair_index(n)
     joint = np.zeros((n, n))
     joint[0, 1 % n] = 1.0
-    out = [Distribution(joint.sum(axis=0))]
-    for _ in range(k_max - 1):
+    out = np.empty((k_max, n))
+    joint.sum(axis=0, out=out[0])
+    for row in out[1:]:
         joint = _pair_step(joint, index)
-        out.append(Distribution(joint.sum(axis=0)))
-    return out
+        joint.sum(axis=0, out=row)
+    return _checked_rows(out, DISTRIBUTION_TOL, "marginal array")
 
 
 # Entries per factor array in _fib_cos_factors and per residue-window

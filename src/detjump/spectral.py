@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .chains import Distribution, Permutation, TransitionMatrix, min_positive_entry
+from .chains import Permutation, TransitionMatrix, min_positive_entry
 from .errors import CapacityError, InvariantError, StructureError
 from .expansion import StateSet, min_ratio, small_set_blocks
 
@@ -222,23 +222,17 @@ def spectral_tv_bound(lambda2: float, n: int, k: int) -> float:
     return math.sqrt(n) / 2.0 * lam ** ((k - 2) / 4.0)
 
 
-def evolve(Q: TransitionMatrix, mu0: Distribution, k: int) -> Distribution:
-    """The exact law after k steps: mu0 times Q^k via repeated products."""
-    if mu0.n != Q.n:
-        raise ValueError(f"distribution on {mu0.n} states, matrix on {Q.n}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    v = mu0.probs.copy()
-    for _ in range(k):
-        v = v @ Q.entries
-    return Distribution(v)
+def tv_distance(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Total variation distance: half the L1 distance along the last axis.
 
-
-def tv_distance(mu: Distribution, nu: Distribution) -> float:
-    """Total variation distance: half the L1 distance."""
-    if mu.n != nu.n:
-        raise ValueError(f"length mismatch: {mu.n} vs {nu.n}")
-    return float(np.abs(mu.probs - nu.probs).sum()) / 2.0
+    ``mu`` and ``nu`` broadcast, so a (k, n) stack of laws against one
+    length-n row gives k distances in one call; two vectors give a scalar.
+    The one scratch array is the difference, made absolute in place.
+    """
+    if mu.shape[-1] != nu.shape[-1]:
+        raise ValueError(f"length mismatch: {mu.shape[-1]} vs {nu.shape[-1]}")
+    d = mu - nu
+    return np.abs(d, out=d).sum(axis=-1) / 2.0
 
 
 # Largest n * k_max of ``mixing_profile``: 2^20 state-steps, 17x the benchmark's

@@ -78,6 +78,9 @@ def test_one_job_per_subcommand_records_its_spans(tracing, tmp_path):
     for name, (_, expected) in jobs.items():
         assert (name, "cli.main") in spans, name
         assert (name, expected) in spans, (name, expected)
+    # the walk's distances to uniform are one call on all rows, guarantee row included
+    assert sum((s.job, s.name) == ("fibonacci", "spectral.tv_distance")
+               for s in tracer.spans) == 1
     assert ("mix", "chains.build_lazy_cycle_walk") in spans
     assert ("validate", "chains.build_lazy_cycle_walk") in spans
 

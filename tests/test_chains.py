@@ -401,40 +401,6 @@ def test_build_permutation_dispatch():
             dj.build_permutation(kind, 5, **params)
 
 
-# --- distributions ----------------------------------------------------------
-
-def test_distribution_validation():
-    with pytest.raises(StructureError):
-        dj.Distribution(np.array([0.5, 0.4]))
-    with pytest.raises(StructureError):
-        dj.Distribution(np.array([1.5, -0.5]))
-    u = dj.Distribution.uniform(4)
-    assert np.allclose(u.probs, 0.25)
-    with pytest.raises(StructureError, match="nonempty vector"):
-        dj.Distribution.uniform(0)
-    pm = dj.Distribution.point_mass(2, 4)
-    assert pm.probs[2] == 1.0 and pm.probs.sum() == 1.0
-
-
-@pytest.mark.parametrize("probs, message", [
-    ([np.nan, 1.0], "distribution contains non-finite entries"),
-    ([np.inf, 0.0], "distribution contains non-finite entries"),
-    ([1.5, -0.5], "entry out of [0, 1] at (1): -0.5"),
-    ([0.5, 0.4], "distribution sums to 0.9, expected 1 within 1e-12"),
-])
-def test_distribution_names_what_failed(probs, message):
-    with pytest.raises(StructureError) as err:
-        dj.Distribution(np.array(probs))
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("state", [-1, 5, 1.5, True])
-def test_point_mass_refuses_a_state_outside_the_space(state):
-    # -1 used to put the mass on state 4, and 5 to raise IndexError
-    with pytest.raises(StructureError, match="point mass state"):
-        dj.Distribution.point_mass(state, 5)
-
-
 # --- file formats -----------------------------------------------------------
 
 def test_matrix_csv_roundtrip_and_validation(tmp_path):

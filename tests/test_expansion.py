@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -90,6 +91,34 @@ def test_state_set_membership_takes_numpy_integers():
 def test_state_set_map_through():
     f = dj.doubling_permutation(5)
     assert S(5, 1, 2).map_through(f).indices() == (2, 4)
+
+
+_SET_ALGEBRA = [operator.or_, operator.and_, operator.sub]
+
+
+@pytest.mark.parametrize("op", _SET_ALGEBRA)
+def test_state_set_algebra_refuses_a_set_on_another_n(op):
+    # b - a used to give StateSet(n=8, mask=2), a | {7} a mask error naming n=4 only
+    a, b = S(4, 0), S(8, 0, 1, 7)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match=f"set on {x.n} states, other set on {y.n}$"):
+            op(x, y)
+
+
+@pytest.mark.parametrize("op, expected", zip(_SET_ALGEBRA, [(1, 3, 4), (3,), (1,)]))
+def test_state_set_algebra_takes_only_state_sets(op, expected):
+    assert op(S(8, 1, 3), S(8, 3, 4)).indices() == expected
+    for other in (1, {3}, frozenset({3}), np.int64(3)):
+        with pytest.raises(TypeError):
+            op(S(8, 1, 3), other)
+
+
+@pytest.mark.parametrize("n, m", [(8, 4), (4, 8)])
+def test_state_set_map_through_refuses_a_bijection_on_another_n(n, m):
+    # a bijection on 4 states used to drop state 5 of an 8-set, and one on 8
+    # states to raise a bare IndexError on a 4-set
+    with pytest.raises(ValueError, match=f"set on {n} states, bijection on {m}$"):
+        S(n, 0, 3).map_through(dj.identity_permutation(m))
 
 
 # --- expand / boundary -------------------------------------------------------

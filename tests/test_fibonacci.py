@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import detjump as dj
 from detjump import fibonacci
-from detjump.errors import BijectionError, CapacityError, InvariantError
+from detjump.cli import main
+from detjump.errors import BijectionError, CapacityError, InvariantError, StructureError
 from detjump.fibonacci import (
     MARGINAL_ENTRY_CAP,
     REGISTER_STATE_CAP,
@@ -35,21 +36,63 @@ from oracles import (
 BIT_IDENTITY_MODULI = (2, 3, 5, 22, 50, 199, 200)
 
 
-def tv_to_uniform(dist):
-    return dj.tv_distance(dist, dj.Distribution.uniform(dist.n))
+def tv_to_uniform(laws):
+    n = laws.shape[-1]
+    return dj.tv_distance(laws, np.full(n, 1.0 / n))
 
 
 # --- exact walk distribution --------------------------------------------------
 
 def test_walk_k1_is_point_mass_at_one():
     d = dj.fibonacci_walk_marginals(9, 1)[0]
-    assert d.probs[1] == 1.0
+    assert d[1] == 1.0 and d.sum() == 1.0
 
 
 def test_walk_k2_spreads_over_three_values():
     d = dj.fibonacci_walk_marginals(7, 2)[1]
-    assert np.allclose(d.probs[[0, 1, 2]], 1 / 3)
-    assert d.probs[3:].sum() == 0.0
+    assert np.allclose(d[[0, 1, 2]], 1 / 3)
+    assert d[3:].sum() == 0.0
+
+
+def test_walk_marginals_are_one_read_only_array():
+    laws = dj.fibonacci_walk_marginals(11, 25)
+    assert laws.shape == (25, 11) and laws.dtype == np.float64
+    assert not laws.flags.writeable
+    with pytest.raises(ValueError):
+        laws[0, 0] = 0.5
+
+
+def _spoil_third_step(spoil):
+    """A pair step that hands ``spoil`` the joint law of its third call."""
+    calls = []
+
+    def step(joint, index):
+        calls.append(None)
+        joint = _pair_step(joint, index)
+        return spoil(joint) if len(calls) == 3 else joint
+    return step
+
+
+def _shift_mass(joint):
+    joint = joint.copy()
+    joint[:, 0] -= 0.5
+    joint[:, 1] += 0.5
+    return joint
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda joint: joint + np.nan, "marginal array contains non-finite entries"),
+    (lambda joint: joint + np.inf, "marginal array contains non-finite entries"),
+    (_shift_mass, "entry out of [0, 1] at (3, 0): "),
+    (lambda joint: joint / 2, "row 3 sums to 0.5, expected 1 within 1e-12"),
+], ids=["nan", "inf", "negative", "lost-mass"])
+def test_walk_marginal_rows_name_what_failed(spoil, message, monkeypatch):
+    # every row of the returned array is checked: a step that spoils the law
+    # of X_4 is refused, naming row 3 where one can be named
+    monkeypatch.setattr(fibonacci, "_pair_step", _spoil_third_step(spoil))
+    with pytest.raises(StructureError) as err:
+        dj.fibonacci_walk_marginals(7, 4)
+    assert str(err.value).startswith(message)
 
 
 def test_walk_argument_validation():
@@ -84,8 +127,136 @@ def test_fourier_factors_match_running_product_bitwise(n, block, monkeypatch):
 
 def test_walk_tv_monotone_nonincreasing():
     for n in (5, 22, 60):
-        tvs = [tv_to_uniform(d) for d in dj.fibonacci_walk_marginals(n, 60)]
+        tvs = tv_to_uniform(dj.fibonacci_walk_marginals(n, 60))
         assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:])), n
+
+
+# float.hex of the tv_exact column and of the guarantee line's tv_at_k written by
+# `detjump fibonacci --n N --kmax K --c C`, keyed by (N, K, C), frozen while each
+# distance was taken by its own call. The Fourier column is left out, since np.cos
+# may round differently on another CPU.
+_EXACT_TV_GOLDEN = {
+    (50, 120, 0.0): (
+        (
+            "0x1.f5c28f5c28f5dp-1", "0x1.e147ae147ae16p-1", "0x1.ccccccccccccdp-1",
+            "0x1.a3d70a3d70a3cp-1", "0x1.6e3cef2fa905ep-1", "0x1.1ff12ab00f81fp-1",
+            "0x1.6dea3a4b2646ep-2", "0x1.aecd12524dcf0p-4", "0x1.a62c5d9359ce8p-6",
+            "0x1.ee1bd69ea0cf4p-9", "0x1.87de5eb2efec0p-9", "0x1.c70aafccbd0b8p-10",
+            "0x1.079f91b8afed0p-11", "0x1.d32c435fedd80p-14", "0x1.16e5abead4300p-15",
+            "0x1.3042006b7e400p-16", "0x1.17a43daea2200p-16", "0x1.a37ead0c07000p-17",
+            "0x1.7ffc1b0e3f400p-17", "0x1.61be56ebb3800p-18", "0x1.68d5fd71d0000p-21",
+            "0x1.efe55cbea0000p-23", "0x1.26d7614910000p-23", "0x1.8f19240500000p-27",
+            "0x1.8f19241d00000p-27", "0x1.0a10c2da00000p-28", "0x1.62c1032800000p-30",
+            "0x1.62c1044800000p-30", "0x1.d9015ac000000p-32", "0x1.3b563d8000000p-33",
+            "0x1.3b563d0000000p-33", "0x1.a472fa0000000p-35", "0x1.184cd60000000p-36",
+            "0x1.184cd20000000p-36", "0x1.75bbb00000000p-38", "0x1.f250c00000000p-40",
+            "0x1.f24f000000000p-40", "0x1.4c35c00000000p-41", "0x1.bb03000000000p-43",
+            "0x1.baf1000000000p-43", "0x1.276e000000000p-44", "0x1.89d0000000000p-46",
+            "0x1.8a30000000000p-46", "0x1.0790000000000p-47", "0x1.5d00000000000p-49",
+            "0x1.5e40000000000p-49", "0x1.dd00000000000p-51", "0x1.2400000000000p-52",
+            "0x1.3400000000000p-52", "0x1.3000000000000p-53", "0x1.d800000000000p-54",
+            "0x1.c800000000000p-54", "0x1.f000000000000p-54", "0x1.8800000000000p-54",
+            "0x1.6000000000000p-54", "0x1.2000000000000p-54", "0x1.a800000000000p-54",
+            "0x1.5000000000000p-54", "0x1.5000000000000p-54", "0x1.2c00000000000p-53",
+            "0x1.b800000000000p-54", "0x1.3400000000000p-53", "0x1.1c00000000000p-53",
+            "0x1.0000000000000p-54", "0x1.f000000000000p-55", "0x1.9000000000000p-54",
+            "0x1.3800000000000p-54", "0x1.c000000000000p-53", "0x1.1000000000000p-55",
+            "0x1.0000000000000p-57", "0x1.0000000000000p-59", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"
+        ),
+        "0x0.0p+0",
+    ),
+    (200, 200, 1.0): (
+        (
+            "0x1.fd70a3d70a3d2p-1", "0x1.f851eb851eb84p-1", "0x1.f333333333334p-1",
+            "0x1.e8f5c28f5c290p-1", "0x1.d99999999999bp-1", "0x1.c0e7f027c7b38p-1",
+            "0x1.9d10e5ea570fap-1", "0x1.6616fd5ac3c36p-1", "0x1.160bed5a30baap-1",
+            "0x1.5162466473c36p-2", "0x1.3b25e15c803d2p-4", "0x1.6e50117a3c9f2p-6",
+            "0x1.79add96f80c9cp-8", "0x1.0a2b1b56afcdcp-8", "0x1.a979514fd6c9fp-9",
+            "0x1.7cde6c9633600p-9", "0x1.4d40c7b40e376p-9", "0x1.34e9bd63ffabcp-9",
+            "0x1.1a9d30bb6ccb6p-9", "0x1.f3ab5aaa9a53ep-10", "0x1.3dd941656f05ap-10",
+            "0x1.3e37e1bef2b20p-12", "0x1.748ca6c172f60p-14", "0x1.2c441621ec400p-16",
+            "0x1.9cdcbddd3dd00p-17", "0x1.3acdf8378a000p-17", "0x1.32a270fb50900p-17",
+            "0x1.12b2baf746500p-17", "0x1.0809467139f00p-17", "0x1.87b96571f1200p-18",
+            "0x1.a68b21cc3fc00p-19", "0x1.17f42ee7dc000p-23", "0x1.57181a1d20000p-25",
+            "0x1.22c235e4d0000p-25", "0x1.44a20b72c0000p-27", "0x1.5cdf35a000000p-32",
+            "0x1.dffc0e8000000p-34", "0x1.b28a7f4000000p-34", "0x1.32e8162000000p-34",
+            "0x1.1f4dce8000000p-34", "0x1.f6be2f8000000p-36", "0x1.2834660000000p-38",
+            "0x1.84fa600000000p-40", "0x1.d15bb00000000p-41", "0x1.7c98000000000p-48",
+            "0x1.1bb8000000000p-48", "0x1.7ae0000000000p-50", "0x1.7d00000000000p-52",
+            "0x1.6280000000000p-52", "0x1.9c00000000000p-53", "0x1.9800000000000p-53",
+            "0x1.a000000000000p-53", "0x1.9200000000000p-53", "0x1.9700000000000p-53",
+            "0x1.8b00000000000p-53", "0x1.7900000000000p-53", "0x1.5a00000000000p-53",
+            "0x1.9600000000000p-53", "0x1.6500000000000p-53", "0x1.af00000000000p-53",
+            "0x1.7c00000000000p-53", "0x1.4d00000000000p-53", "0x1.7f00000000000p-53",
+            "0x1.9900000000000p-53", "0x1.8000000000000p-53", "0x1.7800000000000p-53",
+            "0x1.8000000000000p-53", "0x1.9200000000000p-53", "0x1.8a00000000000p-53",
+            "0x1.8200000000000p-53", "0x1.5c00000000000p-53", "0x1.6e00000000000p-52",
+            "0x1.4280000000000p-51", "0x1.df00000000000p-53", "0x1.4d00000000000p-52",
+            "0x1.0d00000000000p-53", "0x1.1080000000000p-52", "0x1.8900000000000p-52",
+            "0x1.54c0000000000p-51", "0x1.0920000000000p-50", "0x1.5180000000000p-50",
+            "0x1.f820000000000p-50", "0x1.da80000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50", "0x1.db00000000000p-50",
+            "0x1.db00000000000p-50", "0x1.db00000000000p-50"
+        ),
+        "0x1.db00000000000p-50",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, kmax, c", sorted(_EXACT_TV_GOLDEN))
+def test_fibonacci_exact_distances_match_the_golden(n, kmax, c, tmp_path):
+    out = tmp_path / "fib.csv"
+    assert main(["fibonacci", "--n", str(n), "--kmax", str(kmax), "--c", str(c),
+                 "--out", str(out)]) == 0
+    *rows, summary = out.read_text().splitlines()[1:]
+    tv_exact, tv_at_k = _EXACT_TV_GOLDEN[n, kmax, c]
+    assert tuple(float(row.split(",")[1]).hex() for row in rows) == tv_exact
+    assert float(summary.rsplit("tv_at_k=", 1)[1]).hex() == tv_at_k
 
 
 # --- Fourier bound --------------------------------------------------------------
@@ -280,12 +451,13 @@ def test_additive_register_chain_matches_pair_walk():
     base = dj.build_lazy_cycle_walk(5)
     spec = dj.higher_order_spec(base, 2, "additive")
     T = dj.build_higher_order_chain(spec)
-    start = dj.Distribution.point_mass(1, 25)  # pair (0, 1)
-    for k in (1, 7, 20):
-        law = dj.evolve(T, start, k - 1)
-        marginal = law.probs.reshape(5, 5).sum(axis=0)
-        direct = dj.fibonacci_walk_marginals(5, k)[k - 1]
-        assert np.max(np.abs(marginal - direct.probs)) <= 1e-12, k
+    law = np.zeros(25)
+    law[1] = 1.0  # pair (0, 1)
+    direct = dj.fibonacci_walk_marginals(5, 20)
+    for k in range(1, 21):
+        marginal = law.reshape(5, 5).sum(axis=0)
+        assert np.max(np.abs(marginal - direct[k - 1])) <= 1e-12, k
+        law = law @ T.entries
 
 
 def test_cubing_register_chain_is_doubly_stochastic():

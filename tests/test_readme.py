@@ -2,6 +2,7 @@
 analysis parameter table, the hof spec example and the example configs."""
 
 import ast
+import builtins
 import importlib
 import json
 import pkgutil
@@ -25,6 +26,18 @@ def _value(text):
     """A stated value: 2^k or a decimal literal."""
     base, _, power = text.partition("^")
     return int(base) ** int(power) if power else (int(text) if text.isdigit() else float(text))
+
+
+def test_every_class_the_readme_names_exists():
+    # a backticked CamelCase name opening `Name`, `Name.attr` or `Name(`
+    names = set(re.findall(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)*)[`.(]",
+                           README.read_text(encoding="utf-8")))
+    modules = [detjump] + [importlib.import_module(f"detjump.{m.name}")
+                           for m in pkgutil.iter_modules(detjump.__path__)]
+    assert "StateSet" in names
+    missing = {name for name in names - set(dir(builtins))
+               if not any(hasattr(m, name) for m in modules)}
+    assert not missing
 
 
 def test_every_caps_row_names_a_constant_with_its_stated_value():

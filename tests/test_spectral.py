@@ -283,32 +283,37 @@ def test_contraction_of_centered_vectors(chain_zoo):
                     assert np.linalg.norm(y) <= lam2 ** ((k - 2) / 4.0) * norm + 1e-9, (label, k)
 
 
-# --- evolution and distances ------------------------------------------------
-
-def test_evolve_zero_steps_is_identity():
-    mu = dj.Distribution.point_mass(1, 5)
-    out = dj.evolve(dj.build_lazy_cycle_walk(5), mu, 0)
-    assert np.array_equal(out.probs, mu.probs)
-
-
-def test_evolve_keeps_uniform_fixed():
-    for Q in (dj.build_lazy_cycle_walk(7),
-              dj.compose(dj.random_permutation(7, 1), dj.build_lazy_cycle_walk(7))):
-        out = dj.evolve(Q, dj.Distribution.uniform(7), 11)
-        assert np.allclose(out.probs, 1 / 7, atol=1e-12)
-
-
-def test_evolve_one_step_reads_row():
-    out = dj.evolve(dj.build_lazy_cycle_walk(3), dj.Distribution.point_mass(0, 3), 1)
-    assert np.allclose(out.probs, 1 / 3)
-
+# --- distances ------------------------------------------------------------
 
 def test_tv_distance_examples():
-    u4 = dj.Distribution.uniform(4)
+    u4 = np.full(4, 0.25)
     assert dj.tv_distance(u4, u4) == 0.0
-    assert dj.tv_distance(dj.Distribution.point_mass(0, 4), u4) == pytest.approx(0.75)
-    half = dj.Distribution(np.array([0.5, 0.5, 0.0, 0.0]))
-    assert dj.tv_distance(half, u4) == pytest.approx(0.5)
+    assert dj.tv_distance(np.array([1.0, 0.0, 0.0, 0.0]), u4) == pytest.approx(0.75)
+    assert dj.tv_distance(np.array([0.5, 0.5, 0.0, 0.0]), u4) == pytest.approx(0.5)
+
+
+def test_tv_distance_takes_a_stack_of_rows_against_one_row():
+    laws = dj.fibonacci_walk_marginals(13, 30)
+    u = np.full(13, 1 / 13)
+    tv = dj.tv_distance(laws, u)
+    assert tv.shape == (30,)
+    # each row's distance, bit for bit
+    assert [float(d).hex() for d in tv] == [float(dj.tv_distance(row, u)).hex() for row in laws]
+
+
+def test_tv_distance_of_a_stack_holds_one_scratch_copy(allocation_peak):
+    laws = dj.fibonacci_walk_marginals(100, 2000)  # 1.6 MB
+    with allocation_peak() as peak:
+        dj.tv_distance(laws, np.full(100, 0.01))
+    # the difference array, plus the reduction's fixed buffer
+    assert laws.nbytes <= peak.bytes < 1.25 * laws.nbytes
+
+
+def test_tv_distance_refuses_vectors_of_unequal_length():
+    # a length-1 row would broadcast silently
+    for mu in (np.ones(1), np.full(5, 0.2), np.full((3, 1), 1.0)):
+        with pytest.raises(ValueError, match="length mismatch"):
+            dj.tv_distance(mu, np.full(4, 0.25))
 
 
 # --- mixing profiles ----------------------------------------------------------
