@@ -44,18 +44,15 @@ from .expansion import (
     check_expansion,
     doubling_counterexample,
     expand,
-    max_degree,
     scan_random_bijections,
 )
 from .fibonacci import (
     ErgodicityReport,
-    FibResidueSequence,
     HigherOrderChainSpec,
     MixingGuarantee,
     WindowCheck,
     build_higher_order_chain,
     check_residue_window,
-    fib_residue_sequence,
     fibonacci_walk_marginals,
     fourier_tv_bound,
     higher_order_spec,

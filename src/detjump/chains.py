@@ -17,6 +17,7 @@ The standing assumptions checked by :func:`validate` are:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -443,11 +444,15 @@ def load_matrix_csv(path: str | Path) -> TransitionMatrix:
     """
     path = Path(path)
     try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise StructureError(f"cannot read matrix file {path}: {exc}") from exc
     except ValueError as exc:
         raise StructureError(f"malformed matrix CSV {path}: {exc}") from exc
+    if not raw.size:
+        raise StructureError(f"matrix CSV {path} holds no rows")
     return TransitionMatrix._take(raw)
 
 

@@ -30,7 +30,6 @@ from .chains import (
     _index_array,
     build_lazy_cycle_walk,
     doubling_permutation,
-    min_positive_entry,
     random_permutation,
 )
 from .errors import CapacityError, InvariantError, StructureError
@@ -163,6 +162,14 @@ def mask_blocks(n: int) -> Iterator[np.ndarray]:
     step = _block_sets(n)
     for lo in range(0, 1 << n, step):
         yield np.arange(lo, min(lo + step, 1 << n), dtype=np.uint64)
+
+
+def _check_exhaustive_size(n: int, scan: str) -> None:
+    """Refuse a scan of every small subset of n states unless 2 <= n <= EXHAUSTIVE_CAP."""
+    if n < 2:
+        raise StructureError(f"{scan} needs at least two states, got n={n}")
+    if n > EXHAUSTIVE_CAP:
+        raise CapacityError(f"{scan} capped at n <= {EXHAUSTIVE_CAP}, got n={n}")
 
 
 def small_set_blocks(n: int, dtype=np.float32) -> Iterator[np.ndarray]:
@@ -304,11 +311,7 @@ def check_expansion(P: TransitionMatrix, f: Permutation, *,
     if mode == "exhaustive":
         if num_samples is not None or seed is not None:
             raise ValueError("exhaustive mode takes no num_samples or seed")
-        if n > EXHAUSTIVE_CAP:
-            raise CapacityError(
-                f"exhaustive expansion scan capped at n <= {EXHAUSTIVE_CAP}, got n={n}; "
-                "use sampled mode"
-            )
+        _check_exhaustive_size(n, "exhaustive expansion scan")
         family = small_set_blocks(n)
     elif mode == "sampled":
         if num_samples is None or seed is None:
@@ -404,24 +407,6 @@ def boundary_histogram(P: TransitionMatrix) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-def max_degree(P: TransitionMatrix) -> int:
-    """Max number of off-diagonal neighbors; checked against the 1/delta cap.
-
-    Every positive row entry is at least delta and rows sum to one, so
-    for a lazy chain degree + 1 can never exceed 1/delta.
-    """
-    supp = P.entries > 0.0
-    off = supp.copy()
-    np.fill_diagonal(off, False)
-    deg = int(off.sum(axis=1).max())
-    delta = min_positive_entry(P)
-    if deg + 1 > 1.0 / delta + 1e-9:
-        raise InvariantError(
-            f"degree bound violated: degree {deg} + 1 exceeds 1/delta = {1.0 / delta!r}"
-        )
-    return deg
-
-
 @dataclass(frozen=True)
 class BijectionScan:
     """Outcome of testing many random bijections against one epsilon."""
@@ -442,12 +427,7 @@ def scan_random_bijections(P: TransitionMatrix, epsilon: float, trials: int,
     With trials = 0 the fraction is undefined and reported as None.
     ``epsilon`` must be finite and nonnegative.
     """
-    if P.n < 2:
-        raise StructureError(f"expansion needs at least two states, got n={P.n}")
-    if P.n > EXHAUSTIVE_CAP:
-        raise CapacityError(
-            f"scan needs exhaustive checks, capped at n <= {EXHAUSTIVE_CAP}, got n={P.n}"
-        )
+    _check_exhaustive_size(P.n, "random-bijection scan")
     if not 0 <= epsilon < math.inf:  # false for nan
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if trials < 0:

@@ -43,7 +43,7 @@ from .chains import (
     _successor_period,
     validate,
 )
-from .errors import BijectionError, CapacityError, InvariantError
+from .errors import BijectionError, CapacityError
 
 # Exact pair-chain evolution cap: one step gathers and averages n^2 doubles.
 PAIR_STATE_CAP = 1000
@@ -78,17 +78,6 @@ def _pair_step(joint: np.ndarray, index: np.ndarray) -> np.ndarray:
     return (ext[:, 2:] + ext[:, 1:-1] + ext[:, :-2]) / 3.0
 
 
-def _check_pair_args(n: int, k: int) -> None:
-    if n < 2:
-        raise ValueError(f"need modulus n >= 2, got {n}")
-    if n > PAIR_STATE_CAP:
-        raise CapacityError(
-            f"pair-chain evolution capped at n <= {PAIR_STATE_CAP}, got n={n}"
-        )
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-
-
 def fibonacci_walk_marginals(n: int, k_max: int) -> np.ndarray:
     """Exact laws of X_1, ..., X_{k_max} in one incremental pass.
 
@@ -99,7 +88,14 @@ def fibonacci_walk_marginals(n: int, k_max: int) -> np.ndarray:
     StructureError naming the row). The n * k_max stored entries are
     capped at MARGINAL_ENTRY_CAP, checked before the first step.
     """
-    _check_pair_args(n, k_max)
+    if n < 2:
+        raise ValueError(f"need modulus n >= 2, got {n}")
+    if n > PAIR_STATE_CAP:
+        raise CapacityError(
+            f"pair-chain evolution capped at n <= {PAIR_STATE_CAP}, got n={n}"
+        )
+    if k_max < 1:
+        raise ValueError(f"need k >= 1, got {k_max}")
     if n * k_max > MARGINAL_ENTRY_CAP:
         raise CapacityError(
             f"n * k_max stored marginal entries over MARGINAL_ENTRY_CAP={MARGINAL_ENTRY_CAP} "
@@ -171,48 +167,6 @@ def _fib_residues(n: int) -> np.ndarray:
     out = np.array(terms, dtype=np.int64)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class FibResidueSequence:
-    """One full period of a Fibonacci-type residue sequence modulo n.
-
-    The period is the number of terms. Validates the recurrence (with
-    wraparound) and the no-adjacent-zeros property: a sequence with some
-    nonzero term can never have two consecutive zero residues, else every
-    term would vanish.
-    """
-
-    n: int
-    terms: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        t, period = self.terms, len(self.terms)
-        if period < 1:
-            raise ValueError("terms must cover one period, got none")
-        for k in range(period):
-            if (t[k] + t[(k + 1) % period]) % self.n != t[(k + 2) % period]:
-                raise InvariantError(f"recurrence fails at index {k}")
-        if any(v % self.n for v in t):
-            for k in range(period):
-                if t[k] == 0 and t[(k + 1) % period] == 0:
-                    raise InvariantError(f"adjacent zero residues at index {k}")
-
-    @property
-    def period(self) -> int:
-        return len(self.terms)
-
-
-def fib_residue_sequence(n: int, a: int = 1) -> FibResidueSequence:
-    """The sequence a * F_k mod n over its minimal period."""
-    if n < 2:
-        raise ValueError(f"need modulus n >= 2, got {n}")
-    if not 0 < a < n:
-        raise ValueError(f"need 1 <= a < n, got a={a}")
-    period = len(_fib_residues(n // math.gcd(a, n)))
-    base = _fib_residues(n)
-    terms = tuple(int(v) for v in (a * np.resize(base, period)) % n)
-    return FibResidueSequence(n=n, terms=terms)
 
 
 def residue_window_length(n: int) -> float:

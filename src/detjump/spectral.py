@@ -27,14 +27,12 @@ import numpy as np
 
 from .chains import Permutation, TransitionMatrix, min_positive_entry
 from .errors import CapacityError, InvariantError, StructureError
-from .expansion import StateSet, min_ratio, small_set_blocks
+from .expansion import StateSet, _check_exhaustive_size, min_ratio, small_set_blocks
 
 # Symmetry tolerance for kernels fed to the eigensolver.
 SYMMETRY_TOL = 1e-9
 # Tolerance on the principal eigenvalue / eigenvector checks.
 EIGEN_TOL = 1e-8
-# Subset enumeration cap for the exact Cheeger constant.
-CHEEGER_CAP = 24
 # Largest q tried when recovering an integer kernel K = round(q^4 R).
 SCALE_ROOT_CAP = 1 << 10
 
@@ -165,16 +163,6 @@ def _bottleneck(R: TransitionMatrix, blocks: Iterable[np.ndarray]) -> tuple[floa
     return c / (size * D), StateSet(R.n, mask)
 
 
-def _check_bottleneck_size(n: int) -> None:
-    """Refuse an exact bottleneck search on n states unless 2 <= n <= CHEEGER_CAP."""
-    if n > CHEEGER_CAP:
-        raise CapacityError(
-            f"exact bottleneck search capped at n <= {CHEEGER_CAP}, got n={n}"
-        )
-    if n < 2:
-        raise StructureError(f"bottleneck ratio needs at least two states, got n={n}")
-
-
 def cheeger_constant(R: TransitionMatrix) -> tuple[float, StateSet]:
     """Exact bottleneck ratio of a symmetric doubly stochastic kernel.
 
@@ -183,9 +171,9 @@ def cheeger_constant(R: TransitionMatrix) -> tuple[float, StateSet]:
     the minimum and one minimizing set, the smallest bitmask on ties.
     The scan runs on the integer kernel of ``integer_kernel``, so ties
     are exact; for a kernel without one, they hold up to float rounding.
-    Exhaustive; capped at n <= CHEEGER_CAP.
+    Exhaustive; capped at n <= EXHAUSTIVE_CAP.
     """
-    _check_bottleneck_size(R.n)
+    _check_exhaustive_size(R.n, "exact bottleneck search")
     return _bottleneck(R, small_set_blocks(R.n, np.float64))
 
 
@@ -227,12 +215,22 @@ def tv_distance(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
 
     ``mu`` and ``nu`` broadcast, so a (k, n) stack of laws against one
     length-n row gives k distances in one call; two vectors give a scalar.
-    The one scratch array is the difference, made absolute in place.
+    A stack is measured in blocks of about _BLOCK_ENTRIES entries along its
+    first axis: the one scratch array is a block's difference, made
+    absolute in place, and each row's sum is the one it has on its own.
     """
     if mu.shape[-1] != nu.shape[-1]:
         raise ValueError(f"length mismatch: {mu.shape[-1]} vs {nu.shape[-1]}")
-    d = mu - nu
-    return np.abs(d, out=d).sum(axis=-1) / 2.0
+    mu, nu = np.broadcast_arrays(mu, nu)
+    if mu.ndim == 1:
+        return tv_distance(mu[None], nu[None])[0]
+    step = max(1, _BLOCK_ENTRIES // max(1, math.prod(mu.shape[1:])))
+
+    def half_l1(lo: int) -> np.ndarray:
+        d = mu[lo:lo + step] - nu[lo:lo + step]
+        return np.abs(d, out=d).sum(axis=-1) / 2.0
+
+    return np.concatenate([half_l1(lo) for lo in range(0, max(1, len(mu)), step)])
 
 
 # Largest n * k_max of ``mixing_profile``: 2^20 state-steps, 17x the benchmark's
@@ -267,7 +265,8 @@ _SHIFT_RATIO = 32
 # raised the dense benchmark's peak RSS by 0.7 MiB over the single-threaded
 # profile, and allocated in the threads (per-thread malloc arenas) by 3.5 MiB.
 # ``_jump_factor`` reads rows of w nonzeros in blocks of _BLOCK_ENTRIES // w,
-# and ``_asymmetry`` works on square blocks of this size.
+# ``_asymmetry`` works on square blocks of this size, and ``tv_distance`` on
+# blocks of rows.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -652,9 +651,9 @@ def spectral_report(P: TransitionMatrix, f: Permutation, *,
                     expansion_epsilon: float | None = None) -> SpectralReport:
     """Compute the symmetrized kernel and summarize its spectrum.
 
-    A chain outside 2 <= n <= CHEEGER_CAP is refused before the kernel is built.
+    A chain outside 2 <= n <= EXHAUSTIVE_CAP is refused before the kernel is built.
     """
-    _check_bottleneck_size(P.n)
+    _check_exhaustive_size(P.n, "exact bottleneck search")
     R = symmetrized_kernel(P, f)
     lam2 = second_eigenvalue(R)
     phi, witness = cheeger_constant(R)

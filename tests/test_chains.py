@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -439,6 +441,16 @@ def test_loader_rejects_malformed_csv(tmp_path):
         dj.load_matrix_csv(path)
     with pytest.raises(StructureError):
         dj.load_matrix_csv(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"])
+def test_loader_refuses_a_file_with_no_rows_without_a_warning(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructureError, match="holds no rows"):
+            dj.load_matrix_csv(path)
 
 
 def test_permutation_file_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ def test_missing_matrix_file_exits_2_with_path(tmp_path, capsys):
     })
     assert main(["mix", "--config", cfg]) == 2
     assert "nope.csv" in capsys.readouterr().err
+
+
+def test_empty_matrix_file_exits_2_with_one_line(tmp_path, capsys):
+    matrix = tmp_path / "empty.csv"
+    matrix.write_text("")
+    cfg = write_config(tmp_path, "cfg.json", {"chain": {"family": "file", "path": str(matrix)}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: matrix CSV {matrix} holds no rows\n"
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detjump as dj
-from detjump import expansion
+from detjump import expansion, spectral
 from detjump.errors import CapacityError, StructureError
 from oracles import (
     brute_boundary_count,
@@ -234,6 +234,25 @@ def test_check_expansion_witness_achieves_the_ratio(chain_zoo):
         assert ratio == pytest.approx(1.0 + report.epsilon_star, abs=1e-12), label
 
 
+def test_one_size_rule_governs_every_exhaustive_scan(monkeypatch):
+    monkeypatch.setattr(expansion, "EXHAUSTIVE_CAP", 8)
+    P, f = dj.build_lazy_cycle_walk(9), dj.random_permutation(9, 1)
+    R = dj.symmetrized_kernel(P, f)
+
+    def never(*args):
+        raise AssertionError("symmetrized_kernel called")
+
+    monkeypatch.setattr(spectral, "symmetrized_kernel", never)
+    scans = (lambda: dj.check_expansion(P, f),
+             lambda: dj.scan_random_bijections(P, 0.1, 1, 1),
+             lambda: dj.cheeger_constant(R),
+             lambda: dj.spectral_report(P, f))
+    for scan in scans:
+        with pytest.raises(CapacityError, match="capped at n <= 8, got n=9"):
+            scan()
+    assert dj.check_expansion(P, f, mode="sampled", num_samples=16, seed=1).sets_checked == 16
+
+
 def test_check_expansion_capacity_error():
     P = dj.build_lazy_cycle_walk(30)
     with pytest.raises(CapacityError):
@@ -372,24 +391,6 @@ def test_boundary_histogram_counting_bound_across_chains():
                 assert count == 2, P.n
                 continue
             assert count <= 2.0 ** (int(mask).bit_count() * inv_delta), (P.n, mask)
-
-
-# --- degree bound ----------------------------------------------------------------
-
-def test_max_degree_cycle():
-    assert dj.max_degree(dj.build_lazy_cycle_walk(9)) == 2
-
-
-def test_max_degree_hypercube_is_tight():
-    P = dj.build_hypercube_walk(3)
-    deg = dj.max_degree(P)
-    assert deg == 3
-    assert deg + 1 <= 1.0 / dj.min_positive_entry(P) + 1e-9
-
-
-def test_max_degree_bound_on_zoo(chain_zoo):
-    for label, P, _ in chain_zoo:
-        assert dj.max_degree(P) + 1 <= 1.0 / dj.min_positive_entry(P) + 1e-9, label
 
 
 # --- random bijection scan ---------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import detjump as dj
 from detjump import fibonacci
 from detjump.cli import main
-from detjump.errors import BijectionError, CapacityError, InvariantError, StructureError
+from detjump.errors import BijectionError, CapacityError, StructureError
 from detjump.fibonacci import (
     MARGINAL_ENTRY_CAP,
     REGISTER_STATE_CAP,
@@ -295,20 +295,16 @@ def test_fifth_fibonacci_number_is_five():
 
 
 def test_pisano_period_mod3_is_eight():
-    seq = dj.fib_residue_sequence(3, 1)
-    assert seq.period == 8
-    assert seq.terms == (0, 1, 1, 2, 0, 2, 2, 1)
+    assert _fib_residues(3).tolist() == [0, 1, 1, 2, 0, 2, 2, 1]
 
 
 def test_residue_sequence_scaled_period_divides():
-    seq = dj.fib_residue_sequence(10, 5)
-    assert len(_fib_residues(10)) % seq.period == 0
-    assert seq.terms[1] == 5
-
-
-def test_residue_sequence_rejects_adjacent_zeros():
-    with pytest.raises(InvariantError):
-        dj.FibResidueSequence(n=4, terms=(0, 0, 1))
+    # 5 * F_k mod 10 repeats with the period of F_k mod 10 / gcd(5, 10)
+    period = len(_fib_residues(10 // math.gcd(5, 10)))
+    terms = 5 * _fib_residues(10) % 10
+    assert terms.size % period == 0
+    assert np.array_equal(terms, np.resize(terms[:period], terms.size))
+    assert terms[1] == 5
 
 
 def test_no_adjacent_zero_residues_up_to_200():
@@ -339,8 +335,7 @@ def test_window_n3_period8():
 
 def test_window_membership_is_exact_integer_arithmetic():
     # n = 9: window is [3, 6]; residue 3 must count (3*3 >= 9 exactly)
-    seq = dj.fib_residue_sequence(9, 1)
-    assert any(3 * b >= 9 and 3 * b <= 18 for b in seq.terms)
+    assert any(3 * b >= 9 and 3 * b <= 18 for b in _fib_residues(9).tolist())
     assert dj.check_residue_window(9, 1).holds
 
 
