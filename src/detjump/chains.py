@@ -162,9 +162,6 @@ class Permutation:
     def n(self) -> int:
         return self.forward.shape[0]
 
-    def __call__(self, i: int) -> int:
-        return int(self.forward[i])
-
 
 @dataclass(frozen=True)
 class ValidationReport:

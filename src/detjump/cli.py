@@ -2,7 +2,9 @@
 
 One config describes a chain, an optional bijection, and a list of
 chain analyses; each subcommand runs the analyses of its one type, and
-each writes one CSV or JSON artifact atomically (temp file + rename).
+each writes one CSV or JSON artifact atomically (temp file + rename);
+a target that exists and is not a regular file, such as a FIFO, a pipe
+or a device, is written in place.
 `fibonacci` and `hof` read no config: their flags are their one
 analysis. Everything is a pure function of the inputs and the seeds
 they contain, so identical runs produce identical bytes.
@@ -423,8 +425,9 @@ def build_bijection(config: ExperimentConfig, n: int) -> Permutation:
     if config.bijection is None:
         return identity_permutation(n)
     params = dict(config.bijection)
-    if params.pop("path", None) is not None:
-        return load_permutation(config.bijection["path"])
+    path = params.pop("path", None)
+    if path is not None:
+        params["values"] = load_permutation(path).forward
     return build_permutation(params.pop("kind"), n, **params)
 
 
@@ -442,29 +445,36 @@ def _write(text: str, target: str | Path | None) -> Path | None:
     links are followed, and replaces that file, so a link stays a link.
     The artifact keeps the mode of the file it replaces; a new one gets
     the mode ``open`` would give it, 0o666 under the umask. A target that
-    cannot be written is a config error naming it.
+    exists and is not a regular file (a FIFO, a pipe reached through
+    /dev/stdout, a device) has no file to replace, so it is opened and
+    written in place. A target that cannot be written is a config error
+    naming it.
     """
     if target is None:
         sys.stdout.write(text)
         return None
     target = Path(target)
-    path = Path(os.path.realpath(target))
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
+            mode = os.stat(target).st_mode
         except FileNotFoundError:
-            mode = 0o666 & ~_umask()
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(target, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-            os.chmod(tmp, mode)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        else:
+            path = Path(os.path.realpath(target))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+                os.chmod(tmp, 0o666 & ~_umask() if mode is None else stat.S_IMODE(mode))
+                os.replace(tmp, path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
     except OSError as exc:
         raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
     print(f"wrote {target}")

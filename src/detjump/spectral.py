@@ -141,14 +141,19 @@ def integer_kernel(R: TransitionMatrix) -> tuple[np.ndarray, int] | None:
     return None
 
 
-def _bottleneck(R: TransitionMatrix, blocks: Iterable[np.ndarray]) -> tuple[float, StateSet]:
-    """Least cut(A) / |A| over the sets in ``blocks``, smallest mask on ties.
+def cheeger_constant(R: TransitionMatrix) -> tuple[float, StateSet]:
+    """Exact bottleneck ratio of a symmetric doubly stochastic kernel.
 
+    Minimizes (1/|A|) * sum of R[i][j] over i in A, j outside A, over
+    every A with 1 <= |A| <= n/2 (uniform stationary measure). Returns
+    the minimum and one minimizing set, the smallest bitmask on ties.
     The cuts of a block of rows are rows @ deg - rowsum((rows @ K) * rows),
     deg the row sums of K: exact int64 values in units of 1/D on the
-    integer kernel, or float64 on R itself (D = 1) when there is none, so
-    that ties then hold only up to rounding.
+    integer kernel K of ``integer_kernel``, so ties are exact; for a
+    kernel without one the scan runs in float64 on R itself (D = 1), and
+    ties hold only up to rounding. Exhaustive; capped at n <= EXHAUSTIVE_CAP.
     """
+    _check_exhaustive_size(R.n, "exact bottleneck search")
     scaled = integer_kernel(R)
     K, D = scaled if scaled is not None else (R.entries, 1)
     deg, ones = K.sum(axis=1), np.ones(R.n)
@@ -159,22 +164,8 @@ def _bottleneck(R: TransitionMatrix, blocks: Iterable[np.ndarray]) -> tuple[floa
         c = rows @ deg - inside @ ones
         return c if scaled is None else c.astype(np.int64)
 
-    (c, size, mask), _ = min_ratio(blocks, cut)
+    (c, size, mask), _ = min_ratio(small_set_blocks(R.n, np.float64), cut)
     return c / (size * D), StateSet(R.n, mask)
-
-
-def cheeger_constant(R: TransitionMatrix) -> tuple[float, StateSet]:
-    """Exact bottleneck ratio of a symmetric doubly stochastic kernel.
-
-    Minimizes (1/|A|) * sum of R[i][j] over i in A, j outside A, over
-    every A with 1 <= |A| <= n/2 (uniform stationary measure). Returns
-    the minimum and one minimizing set, the smallest bitmask on ties.
-    The scan runs on the integer kernel of ``integer_kernel``, so ties
-    are exact; for a kernel without one, they hold up to float rounding.
-    Exhaustive; capped at n <= EXHAUSTIVE_CAP.
-    """
-    _check_exhaustive_size(R.n, "exact bottleneck search")
-    return _bottleneck(R, small_set_blocks(R.n, np.float64))
 
 
 def expansion_tv_bound(n: int, epsilon: float, delta: float, k: int) -> float:

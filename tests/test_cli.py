@@ -5,7 +5,10 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detjump as dj
-from detjump import chains, cli, fibonacci
+from detjump import chains, cli, fibonacci, spectral
 from detjump.cli import load_config, main
 from detjump.errors import ConfigError
 from detjump.fibonacci import MARGINAL_ENTRY_CAP
+from oracles import mixing_profile_dense
 
 
 def write_config(tmp_path, name, obj):
@@ -124,6 +128,41 @@ def test_compare_identical_configs_equal_columns(tmp_path):
     for line in out.read_text().splitlines()[1:]:
         _, a, b = line.split(",")
         assert a == b
+
+
+def test_mix_takes_the_gather_route_on_a_sparse_file_chain(tmp_path, monkeypatch):
+    # I/3 + (C + C^T)/6 + (D + D^T)/6, C a random n-cycle and D a random
+    # permutation: at most 5 nonzeros a row, 5 * 128 <= n, and no factoring
+    n = 640
+    rng = np.random.default_rng(11)
+    cycle, perm = rng.permutation(n), rng.permutation(n)
+    a = np.eye(n) / 3
+    np.add.at(a, (cycle, np.roll(cycle, 1)), 1 / 6)
+    np.add.at(a, (np.roll(cycle, 1), cycle), 1 / 6)
+    np.add.at(a, (np.arange(n), perm), 1 / 6)
+    np.add.at(a, (perm, np.arange(n)), 1 / 6)
+    matrix = tmp_path / "sparse.csv"
+    dj.save_matrix_csv(matrix, dj.TransitionMatrix(a))
+    cfg = write_config(tmp_path, "cfg.json", {"chain": {"family": "file", "path": str(matrix)},
+                                              "analysis": [{"type": "mixing", "kmax": 8}]})
+    steps = []
+    real = spectral._worst_tv
+
+    def spy(n_, k_max, starts, step):
+        steps.append(step[0])
+        return real(n_, k_max, starts, step)
+
+    monkeypatch.setattr(spectral, "_worst_tv", spy)
+    mix, both = tmp_path / "mix.csv", tmp_path / "both.csv"
+    assert _run_quietly(["mix", "--config", cfg, "--out", str(mix)])[0] == 0
+    assert steps == ["gather"]
+    rows = [line.split(",") for line in mix.read_text().splitlines()[1:]]
+    want = mixing_profile_dense(dj.load_matrix_csv(matrix), 8)
+    assert max(abs(float(tv) - w) for (_, tv), w in zip(rows, want)) <= 1e-14
+    assert _run_quietly(["compare", "--config-a", cfg, "--config-b", cfg,
+                         "--out", str(both)])[0] == 0
+    assert [line.split(",")[2] for line in both.read_text().splitlines()[1:]] == \
+        [tv for _, tv in rows]
 
 
 def test_compare_kmax_mismatch_exits_2(tmp_path, capsys):
@@ -680,6 +719,34 @@ def test_a_failed_replace_leaves_the_old_artifact_and_no_temp_file(tmp_path, mon
     assert [p.name for p in tmp_path.iterdir()] == ["fib.csv"]
 
 
+def test_an_output_path_that_is_a_fifo_gets_the_artifact_and_stays_a_fifo(tmp_path):
+    # the FIFO used to be renamed over by a regular file, and its reader got nothing
+    assert _run_quietly([*_FIB, "--out", str(tmp_path / "fib.csv")])[0] == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, err = _run_quietly([*_FIB, "--out", str(fifo)])
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0, err
+    assert data == (tmp_path / "fib.csv").read_bytes()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_out_dev_stdout_writes_the_artifact_into_a_pipe(tmp_path):
+    # /dev/stdout resolves to /proc/<pid>/fd/pipe:[N], which used to exit 2
+    assert _run_quietly([*_FIB, "--out", str(tmp_path / "fib.csv")])[0] == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(dj.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from detjump.cli import main; sys.exit(main())",
+         *_FIB, "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith((tmp_path / "fib.csv").read_bytes())
+
+
 def test_one_path_shared_by_analyses_of_another_type_does_not_block_a_subcommand(tmp_path):
     # only the selected analyses write, so only their paths must differ
     cfg = write_config(tmp_path, "two.json", {
@@ -1006,6 +1073,21 @@ def test_explicit_bijection_with_both_path_and_values_exits_2(tmp_path):
     code, err = _run_quietly(["mix", "--config", cfg])
     assert code == 2
     assert f"values is not allowed with path={str(perm)!r}" in err
+
+
+@pytest.mark.parametrize("values", ["0 2 1\n", ""])
+@pytest.mark.parametrize("command, analysis", [
+    ("mix", _MIX), ("spectral", {"type": "spectral"}), ("expansion", {"type": "expansion"})])
+def test_explicit_bijection_file_of_the_wrong_length_exits_2_with_one_message(
+        tmp_path, command, analysis, values):
+    # each subcommand used to fail late, with its own dimension-mismatch message
+    perm = tmp_path / "perm.txt"
+    perm.write_text(values)
+    cfg = _config(tmp_path, analysis=analysis,
+                  bijection={"kind": "explicit", "path": str(perm)})
+    code, err = _run_quietly([command, "--config", cfg])
+    assert code == 2
+    assert err.endswith(f"explicit permutation has {len(values.split())} values, expected 5\n")
 
 
 @pytest.mark.parametrize("mode", [{}, {"mode": "exhaustive"}])

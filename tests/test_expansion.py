@@ -1,5 +1,4 @@
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -40,10 +39,7 @@ def test_state_set_basics():
     a = S(8, 1, 3, 5)
     assert a.size == 3
     assert a.indices() == (1, 3, 5)
-    assert 3 in a and 2 not in a
-    assert (a | S(8, 2)).indices() == (1, 2, 3, 5)
-    assert (a - S(8, 3)).indices() == (1, 5)
-    assert a.complement().size == 5
+    assert a.mask == 0b101010
     with pytest.raises(ValueError):
         dj.StateSet(4, 1 << 5)
     with pytest.raises(ValueError):
@@ -77,40 +73,9 @@ def test_state_set_from_indices_any_iterable_and_large_n():
     assert dj.StateSet.from_indices(130, range(0, 130, 64)).mask == 1 | 1 << 64 | 1 << 128
 
 
-@pytest.mark.parametrize("value", [-1, 8, 2.0, "3", None, True, np.int64(-1), (3,)])
-def test_state_set_membership_of_anything_but_a_state_is_false(value):
-    # -1 used to raise "negative shift count" and 2.0 a TypeError
-    assert value not in S(8, 0, 1, 2, 3, 7)
-
-
-def test_state_set_membership_takes_numpy_integers():
-    a = S(8, 1, 3)
-    assert np.int64(3) in a and np.uint8(1) in a and np.int32(2) not in a
-
-
 def test_state_set_map_through():
     f = dj.doubling_permutation(5)
     assert S(5, 1, 2).map_through(f).indices() == (2, 4)
-
-
-_SET_ALGEBRA = [operator.or_, operator.and_, operator.sub]
-
-
-@pytest.mark.parametrize("op", _SET_ALGEBRA)
-def test_state_set_algebra_refuses_a_set_on_another_n(op):
-    # b - a used to give StateSet(n=8, mask=2), a | {7} a mask error naming n=4 only
-    a, b = S(4, 0), S(8, 0, 1, 7)
-    for x, y in ((a, b), (b, a)):
-        with pytest.raises(ValueError, match=f"set on {x.n} states, other set on {y.n}$"):
-            op(x, y)
-
-
-@pytest.mark.parametrize("op, expected", zip(_SET_ALGEBRA, [(1, 3, 4), (3,), (1,)]))
-def test_state_set_algebra_takes_only_state_sets(op, expected):
-    assert op(S(8, 1, 3), S(8, 3, 4)).indices() == expected
-    for other in (1, {3}, frozenset({3}), np.int64(3)):
-        with pytest.raises(TypeError):
-            op(S(8, 1, 3), other)
 
 
 @pytest.mark.parametrize("n, m", [(8, 4), (4, 8)])
@@ -135,7 +100,7 @@ def test_expand_single_vertex_cycle():
 
 def test_expand_full_set_is_full():
     P = dj.build_lazy_cycle_walk(7)
-    assert dj.expand(P, dj.StateSet.full(7)).size == 7
+    assert dj.expand(P, S(7, *range(7))).size == 7
 
 
 def test_expand_agrees_with_row_and_column_oracles(chain_zoo):
@@ -155,25 +120,28 @@ def test_expand_holds_no_n_by_n_support(allocation_peak):
     P = dj.build_lazy_cycle_walk(n)
     A = dj.StateSet.from_indices(n, range(0, n, 5))
     with allocation_peak() as peak:
-        boundary = dj.expand(P, A) - A
-    assert boundary == dj.StateSet.from_indices(n, [i for i in range(n) if i % 5 in (1, 4)])
+        boundary = dj.expand(P, A).mask & ~A.mask
+    assert boundary == dj.StateSet.from_indices(n, [i for i in range(n) if i % 5 in (1, 4)]).mask
     # a row of the set and its product; a float32 support alone would be 64 MiB
     assert peak.bytes < 1 << 20
 
 
 def test_external_boundary_cycle_arc():
     P = dj.build_lazy_cycle_walk(7)
-    assert (dj.expand(P, S(7, 0, 1, 2)) - S(7, 0, 1, 2)).indices() == (3, 6)
+    A = S(7, 0, 1, 2)
+    assert dj.StateSet(7, dj.expand(P, A).mask & ~A.mask).indices() == (3, 6)
 
 
 def test_external_boundary_hypercube_corner():
     P = dj.build_hypercube_walk(2)
-    assert (dj.expand(P, S(4, 0)) - S(4, 0)).indices() == (1, 2)
+    A = S(4, 0)
+    assert dj.StateSet(4, dj.expand(P, A).mask & ~A.mask).indices() == (1, 2)
 
 
 def test_external_boundary_of_full_set_is_empty():
     P = dj.build_lazy_cycle_walk(7)
-    assert (dj.expand(P, dj.StateSet.full(7)) - dj.StateSet.full(7)).size == 0
+    A = S(7, *range(7))
+    assert dj.StateSet(7, dj.expand(P, A).mask & ~A.mask).size == 0
 
 
 @given(st.integers(4, 12), st.data())
@@ -217,13 +185,6 @@ def test_check_expansion_singletons_expand_by_one():
         report = dj.check_expansion(P, f, include=masks, mode="sampled",
                                     num_samples=0, seed=0)
         assert report.epsilon_star >= 1.0, label  # ratio >= 2 for every singleton
-
-
-def test_check_expansion_holds_for_queries():
-    report = dj.check_expansion(dj.build_lazy_cycle_walk(10), dj.random_permutation(10, 1))
-    assert report.holds_for(0.0)
-    assert report.holds_for(report.epsilon_star)
-    assert not report.holds_for(report.epsilon_star + 1e-9)
 
 
 def test_check_expansion_witness_achieves_the_ratio(chain_zoo):
@@ -398,7 +359,7 @@ def test_boundary_histogram_counting_bound_across_chains():
 def test_scan_epsilon_zero_every_bijection_is_good():
     result = dj.scan_random_bijections(dj.build_lazy_cycle_walk(9), 0.0, 25, 3)
     assert result.fraction_good == 1.0
-    assert result.failures == ()
+    assert all(good for _, _, good in result.rows)
 
 
 def test_scan_no_trials_is_explicitly_undefined():
@@ -414,7 +375,6 @@ def test_scan_seeds_are_replayable():
                                     dj.random_permutation(10, seed))
         assert replay.epsilon_star == eps_star
         assert good == (eps_star >= 0.5)
-    assert result.failures == tuple(s for s, _, g in result.rows if not g)
 
 
 def test_scan_matches_frozen_golden_after_oracle_audit():
@@ -426,7 +386,7 @@ def test_scan_matches_frozen_golden_after_oracle_audit():
         assert eps_oracle == pytest.approx(SCAN_GOLDEN_FIRST_EPS[t], abs=1e-12)
     result = dj.scan_random_bijections(P, 0.1, 200, 7)
     assert result.fraction_good == SCAN_GOLDEN_FRACTION
-    assert result.failures == SCAN_GOLDEN_FAILURES
+    assert tuple(s for s, _, good in result.rows if not good) == SCAN_GOLDEN_FAILURES
     for t in range(5):
         assert result.rows[t][1] == pytest.approx(SCAN_GOLDEN_FIRST_EPS[t], abs=1e-12)
 

@@ -3,6 +3,7 @@ analysis parameter table, the hof spec example and the example configs."""
 
 import ast
 import builtins
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -28,16 +29,29 @@ def _value(text):
     return int(base) ** int(power) if power else (int(text) if text.isdigit() else float(text))
 
 
+def _has_member(cls, member):
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return hasattr(cls, member) or member in fields
+
+
 def test_every_class_the_readme_names_exists():
-    # a backticked CamelCase name opening `Name`, `Name.attr` or `Name(`
-    names = set(re.findall(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)*)[`.(]",
-                           README.read_text(encoding="utf-8")))
+    # a backticked CamelCase name opening `Name`, `Name.attr` or `Name(`; a
+    # `Name.member` must also name a member or dataclass field of that class
+    text = README.read_text(encoding="utf-8")
+    camel = r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)*"
+    names = set(re.findall(rf"`({camel})[`.(]", text))
     modules = [detjump] + [importlib.import_module(f"detjump.{m.name}")
                            for m in pkgutil.iter_modules(detjump.__path__)]
     assert "StateSet" in names
     missing = {name for name in names - set(dir(builtins))
                if not any(hasattr(m, name) for m in modules)}
     assert not missing
+    members = set(re.findall(rf"`({camel})\.(\w+)", text))
+    assert ("StateSet", "from_indices") in members
+    unknown = {(name, member) for name, member in members
+               if not any(_has_member(getattr(m, name), member)
+                          for m in modules if hasattr(m, name))}
+    assert not unknown
 
 
 def test_every_caps_row_names_a_constant_with_its_stated_value():
