@@ -1,9 +1,13 @@
 """Finite state spaces, transition matrices, bijections, and chain builders.
 
-State spaces are always {0, ..., n-1}. A transition matrix is dense,
-row-stochastic, 64-bit float. Structured states (hypercube bit vectors)
-are encoded by a documented index map. Everything here is immutable after
-construction and safe to share across threads.
+State spaces are always {0, ..., n-1}. A transition matrix is
+row-stochastic and 64-bit float, and it is stored by its rows: for each
+row, its nonzero columns and their weights. A dense n x n array is built
+only where an analysis reads one (the symmetrized kernel, the GEMM
+mixing route, the atom matrix of the subset scans). Structured states
+(hypercube bit vectors) are encoded by a documented index map.
+Everything here is immutable after construction and safe to share
+across threads.
 
 The standing assumptions checked by :func:`validate` are:
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import BijectionError, CapacityError, StructureError
 
-# Dense-matrix size cap: n*n float64 entries stay comfortably in memory.
+# The most states a chain may have; every n x n array of a chain is made under it.
 MATRIX_SIZE_CAP = 4096
 # Tolerance for row/column sums of stochastic matrices.
 STOCHASTIC_TOL = 1e-9
@@ -34,22 +38,26 @@ STOCHASTIC_TOL = 1e-9
 DISTRIBUTION_TOL = 1e-12
 
 
-def _checked_rows(a: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _checked_rows(a: np.ndarray, tol: float, what: str,
+                  cols: np.ndarray | None = None) -> np.ndarray:
     """Make the 2-D ``a`` read-only and return it once each row is a probability vector.
 
     Entries must lie in [0, 1 + tol] and each row must sum to 1 within
     ``tol``; ``what`` names the array in the message for a non-finite
     entry. Range and finiteness come from one min/max pair: a NaN or an
     infinity makes one of them non-finite. The temporaries that locate an
-    offending entry are made only on failure.
+    offending entry are made only on failure. With ``cols``, ``a`` holds
+    the weights of a rows table, and an entry is named by its column.
     """
     lo, hi = float(a.min()), float(a.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise StructureError(f"{what} contains non-finite entries")
     if lo < 0.0 or hi > 1.0 + tol:
         at = np.unravel_index(int(np.argmin(a)) if lo < 0.0 else int(np.argmax(a)), a.shape)
-        raise StructureError(
-            f"entry out of [0, 1] at ({', '.join(map(str, at))}): {float(a[at])!r}")
+        value = float(a[at])
+        if cols is not None:
+            at = (at[0], cols[at])
+        raise StructureError(f"entry out of [0, 1] at ({', '.join(map(str, at))}): {value!r}")
     sums = a.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
     if bad.size:
@@ -59,8 +67,8 @@ def _checked_rows(a: np.ndarray, tol: float, what: str) -> np.ndarray:
     return a
 
 
-def _checked_stochastic(a: np.ndarray) -> np.ndarray:
-    """Make ``a`` read-only and return it once it is a square row-stochastic matrix."""
+def _check_square(a: np.ndarray) -> None:
+    """Refuse ``a`` unless it is square with 1 <= n <= MATRIX_SIZE_CAP."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructureError(f"transition matrix must be square, got shape {a.shape}")
     n = a.shape[0]
@@ -70,43 +78,123 @@ def _checked_stochastic(a: np.ndarray) -> np.ndarray:
         raise CapacityError(
             f"n={n} exceeds the dense matrix cap MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
         )
-    return _checked_rows(a, STOCHASTIC_TOL, "transition matrix")
 
 
-@dataclass(frozen=True, eq=False)
+def _dense_array(n: int, dtype=np.float64) -> np.ndarray:
+    """A zeroed n x n array, refused over MATRIX_SIZE_CAP.
+
+    Every dense array of a chain (its ``entries``, the kernel's L, the
+    subset scans' atoms) is made here.
+    """
+    if n > MATRIX_SIZE_CAP:
+        raise CapacityError(
+            f"an n x n array at n={n} is over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
+        )
+    return np.zeros((n, n), dtype=dtype)
+
+
+def _pack(n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows table of entries v at (i, j), listed by increasing i, then increasing j.
+
+    Returns cols and weights of shape (n, w), w the most entries of any
+    row (at least 1): row r lists its entries in the order given, padded
+    at its end with (0, 0.0).
+    """
+    counts = np.bincount(i, minlength=n)
+    t = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = np.zeros((n, max(1, int(counts.max()))), dtype=np.intp)
+    weights = np.zeros(cols.shape)
+    cols[i, t] = j
+    weights[i, t] = v
+    return cols, weights
+
+
+def _rows_table(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows table of the nonzeros of a square array, each row in increasing column order."""
+    i, j = np.nonzero(a)
+    return _pack(a.shape[0], i, j, a[i, j])
+
+
+def _nonzeros(cols: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows, columns and weights of the nonzeros of a rows table, in row-major order."""
+    i, t = np.nonzero(weights)
+    return i, cols[i, t], weights[i, t]
+
+
+def _checked_table(cols: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Make a rows table read-only and return it once its rows are probability vectors."""
+    _checked_rows(weights, STOCHASTIC_TOL, "transition matrix", cols)
+    cols.setflags(write=False)
+    return cols, weights
+
+
 class TransitionMatrix:
-    """A dense row-stochastic matrix over states {0, ..., n-1}.
+    """A row-stochastic matrix over states {0, ..., n-1}, stored as a rows table.
+
+    ``rows`` is the pair (cols, weights), read-only arrays of shape
+    (n, w), w the most nonzeros of any row: row i lists its nonzero
+    columns in increasing order with their weights, padded at its end
+    with (0, 0.0). Every chain the package builds is stored so (the cycle
+    and hypercube walks, :func:`compose`, :func:`load_matrix_csv` and the
+    register chain), in O(n w) memory. ``entries`` is the dense read-only
+    C-order float64 array, built on each access and never kept. Only the
+    symmetrized kernel, whose rows are dense, stores its dense array
+    instead; ``entries`` then returns that array itself, and ``rows`` is
+    built on each access.
 
     Construction enforces only the structural contract (square shape,
-    entries in [0, 1], rows summing to 1 within ``STOCHASTIC_TOL``).
-    The four standing chain assumptions are checked separately by
-    :func:`validate`, so that a malformed chain can still be loaded
-    and reported on.
-
-    ``entries`` is a read-only C-order float64 array. The constructor
-    copies the array it is given, so the caller may go on changing its
-    own. The package's builders (the cycle and hypercube walks,
-    :func:`compose`, :func:`load_matrix_csv`, the symmetrized kernel and
-    the register chain) hand over the fresh array they built through
-    :meth:`_take`, which checks it the same way without copying it.
+    at most MATRIX_SIZE_CAP states, entries in [0, 1], rows summing to 1
+    within ``STOCHASTIC_TOL``). The four standing chain assumptions are
+    checked separately by :func:`validate`, so that a malformed chain can
+    still be loaded and reported on. The constructor takes a dense array
+    and keeps nothing of it, so the caller may go on changing its own.
     """
 
-    entries: np.ndarray
+    __slots__ = ("_table", "_dense")
 
-    def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=np.float64, copy=True, order="C")
-        object.__setattr__(self, "entries", _checked_stochastic(a))
+    def __init__(self, entries) -> None:
+        a = np.asarray(entries, dtype=np.float64)
+        _check_square(a)
+        self._table = _checked_table(*_rows_table(a))
+        self._dense = None
 
     @classmethod
-    def _take(cls, a: np.ndarray) -> "TransitionMatrix":
-        """Wrap a fresh C-order float64 array that nothing else refers to, without a copy."""
+    def _of_rows(cls, cols: np.ndarray, weights: np.ndarray) -> "TransitionMatrix":
+        """Wrap a fresh rows table that nothing else refers to, checked like the constructor's."""
         m = object.__new__(cls)
-        object.__setattr__(m, "entries", _checked_stochastic(a))
+        m._table, m._dense = _checked_table(cols, weights), None
+        return m
+
+    @classmethod
+    def _of_dense(cls, a: np.ndarray) -> "TransitionMatrix":
+        """Store a fresh C-order float64 square array that nothing else refers to, uncopied."""
+        _check_square(a)
+        m = object.__new__(cls)
+        m._table, m._dense = None, _checked_rows(a, STOCHASTIC_TOL, "transition matrix")
         return m
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return (self._dense if self._table is None else self._table[0]).shape[0]
+
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._table is not None:
+            return self._table
+        cols, weights = _rows_table(self._dense)
+        cols.setflags(write=False)
+        weights.setflags(write=False)
+        return cols, weights
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._dense is not None:
+            return self._dense
+        i, j, v = _nonzeros(*self._table)
+        a = _dense_array(self.n)
+        a[i, j] = v
+        a.setflags(write=False)
+        return a
 
 
 def _index_array(values, n: int | None, error: type[Exception], what: str) -> np.ndarray:
@@ -228,18 +316,18 @@ def _successor_period(states: int, us: np.ndarray, vs: np.ndarray) -> int:
 def validate(P: TransitionMatrix) -> ValidationReport:
     """Check the four standing assumptions on a structurally valid matrix.
 
-    Both support checks read the edge list, the row-major flat indices
-    u * n + v of the positive entries. The support is symmetric when the
-    reversed edges, sorted, are that same list. Then every state reached
-    from 0 also reaches 0, so the backward search runs only on a
-    one-sided support.
+    Every check reads the edge list u -> v of the positive entries, taken
+    from the rows in row-major order, and their weights. The support is
+    symmetric when the reversed edges, sorted, are that same list. Then
+    every state reached from 0 also reaches 0, so the backward search runs
+    only on a one-sided support. A column's sum adds its entries in
+    increasing row order.
     """
-    a = P.entries
     n = P.n
     violations: dict[str, tuple[int, int]] = {}
 
-    edges = np.flatnonzero(a > 0.0)
-    us, vs = np.divmod(edges, n)
+    us, vs, probs = _nonzeros(*P.rows)
+    edges = us * n + vs
     reversed_edges = np.sort(vs * n + us)
     symmetric_support = bool(np.array_equal(edges, reversed_edges))
 
@@ -257,15 +345,16 @@ def validate(P: TransitionMatrix) -> ValidationReport:
         first = int(np.setxor1d(edges, reversed_edges, assume_unique=True)[0])
         violations["symmetric_support"] = divmod(first, n)
 
-    diag = np.diag(a)
-    positive_diagonal = bool(np.all(diag > 0.0))
+    lazy = np.zeros(n, dtype=bool)
+    lazy[us[us == vs]] = True
+    positive_diagonal = bool(lazy.all())
     if not positive_diagonal:
-        i = int(np.flatnonzero(diag <= 0.0)[0])
+        i = int(np.flatnonzero(~lazy)[0])
         violations["positive_diagonal"] = (i, i)
     # A positive diagonal gives period 1 at once; only other chains pay for the gcd.
     aperiodic = irreducible and (positive_diagonal or _successor_period(n, us, vs) == 1)
 
-    colsums = a.sum(axis=0)
+    colsums = np.bincount(vs, weights=probs, minlength=n)
     bad = np.flatnonzero(np.abs(colsums - 1.0) > STOCHASTIC_TOL)
     uniform_stationary = bad.size == 0
     if not uniform_stationary:
@@ -288,12 +377,9 @@ def build_lazy_cycle_walk(n: int) -> TransitionMatrix:
         raise ValueError(f"lazy cycle walk needs n >= 3, got {n}")
     if n > MATRIX_SIZE_CAP:
         raise CapacityError(f"lazy cycle n={n} is over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}")
-    a = np.zeros((n, n))
     idx = np.arange(n)
-    a[idx, idx] = 1.0 / 3.0
-    a[idx, (idx + 1) % n] = 1.0 / 3.0
-    a[idx, (idx - 1) % n] = 1.0 / 3.0
-    return TransitionMatrix._take(a)
+    cols = np.sort(np.stack([(idx - 1) % n, idx, (idx + 1) % n], axis=1), axis=1)
+    return TransitionMatrix._of_rows(cols, np.full(cols.shape, 1.0 / 3.0))
 
 
 def build_hypercube_walk(d: int) -> TransitionMatrix:
@@ -308,19 +394,15 @@ def build_hypercube_walk(d: int) -> TransitionMatrix:
         raise CapacityError(
             f"hypercube d={d} has 2^{d} states, over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
         )
-    n = 1 << d
-    a = np.zeros((n, n))
-    p = 1.0 / (d + 1)
-    idx = np.arange(n)
-    a[idx, idx] = p
-    for i in range(d):
-        a[idx, idx ^ (1 << i)] = p
-    return TransitionMatrix._take(a)
+    idx = np.arange(1 << d)
+    cols = np.sort(np.stack([idx] + [idx ^ (1 << i) for i in range(d)], axis=1), axis=1)
+    return TransitionMatrix._of_rows(cols, np.full(cols.shape, 1.0 / (d + 1)))
 
 
 def min_positive_entry(P: TransitionMatrix) -> float:
     """The smallest strictly positive transition probability."""
-    least = float(np.min(P.entries, where=P.entries > 0.0, initial=np.inf))
+    weights = P.rows[1]
+    least = float(np.min(weights, where=weights > 0.0, initial=np.inf))
     if least == np.inf:
         raise StructureError("matrix has no positive entries")
     return least
@@ -329,12 +411,13 @@ def min_positive_entry(P: TransitionMatrix) -> float:
 def compose(f: Permutation, P: TransitionMatrix) -> TransitionMatrix:
     """One step of the jump-then-move chain: apply f, then take a P-step.
 
-    Row i of the result is row f(i) of P. Composing with any bijection
-    preserves double stochasticity.
+    Row i of the result is row f(i) of P, gathered from P's rows table.
+    Composing with any bijection preserves double stochasticity.
     """
     if f.n != P.n:
         raise StructureError(f"dimension mismatch: permutation on {f.n}, matrix on {P.n}")
-    return TransitionMatrix._take(P.entries[f.forward])
+    cols, weights = P.rows
+    return TransitionMatrix._of_rows(cols[f.forward], weights[f.forward])
 
 
 def _is_prime(n: int) -> bool:
@@ -434,7 +517,7 @@ def build_permutation(kind: str, n: int, *, a: int | None = None,
 
 
 def load_matrix_csv(path: str | Path) -> TransitionMatrix:
-    """Load a transition matrix from CSV (n rows of n decimal entries).
+    """Load a transition matrix from CSV (n rows of n decimal entries) into a rows table.
 
     Only the structural contract is checked; :func:`validate` reports
     which standing assumptions the loaded chain satisfies.
@@ -450,13 +533,24 @@ def load_matrix_csv(path: str | Path) -> TransitionMatrix:
         raise StructureError(f"malformed matrix CSV {path}: {exc}") from exc
     if not raw.size:
         raise StructureError(f"matrix CSV {path} holds no rows")
-    return TransitionMatrix._take(raw)
+    return TransitionMatrix(raw)
 
 
 def save_matrix_csv(path: str | Path, P: TransitionMatrix) -> None:
+    """Write n rows of n shortest round-trip decimals, each row from P's rows table.
+
+    An absent entry is written ``0.0``, so the file is the one the dense
+    rows would give, and :func:`load_matrix_csv` reads it back bit for bit.
+    """
+    cols, weights = P.rows
+    zeros = ["0.0"] * P.n
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in P.entries:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row_cols, row_weights in zip(cols.tolist(), weights.tolist()):
+            line = zeros.copy()
+            for j, v in zip(row_cols, row_weights):
+                if v:
+                    line[j] = repr(v)
+            fh.write(",".join(line) + "\n")
 
 
 def load_permutation(path: str | Path) -> Permutation:

@@ -441,6 +441,9 @@ def _umask() -> int:
 def _write(text: str, target: str | Path | None) -> Path | None:
     """Write one artifact atomically (temp file + rename), or to stdout without a target.
 
+    A written path is reported on stderr as ``wrote PATH``, so stdout holds
+    artifacts only, also when the target is /dev/stdout.
+
     The temp file goes beside the file the target names once symbolic
     links are followed, and replaces that file, so a link stays a link.
     The artifact keeps the mode of the file it replaces; a new one gets
@@ -477,7 +480,7 @@ def _write(text: str, target: str | Path | None) -> Path | None:
                 raise
     except OSError as exc:
         raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
-    print(f"wrote {target}")
+    print(f"wrote {target}", file=sys.stderr)
     return target
 
 

@@ -3,8 +3,8 @@
 A set of states is a bitmask (bit i set <=> state i in the set) where it is
 named, and a 0/1 row where it is scanned: a block of sets is a (sets x n)
 0/1 matrix, and every subset quantity is one matrix product on that block.
-E is a union homomorphism, so E(A) is the support of ``rows @ S``, S the
-support of P, and E(f(E(A))) is the support of ``rows @ M`` for the atom
+E is a union homomorphism, so E(A) is the union of the supports of A's
+rows of P, and E(f(E(A))) is the support of ``rows @ M`` for the atom
 matrix M whose row i is E(f(E({i}))). A full scan over all subsets of size
 at most n/2 finishes in seconds up to the cap n = 24.
 
@@ -28,6 +28,8 @@ from .chains import (
     Permutation,
     TransitionMatrix,
     _index_array,
+    _dense_array,
+    _nonzeros,
     build_lazy_cycle_walk,
     doubling_permutation,
     random_permutation,
@@ -199,20 +201,20 @@ def min_ratio(blocks: Iterable[np.ndarray],
     return None if best is None else (best, sets)
 
 
-def _support(P: TransitionMatrix) -> np.ndarray:
-    return (P.entries > 0.0).astype(np.float32)
-
-
 def expand(P: TransitionMatrix, A: StateSet) -> StateSet:
     """One-step expansion E(A): states reachable from A in one P-step.
 
-    E(A) is the nonzero pattern of 1_A @ P: a sum of nonnegative entries
-    is positive exactly when one of them is, so this is exact and needs
-    no n x n support. With a positive diagonal it is always a superset of A.
+    E(A) is the union of the nonzero columns of A's rows of P, read from
+    P's rows table, so it needs no n x n support. With a positive diagonal
+    it is always a superset of A.
     """
     if A.n != P.n:
         raise ValueError(f"set on {A.n} states, matrix on {P.n}")
-    return StateSet(P.n, int(row_masks(set_rows([A.mask], P.n, np.float64) @ P.entries)[0]))
+    cols, weights = P.rows
+    inside = set_rows([A.mask], P.n, bool)[0]
+    reached = np.zeros((1, P.n), dtype=np.uint8)
+    reached[0, cols[inside][weights[inside] != 0]] = 1
+    return StateSet(P.n, int(row_masks(reached)[0]))
 
 
 @dataclass(frozen=True)
@@ -233,19 +235,21 @@ class ExpansionReport:
 
 
 def _atom_matrix(P: TransitionMatrix, f: Permutation) -> np.ndarray:
-    """M = (S[:, f^-1] @ S > 0) in float32, S the support of P, one block of rows at a time.
+    """The float32 0/1 matrix M whose row i is E(f(E({i}))), written from P's rows.
 
-    Every entry of S[:, f^-1] @ S is an integer count below 2^24, exact in
-    float32, so min(count, 1) is its 0/1 atom. The blocks are written into
-    M itself, and S is freed on return, so the scan that follows holds M alone.
+    Row i is the union of N(f(j)) over j in N(i), N(i) the nonzero columns
+    of row i of P: one write of 1 per edge i -> j and nonzero of row f(j).
+    It equals (S[:, f^-1] @ S > 0) for S the support of P, with no support
+    and no product; the scan that follows holds M alone.
     """
-    n = P.n
-    S = _support(P)
-    atoms = np.empty((n, n), dtype=np.float32)
-    step = _block_sets(n)
-    for lo in range(0, n, step):
-        np.matmul(S[lo:lo + step, f.inverse], S, out=atoms[lo:lo + step])
-    return np.minimum(atoms, 1, out=atoms)
+    cols, weights = P.rows
+    i, j, _ = _nonzeros(cols, weights)
+    k = f.forward[j]  # edge i -> j, then the jump j -> f(j)
+    atoms = _dense_array(P.n, np.float32)
+    for u in range(cols.shape[1]):
+        hit = weights[k, u] != 0
+        atoms[i[hit], cols[k[hit], u]] = 1
+    return atoms
 
 
 def check_expansion(P: TransitionMatrix, f: Permutation, *,
@@ -262,8 +266,8 @@ def check_expansion(P: TransitionMatrix, f: Permutation, *,
     exhaustive value; exhaustive mode takes no ``num_samples`` or
     ``seed``. Sets in ``include`` are checked on top, except those
     whose size is outside 1 .. n/2, which are skipped.
-    Each block of sets is counted by one product with the atom matrix
-    M = (S[:, f^-1] @ S > 0), S the support of P.
+    Each block of sets is counted by one product with the atom matrix M,
+    whose row i is E(f(E({i}))) (``_atom_matrix``).
     """
     n = P.n
     if f.n != n:
@@ -360,7 +364,7 @@ def boundary_histogram(P: TransitionMatrix) -> dict[int, int]:
         raise CapacityError(
             f"boundary enumeration capped at n <= {BOUNDARY_CAP}, got n={n}"
         )
-    S = _support(P)
+    S = (P.entries > 0.0).astype(np.float32)
     hist: dict[int, int] = {}
     for masks in mask_blocks(n):
         rows = set_rows(masks, n)

@@ -40,6 +40,7 @@ from .chains import (
     TransitionMatrix,
     _checked_rows,
     _index_array,
+    _nonzeros,
     _successor_period,
     validate,
 )
@@ -388,34 +389,33 @@ def higher_order_spec(base_kernel: TransitionMatrix, order: int = 2,
 
 
 def build_higher_order_chain(spec: HigherOrderChainSpec) -> TransitionMatrix:
-    """The explicit transition matrix of the register chain on Z_n^order.
+    """The register chain on Z_n^order as a rows table.
 
     From state (x_1, ..., x_r): shift to (x_2, ..., x_r, f(x)), then take
-    a base-kernel step in the last coordinate. Doubly stochastic whenever
-    the base kernel is.
+    a base-kernel step in the last coordinate. Row u is base-kernel row
+    update[u] moved to the columns (u mod n^(r-1)) * n + j. Doubly
+    stochastic whenever the base kernel is.
     """
-    n, N = spec.base_n, spec.states
+    N = spec.states
     if N > MATRIX_SIZE_CAP:
         raise CapacityError(
             f"register chain has {N} states, over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
         )
-    s = np.arange(N)
-    T = np.zeros((N, N // n, n))  # T[s, tail, j] is entry (s, tail * n + j)
-    T[s, s % (N // n)] = spec.base_kernel.entries[spec.update]
-    return TransitionMatrix._take(T.reshape(N, N))
+    return TransitionMatrix._of_rows(*_register_rows(spec))
 
 
-def _successor_edges(spec: HigherOrderChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges u -> v of the register chain and their probabilities.
+def _register_rows(spec: HigherOrderChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The register chain's rows table, n^r x w, read from the base kernel's rows.
 
     State u moves to (u mod n^(r-1)) * n + j, with probability
-    P[update[u], j], for each j in the support of that base-kernel row.
+    P[update[u], j], for each nonzero j of that base-kernel row:
+    ``cols[update]`` and ``weights[update]``, moved to those columns.
     """
     n = spec.base_n
-    rows = spec.base_kernel.entries[spec.update]
-    us, js = np.nonzero(rows > 0.0)
-    vs = (us % (spec.states // n)) * n + js
-    return us, vs, rows[us, js]
+    cols, weights = spec.base_kernel.rows
+    cols, weights = cols[spec.update], weights[spec.update]
+    tails = (np.arange(spec.states) % (spec.states // n))[:, None]
+    return np.where(weights != 0, tails * n + cols, 0), weights
 
 
 @dataclass(frozen=True)
@@ -441,7 +441,7 @@ def verify_uniform_ergodicity(spec: HigherOrderChainSpec) -> ErgodicityReport:
         )
     if not base_report.irreducible:
         raise ValueError("base kernel must be irreducible")
-    us, vs, probs = _successor_edges(spec)
+    us, vs, probs = _nonzeros(*_register_rows(spec))
     colsums = np.bincount(vs, weights=probs, minlength=spec.states)
     uniform = bool(np.all(np.abs(colsums - 1.0) <= STOCHASTIC_TOL))
     return ErgodicityReport(ergodic=_successor_period(spec.states, us, vs) == 1,

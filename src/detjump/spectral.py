@@ -25,7 +25,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .chains import Permutation, TransitionMatrix, min_positive_entry
+from .chains import (Permutation, TransitionMatrix, _dense_array, _nonzeros, _pack,
+                     min_positive_entry)
 from .errors import CapacityError, InvariantError, StructureError
 from .expansion import StateSet, _check_exhaustive_size, min_ratio, small_set_blocks
 
@@ -54,23 +55,26 @@ def symmetrized_kernel(P: TransitionMatrix, f: Permutation) -> TransitionMatrix:
     """The doubly stochastic, symmetric PSD kernel attached to (P, f).
 
     Computed as A @ A.T with A = L @ L and L[i][j] = p[i][f^-1(j)]
-    (a P-step followed by the jump). numpy forms A @ A.T as a symmetric
-    rank-k update that computes one triangle and mirrors it, so R is
-    exactly symmetric as formed; ``second_eigenvalue`` still measures the
-    asymmetry and symmetrizes a copy when there is any. L is dropped once
-    A exists and A once R exists, and R is clipped to [0, 1] in place and
-    handed to the returned matrix without a copy, so at most three n x n
-    arrays are alive at once, P among them.
+    (a P-step followed by the jump), L written straight from P's rows:
+    L[i, f(c)] = p[i][c] for each nonzero of row i. numpy forms A @ A.T as
+    a symmetric rank-k update that computes one triangle and mirrors it,
+    so R is exactly symmetric as formed; ``second_eigenvalue`` still
+    measures the asymmetry and symmetrizes a copy when there is any. L is
+    dropped once A exists and A once R exists, and R is clipped to [0, 1]
+    in place and stored as the returned matrix's dense array without a
+    copy, so at most two n x n arrays are alive at once.
     """
     if f.n != P.n:
         raise ValueError(f"permutation on {f.n} states, matrix on {P.n}")
-    L = P.entries[:, f.inverse]
+    i, c, p = _nonzeros(*P.rows)
+    L = _dense_array(P.n)
+    L[i, f.forward[c]] = p
     A = L @ L
     del L
     R = A @ A.T
     del A
     np.clip(R, 0.0, 1.0, out=R)
-    return TransitionMatrix._take(R)
+    return TransitionMatrix._of_dense(R)
 
 
 def second_eigenvalue(R: TransitionMatrix) -> float:
@@ -276,28 +280,33 @@ def _groups(n: int) -> list[tuple[tuple[int, ...], Callable]]:
     return groups
 
 
-def _carries(a: np.ndarray, block: np.ndarray, first: np.ndarray, diff: Callable,
+def _carries(cols: np.ndarray, weights: np.ndarray, rows, diff: Callable,
              c: np.ndarray) -> np.ndarray:
-    """Whether each row r of block holds row 0's nonzeros Q[0, first] where c[r] moves them."""
-    at = diff(first, diff(0, c)[:, None])  # the j with diff(j, c_r) = first
-    at += np.arange(0, block.size, a.shape[0])[:, None]  # flat, into the C-order block
-    return np.all(block.ravel().take(at) == a[0, first], axis=1)
+    """Whether each of the given rows r of a rows table is row 0 moved by c[r].
+
+    Every row has as many nonzeros as row 0, so row r is the translate
+    exactly when the columns j with diff(j, c_r) = cols[0], sorted, are its
+    columns, and row 0's weights, taken in that order, are its weights.
+    """
+    at = diff(cols[0], diff(0, c)[:, None])  # the j with diff(j, c_r) = cols[0]
+    order = np.argsort(at, axis=1)
+    return (np.all(np.take_along_axis(at, order, axis=1) == cols[rows], axis=1)
+            & np.all(weights[0][order] == weights[rows], axis=1))
 
 
-def _jump_factor(a: np.ndarray) -> tuple[tuple[int, ...], np.ndarray] | None:
+def _jump_factor(cols: np.ndarray,
+                 weights: np.ndarray) -> tuple[tuple[int, ...], np.ndarray] | None:
     """(moduli, s) with every row i of Q equal to row 0 translated by s_i, or None.
 
-    Row i is Q[i, j] == Q[0, diff(j, s_i)] for one group of ``_groups``,
-    checked exactly, and s is a permutation. Then Q = S R with
-    S[i, s_i] = 1 and R invariant under the group: compose(f, P) has this
-    form, s_i = f(i) - f(0) or f(i) ^ f(0), whenever P is circulant or
-    XOR-invariant.
+    Reads Q's rows table (cols, weights). Row i is Q[i, j] == Q[0, diff(j, s_i)]
+    for one group of ``_groups``, checked exactly, and s is a permutation.
+    Then Q = S R with S[i, s_i] = 1 and R invariant under the group:
+    compose(f, P) has this form, s_i = f(i) - f(0) or f(i) ^ f(0),
+    whenever P is circulant or XOR-invariant.
 
     A translate of row 0 has row 0's w nonzeros, so a row with another
-    count gives None at once. A row with w nonzeros that holds row 0's
-    nonzero entries where a translation puts them is that translate, so
-    every check reads w entries of a row (``_carries``), in blocks of
-    _BLOCK_ENTRIES // w rows, and no n x n index table is built.
+    count gives None at once; then every row's w entries are read
+    (``_carries``), in blocks of _BLOCK_ENTRIES // w rows, O(n w) in all.
     s = identity, Q itself invariant, is tried first for any w; then
     every row of Q^k is a permutation of row 0. Otherwise, when
     w * _SHIFT_RATIO <= n, s_i is the first translation that moves a
@@ -305,57 +314,48 @@ def _jump_factor(a: np.ndarray) -> tuple[tuple[int, ...], np.ndarray] | None:
     carries row 0 onto row i. A chain with a periodic stencil has equal
     rows, so its s is no permutation whichever translation is taken.
     """
-    n = a.shape[0]
-    groups = _groups(n)
-    first = np.flatnonzero(a[0])
-    w = first.size
+    n = cols.shape[0]
+    counts = np.count_nonzero(weights, axis=1)
+    w = int(counts[0])
+    if np.any(counts != w):
+        return None
+    cols, weights = cols[:, :w], weights[:, :w]  # a row's nonzeros come first
     height = _BLOCK_ENTRIES // w
-    blocks = [(slice(lo, lo + height), a[lo:lo + height]) for lo in range(0, n, height)]
-    lead = np.empty(n, dtype=np.intp)  # each row's first nonzero
-    invariant = [True] * len(groups)
-    for rows, block in blocks:
-        nonzero = block != 0
-        if np.any(np.count_nonzero(nonzero, axis=1) != w):
-            return None
-        lead[rows] = nonzero.argmax(axis=1)
-        identity = np.arange(n)[rows]
-        for g, (_, diff) in enumerate(groups):
-            invariant[g] = invariant[g] and bool(_carries(a, block, first, diff, identity).all())
-    for (moduli, _), ok in zip(groups, invariant):
-        if ok:
-            return moduli, np.arange(n)
+    blocks = [slice(lo, lo + height) for lo in range(0, n, height)]
+    groups = _groups(n)
+    identity = np.arange(n)
+    for moduli, diff in groups:
+        if all(_carries(cols, weights, rows, diff, identity[rows]).all() for rows in blocks):
+            return moduli, identity
     if w * _SHIFT_RATIO > n:
         return None
     for moduli, diff in groups:
         s, found = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
-        for rows, block in blocks:
+        for rows in blocks:
+            todo = identity[rows]
             for t in range(w):  # row 0's t-th nonzero lands on the row's first
-                c = diff(lead[rows], first[t])
-                hit = ~found[rows] & _carries(a, block, first, diff, c)
-                s[rows][hit], found[rows][hit] = c[hit], True
-                if found[rows].all():
+                c = diff(cols[todo, 0], cols[0, t])
+                hit = _carries(cols, weights, todo, diff, c)
+                s[todo[hit]], found[todo[hit]] = c[hit], True
+                todo = todo[~hit]
+                if not todo.size:
                     break
         if found.all() and np.bincount(s, minlength=n).max() == 1:
             return moduli, s
     return None
 
 
-def _predecessors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tables pred, wt of shape (w, n) with Q[pred[t, j], j] = wt[t, j].
+def _gather_tables(cols: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tables pred, wt of shape (w, n) with Q[pred[t, j], j] = wt[t, j], from Q's rows table.
 
-    Row t lists the t-th predecessor of each state in increasing order;
-    states with fewer than w predecessors are padded with (0, 0.0).
+    They are the rows table of Q^T, transposed: row t lists the t-th
+    predecessor of each state in increasing order; states with fewer than
+    w predecessors are padded with (0, 0.0).
     """
-    n = a.shape[0]
-    j, i = np.nonzero(a.T)
-    counts = np.bincount(j, minlength=n)
-    t = np.arange(j.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    w = int(counts.max())
-    pred = np.zeros((w, n), dtype=np.intp)
-    wt = np.zeros((w, n))
-    pred[t, j] = i
-    wt[t, j] = a[i, j]
-    return pred, wt
+    i, j, v = _nonzeros(cols, weights)
+    order = np.argsort(j, kind="stable")  # by column, each column's rows still increasing
+    pred, wt = _pack(cols.shape[0], j[order], i[order], v[order])
+    return np.ascontiguousarray(pred.T), np.ascontiguousarray(wt.T)
 
 
 def _gemm_steps(X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> Iterator[tuple]:
@@ -422,11 +422,12 @@ def _translated(dst: np.ndarray, Y: np.ndarray, moduli: tuple[int, ...],
 
 
 def _shift_steps(X: np.ndarray, Y: np.ndarray, spare: np.ndarray, moduli: tuple[int, ...],
-                 s: np.ndarray, row: np.ndarray) -> Iterator[tuple]:
+                 s: np.ndarray, offsets: np.ndarray, row: np.ndarray) -> Iterator[tuple]:
     """Q.T @ X for Q = S R (see ``_jump_factor``), in place: R.T @ (X[s^-1]).
 
     A step permutes the rows of X into Y, then adds the translates of Y
-    by the nonzero offsets d of row 0, weight row[d]. Offsets of equal
+    by the nonzero offsets d of row 0, increasing, with their weights
+    ``row`` (row 0 of the rows table). Offsets of equal
     weight are summed first and scaled once, in increasing d, the first
     two in one ``np.add``; the first weight level is written into X, each
     later one through ``spare``. Y and spare are the caller's scratch of
@@ -436,11 +437,10 @@ def _shift_steps(X: np.ndarray, Y: np.ndarray, spare: np.ndarray, moduli: tuple[
     """
     inv = np.empty_like(s)
     inv[s] = np.arange(s.size)
-    offsets = np.flatnonzero(row)
     levels = []
-    for c in sorted(set(row[offsets].tolist())):
+    for c in sorted(set(row.tolist())):
         dst = spare if levels else X
-        ds = offsets[row[offsets] == c].tolist()
+        ds = offsets[row == c].tolist()
         levels.append((dst, c, len(ds) > 1, _translated(dst, Y, moduli, ds[:2]),
                        [_translated(dst, Y, moduli, [d]) for d in ds[2:]]))
     while True:
@@ -494,7 +494,8 @@ def _worst_tv(n: int, k_max: int, starts: np.ndarray, step: tuple) -> np.ndarray
     """Largest distance to uniform over ``starts`` after k = 0 .. k_max steps.
 
     Evolves blocks of starts as X = (Q^k).T[:, block]. ``step`` is
-    ("gemm", Q), ("gather", pred, wt) or ("shift", moduli, s, Q[0]); each
+    ("gemm", Q), ("gather", pred, wt) or ("shift", moduli, s, offsets,
+    row), the nonzero columns of row 0 and their weights; each
     step's operations run in a fixed order, so a route repeats bit for
     bit. GEMM takes all starts in one column-major block; the others take
     blocks of about _BLOCK_ENTRIES / n starts, spread over ``_worker_count``
@@ -548,8 +549,9 @@ def mixing_profile(Q: TransitionMatrix, k_max: int, *,
                    single_start: bool = False) -> list[tuple[int, float]]:
     """Worst-start distance to uniform after k steps, for k = 0 .. k_max.
 
-    The route follows properties checked exactly on Q by ``_jump_factor``,
-    not options; w is the largest number of predecessors of any state.
+    The route follows properties checked exactly on Q's rows table by
+    ``_jump_factor``, not options; w is the largest number of
+    predecessors of any state. Only the GEMM route builds a dense Q.
 
     - starts: when Q is translation-invariant (circulant, or XOR-invariant
       for n a power of two) every start is a worst start and only state 0
@@ -579,8 +581,8 @@ def mixing_profile(Q: TransitionMatrix, k_max: int, *,
             f"mixing profile capped at n * kmax <= MIXING_STEP_CAP={MIXING_STEP_CAP}, "
             f"got n={n}, kmax={k_max}"
         )
-    a = Q.entries
-    factor = _jump_factor(a)
+    cols, weights = Q.rows
+    factor = _jump_factor(cols, weights)
     one_start = factor is not None and bool(np.all(factor[1] == np.arange(n)))
     if single_start and not one_start:
         raise StructureError(
@@ -588,13 +590,15 @@ def mixing_profile(Q: TransitionMatrix, k_max: int, *,
             "for n a power of two); start 0 need not be the worst start here"
         )
     starts = np.zeros(1, dtype=np.intp) if one_start else np.arange(n)
-    w = int(np.count_nonzero(a, axis=0).max())
+    w = int(np.bincount(cols[weights != 0], minlength=n).max())
     if factor is not None and w * _SHIFT_RATIO <= n:
-        step = ("shift", *factor, a[0])
+        nonzero = weights[0] != 0
+        step = ("shift", *factor, cols[0][nonzero], weights[0][nonzero])
     elif w * _GATHER_RATIO <= n:
-        step = ("gather", *_predecessors(a))
+        step = ("gather", *_gather_tables(cols, weights))
     else:
-        step = ("gemm", a)
+        del cols, weights  # a table built from a dense Q goes before the blocks come
+        step = ("gemm", Q.entries)
     worst = _worst_tv(n, k_max, starts, step).tolist()
     for k in range(1, k_max + 1):
         if worst[k] > worst[k - 1] + 1e-12:

@@ -108,6 +108,12 @@ def brute_expansion_over(P, f, sets):
     return float(best[0]) - 1.0, best[1], checked
 
 
+def brute_atoms(P, f):
+    """Row i of the atom matrix as a set, E(f(E({i}))), by explicit unions."""
+    nbrs = neighbor_sets(P)
+    return [set().union(*(nbrs[f.forward[j]] for j in nbrs[i])) for i in range(len(nbrs))]
+
+
 def all_small_sets(n):
     """Every A with 1 <= |A| <= n/2, as sets."""
     return [set(c) for size in range(1, n // 2 + 1) for c in combinations(range(n), size)]

@@ -415,6 +415,71 @@ def test_matrix_csv_roundtrip_and_validation(tmp_path):
     assert report.ok
 
 
+def _lazy_kernel_rows(n, seed):
+    """Rows {column: weight} of I/3 + (C + C^T)/6 + (D + D^T)/6, C a random n-cycle, D a
+    random permutation: a sparse doubly stochastic file chain with sums such as 1/6 + 1/6."""
+    rng = np.random.default_rng(seed)
+    order, perm = rng.permutation(n).tolist(), rng.permutation(n).tolist()
+    rows = [{i: 1.0 / 3.0} for i in range(n)]
+    for i, j in [(order[k], order[(k + 1) % n]) for k in range(n)] + list(enumerate(perm)):
+        rows[i][j] = rows[i].get(j, 0.0) + 1.0 / 6.0
+        rows[j][i] = rows[j].get(i, 0.0) + 1.0 / 6.0
+    return rows
+
+
+def _write_rows(path, rows):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in rows:
+            cells = ["0.0"] * len(rows)
+            for j, v in row.items():
+                cells[j] = repr(v)
+            fh.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("label, rows", [
+    ("generated 1024-state file chain", _lazy_kernel_rows(1024, 3)),
+    # the least subnormal and the largest double below 1 round-trip as written
+    ("extreme entries", [{0: 1 - 2.0**-53, 1: 5e-324, 2: 2.0**-53},
+                         {1: 1 - 2.0**-53, 2: 2.0**-53},
+                         {0: 2.0**-53, 1: 0.1, 2: 1 - 0.1 - 2.0**-53}]),
+])
+def test_saving_a_loaded_matrix_reproduces_its_file(tmp_path, label, rows):
+    given_file, saved = tmp_path / "given.csv", tmp_path / "saved.csv"
+    _write_rows(given_file, rows)
+    P = dj.load_matrix_csv(given_file)
+    dj.save_matrix_csv(saved, P)
+    assert saved.read_bytes() == given_file.read_bytes(), label
+    # each row written from the rows table is the dense row, absent entries as 0.0
+    dense = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in P.entries)
+    assert saved.read_text(encoding="utf-8") == dense, label
+
+
+def test_built_chains_are_rows_tables_in_increasing_column_order(tmp_path):
+    for name, P in _built_matrices(tmp_path).items():
+        cols, weights = P.rows
+        assert cols.shape == weights.shape and cols.shape[0] == P.n, name
+        assert not cols.flags.writeable and not weights.flags.writeable, name
+        nonzero = weights != 0
+        # a row's nonzeros come first, in increasing column order, then (0, 0.0)
+        assert np.all(nonzero[:, :-1] | ~nonzero[:, 1:]), name
+        assert np.all(np.where(nonzero, 0, cols) == 0), name
+        for i in range(P.n):
+            assert np.array_equal(cols[i][nonzero[i]], np.flatnonzero(P.entries[i])), name
+            assert np.array_equal(weights[i][nonzero[i]], P.entries[i][P.entries[i] != 0]), name
+    assert _built_matrices(tmp_path)["lazy_cycle"].rows[0].shape == (7, 3)
+    assert dj.build_hypercube_walk(10).rows[0].shape == (1024, 11)
+
+
+def test_the_dense_array_is_built_on_each_access_and_not_kept():
+    P = dj.build_lazy_cycle_walk(64)
+    a, b = P.entries, P.entries
+    assert a is not b and np.array_equal(a, b)
+    R = dj.symmetrized_kernel(P, dj.random_permutation(64, 1))
+    assert R.entries is R.entries  # the kernel's stored form is its dense array
+    cols, weights = R.rows
+    assert np.array_equal(dj.TransitionMatrix(R.entries).rows[0], cols)
+
+
 def test_loader_reports_assumption_failures(tmp_path):
     path = tmp_path / "m.csv"
     dj.save_matrix_csv(path, plain_cycle(5))

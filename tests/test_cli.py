@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import io
 import json
@@ -119,6 +120,31 @@ def test_compare_jump_chain_dominates(tmp_path):
         k, tva, tvb = line.split(",")
         if int(k) >= 20:
             assert float(tvb) < float(tva), k
+
+
+def test_mix_holds_no_dense_matrix_of_a_sparse_chain(tmp_path, allocation_peak):
+    # P and Q are rows tables of 4096 x 3, and the shift step works in blocks of
+    # 2^16 doubles; a dense P and Q would be 128 MiB each
+    n = 4096
+    cfg = mixing_config(tmp_path, n=n, bijection={"kind": "random", "seed": 1}, kmax=4)
+    out = tmp_path / "mix.csv"
+    with allocation_peak() as peak:
+        assert _run_quietly(["mix", "--config", cfg, "--out", str(out)])[0] == 0
+    assert len(out.read_text().splitlines()) == 1 + 5
+    assert peak.bytes < 16 << 20
+
+
+def test_mix_with_the_spectral_bound_holds_two_dense_matrices(tmp_path, allocation_peak):
+    # the kernel's L and A, then A and R, then R: never three n x n arrays at once
+    # (LAPACK's working copy in the eigensolve is allocated outside tracemalloc)
+    n = 1024
+    cfg = mixing_config(tmp_path, n=n, bijection={"kind": "random", "seed": 1}, kmax=10,
+                        spectral_bound=True)
+    out = tmp_path / "mix.csv"
+    with allocation_peak() as peak:
+        assert _run_quietly(["mix", "--config", cfg, "--out", str(out)])[0] == 0
+    assert out.read_text().splitlines()[0] == "k,worst_tv,bound_spectral"
+    assert peak.bytes < 2 * n * n * 8 + (1 << 20)
 
 
 def test_compare_identical_configs_equal_columns(tmp_path):
@@ -744,7 +770,11 @@ def test_out_dev_stdout_writes_the_artifact_into_a_pipe(tmp_path):
          *_FIB, "--out", "/dev/stdout"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith((tmp_path / "fib.csv").read_bytes())
+    # the pipe holds the artifact alone; the status line goes to stderr
+    assert done.stdout == (tmp_path / "fib.csv").read_bytes()
+    rows = list(csv.reader(io.StringIO(done.stdout.decode())))
+    assert rows[0] == ["k", "tv_exact", "tv_fourier_bound"] and len(rows) == 3
+    assert done.stderr == b"wrote /dev/stdout\n"
 
 
 def test_one_path_shared_by_analyses_of_another_type_does_not_block_a_subcommand(tmp_path):

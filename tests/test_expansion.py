@@ -9,6 +9,7 @@ import detjump as dj
 from detjump import expansion, spectral
 from detjump.errors import CapacityError, StructureError
 from oracles import (
+    brute_atoms,
     brute_boundary_count,
     brute_epsilon_star,
     brute_expand,
@@ -443,12 +444,38 @@ def test_atom_matrix_by_row_blocks_equals_the_whole_product(monkeypatch, n, rows
     assert got.dtype == np.float32 and np.array_equal(got, want)
 
 
+def _union_of_permutations(n, weights, seed):
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for w in weights:
+        a[np.arange(n), rng.permutation(n)] += w
+    return dj.TransitionMatrix(a / a.sum(axis=1, keepdims=True))
+
+
+_ATOM_CHAINS = st.one_of(
+    st.integers(3, 32).map(dj.build_lazy_cycle_walk),
+    st.integers(1, 5).map(dj.build_hypercube_walk),
+    st.builds(_union_of_permutations, st.integers(1, 32),
+              st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(P=_ATOM_CHAINS, seed=st.integers(0, 2**32 - 1))
+def test_atoms_written_from_the_rows_match_the_oracle(P, seed):
+    f = dj.random_permutation(P.n, seed)
+    got = expansion._atom_matrix(P, f)
+    assert got.dtype == np.float32 and got.shape == (P.n, P.n)
+    assert set(np.unique(got).tolist()) <= {0.0, 1.0}
+    assert [set(np.flatnonzero(row).tolist()) for row in got] == brute_atoms(P, f)
+
+
 def test_sampled_expansion_builds_its_atoms_in_bounded_memory(allocation_peak):
     n = 1024
     P, f = dj.build_lazy_cycle_walk(n), dj.random_permutation(n, 7)
     with allocation_peak() as peak:
         dj.check_expansion(P, f, mode="sampled", num_samples=2000, seed=3,
                            include=[dj.StateSet.from_indices(n, range(0, 300, 3))])
-    # the support S and the atoms, one block of S[:, f^-1] beside them; before, the
-    # permuted S, the product and its boolean were whole n x n temporaries as well
-    assert peak.bytes <= 2.5 * n * n * 4
+    # the atoms, written from P's rows, and one block of sets with its product
+    # (256 x 1024 each); the float32 support and its product block are gone
+    assert peak.bytes <= 1.6 * n * n * 4

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import detjump as dj
@@ -127,13 +127,14 @@ def test_block_symmetrization_is_the_whole_matrix_formula_bit_for_bit(monkeypatc
     assert spectral._asymmetry(a) == float(np.abs(a - a.T).max())
 
 
-def test_kernel_and_eigensolve_hold_at_most_three_matrices(allocation_peak):
+def test_kernel_and_eigensolve_hold_at_most_two_matrices(allocation_peak):
     n = 512
     P, f = dj.build_lazy_cycle_walk(n), dj.random_permutation(n, 1)
     with allocation_peak() as peak:
         dj.second_eigenvalue(dj.symmetrized_kernel(P, f))
-    # P, then L and A, then A and R: three n x n arrays counting P, never four
-    assert peak.bytes + P.entries.nbytes <= 3.1 * n * n * 8
+    # L and A, then A and R: P is a rows table of n x 3, so two n x n arrays,
+    # never three (LAPACK's working copy is allocated outside tracemalloc)
+    assert peak.bytes <= 2.1 * n * n * 8
 
 
 def test_second_eigenvalue_below_one_on_zoo(chain_zoo):
@@ -412,28 +413,35 @@ def _swap_rows_0_1(Q):
     return _with_one_swap(Q, (0, 1), (c1, c2), min(a[0, c1], a[1, c2]) / 2)
 
 
-def _steps(a):
+def _shift_step(Q):
+    """The shift step of a factored Q: its factor, then row 0's nonzero columns and weights."""
+    cols, weights = Q.rows
+    nonzero = weights[0] != 0
+    return ("shift", *spectral._jump_factor(cols, weights), cols[0][nonzero],
+            weights[0][nonzero])
+
+
+def _steps(Q):
     """Every step the profile can take on Q: the shift step only when Q factors."""
-    steps = [("gather", *spectral._predecessors(a)), ("gemm", a)]
-    factor = spectral._jump_factor(a)
-    if factor is not None:
-        steps.append(("shift", *factor, a[0]))
+    steps = [("gather", *spectral._gather_tables(*Q.rows)), ("gemm", Q.entries)]
+    if spectral._jump_factor(*Q.rows) is not None:
+        steps.append(_shift_step(Q))
     return steps
 
 
 def _assert_matches_dense(Q, k_max, starts):
     want = mixing_profile_dense(Q, k_max)
-    for step in _steps(Q.entries):
+    for step in _steps(Q):
         got = spectral._worst_tv(Q.n, k_max, starts, step)
         assert np.abs(got - want).max() <= 1e-14, step[0]
     got = [tv for _, tv in dj.mixing_profile(Q, k_max)]
     assert np.abs(np.array(got) - want).max() <= 1e-14
 
 
-def _one_start(a):
+def _one_start(Q):
     """Whether the exact check finds Q itself translation-invariant (s = identity)."""
-    factor = spectral._jump_factor(a)
-    return factor is not None and np.array_equal(factor[1], np.arange(len(a)))
+    factor = spectral._jump_factor(*Q.rows)
+    return factor is not None and np.array_equal(factor[1], np.arange(Q.n))
 
 
 _WEIGHTS = st.lists(st.integers(1, 4), min_size=1, max_size=6)
@@ -457,7 +465,7 @@ _STENCIL = st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 0.5]), min_size=1,
 @given(stencil=_STENCIL.filter(any), k_max=st.integers(0, 30))
 def test_one_start_route_matches_the_dense_oracle_on_circulants(stencil, k_max):
     Q = _circulant(np.array(stencil) / sum(stencil))
-    assert _one_start(Q.entries)
+    assert _one_start(Q)
     _assert_matches_dense(Q, k_max, np.zeros(1, dtype=np.intp))
 
 
@@ -471,7 +479,7 @@ def _xor_stencil(data, d):
 def test_one_start_route_matches_the_dense_oracle_on_xor_invariant_chains(d, data, k_max):
     stencil = _xor_stencil(data, d)
     Q = _xor_invariant(stencil / stencil.sum())
-    assert _one_start(Q.entries)
+    assert _one_start(Q)
     _assert_matches_dense(Q, k_max, np.zeros(1, dtype=np.intp))
 
 
@@ -483,7 +491,7 @@ def _assert_jumped_matches_dense(Q, k_max, periodic):
     """Q = compose(f, P) at every shift ratio: factored unless P's stencil is periodic."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_SHIFT_RATIO", 1)  # let the shift step run below n = 32 w
-        factor = spectral._jump_factor(Q.entries)
+        factor = spectral._jump_factor(*Q.rows)
         assert factor is not None or periodic
         if factor is not None:
             assert np.bincount(factor[1], minlength=Q.n).max() == 1
@@ -509,6 +517,38 @@ def test_shift_step_matches_the_dense_oracle_on_jumped_xor_chains(d, data, seed,
     _assert_jumped_matches_dense(_jumped(_xor_invariant(r), seed), k_max, periodic)
 
 
+# Route ratios (_SHIFT_RATIO, _GATHER_RATIO) that send a chain of any w to each route.
+_FORCED_ROUTES = {"shift": (1, 1), "gather": (10**9, 1), "gemm": (10**9, 10**9)}
+
+
+@settings(max_examples=90, deadline=None)
+@given(route=st.sampled_from(sorted(_FORCED_ROUTES)), jumped=st.booleans(),
+       stencil=_STENCIL.filter(any), weights=_WEIGHTS, seed=st.integers(0, 2**32 - 1),
+       k_max=st.integers(0, 20))
+def test_rows_form_profiles_match_the_dense_oracle_on_every_route(route, jumped, stencil,
+                                                                   weights, seed, k_max):
+    # a jumped circulant factors unless its stencil is periodic; a union does not
+    if jumped:
+        Q = _jumped(_circulant(np.array(stencil) / sum(stencil)), seed)
+    else:
+        Q = _union_of_permutations(len(stencil), weights, seed)
+    assume(route != "shift" or spectral._jump_factor(*Q.rows) is not None)
+    seen = []
+    real = spectral._worst_tv
+
+    def spy(n, k_max_, starts, step):
+        seen.append(step[0])
+        return real(n, k_max_, starts, step)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_worst_tv", spy)
+        mp.setattr(spectral, "_SHIFT_RATIO", _FORCED_ROUTES[route][0])
+        mp.setattr(spectral, "_GATHER_RATIO", _FORCED_ROUTES[route][1])
+        got = [tv for _, tv in dj.mixing_profile(Q, k_max)]
+    assert seen == [route]
+    assert np.abs(np.array(got) - mixing_profile_dense(Q, k_max)).max() <= 1e-14
+
+
 @pytest.mark.parametrize("stencil", [[1, 0, 1, 0], [1, 1, 0, 1, 1, 0], [2, 1, 2, 1, 2, 1, 2, 1]])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_periodic_stencils_match_the_dense_oracle_after_a_jump(stencil, seed):
@@ -528,15 +568,15 @@ def test_jumped_chains_factor_and_a_swap_after_composing_falls_back(P):
     swapped = _swap_rows_0_1(Q)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_SHIFT_RATIO", 1)
-        assert spectral._jump_factor(swapped.entries) is None
+        assert spectral._jump_factor(*swapped.rows) is None
         _assert_matches_dense(swapped, 30, np.arange(P.n))
 
 
 def test_translation_invariance_fires_on_cycles_and_cubes():
     for n in (3, 4, 5, 16, 101, 1024):
-        assert _one_start(dj.build_lazy_cycle_walk(n).entries), n
+        assert _one_start(dj.build_lazy_cycle_walk(n)), n
     for d in range(1, 11):
-        assert _one_start(dj.build_hypercube_walk(d).entries), d
+        assert _one_start(dj.build_hypercube_walk(d)), d
 
 
 @pytest.mark.parametrize("n, moduli", [
@@ -597,7 +637,7 @@ _SHIFT_CHAINS = pytest.mark.parametrize("name, P", [
 def test_shift_route_profiles_are_pinned_bit_for_bit(monkeypatch, name, P):
     Q = _jumped(P)
     monkeypatch.setattr(spectral, "_SHIFT_RATIO", 1)
-    step = ("shift", *spectral._jump_factor(Q.entries), Q.entries[0])
+    step = _shift_step(Q)
     assert [tv.hex() for tv in spectral._worst_tv(Q.n, 12, np.arange(Q.n), step)] == \
         SHIFT_PROFILES[name]
     assert [tv.hex() for _, tv in dj.mixing_profile(Q, 12)] == SHIFT_PROFILES[name]
@@ -685,7 +725,7 @@ def test_translation_invariance_misses_a_near_miss_with_one_swap(Q):
     assert np.allclose(a.sum(axis=0), 1.0) and np.allclose(a.sum(axis=1), 1.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_SHIFT_RATIO", 1)
-        assert spectral._jump_factor(a) is None
+        assert spectral._jump_factor(*Q.rows) is None
     with pytest.raises(StructureError):
         dj.mixing_profile(Q, 4, single_start=True)
     want = mixing_profile_dense(Q, 40)
@@ -704,7 +744,7 @@ def test_a_row_with_one_more_nonzero_than_row_0_is_no_translate(P):
     Q = dj.TransitionMatrix(a)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_SHIFT_RATIO", 1)
-        assert spectral._jump_factor(Q.entries) is None
+        assert spectral._jump_factor(*Q.rows) is None
     _assert_matches_dense(Q, 20, np.arange(Q.n))
 
 
@@ -746,7 +786,7 @@ def test_blocks_of_starts_each_count(monkeypatch, width):
     n = 48
     Q = _union_of_permutations(n, [1, 2, 1], seed=width)
     monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", width * n)
-    got = spectral._worst_tv(n, 25, np.arange(n), ("gather", *spectral._predecessors(Q.entries)))
+    got = spectral._worst_tv(n, 25, np.arange(n), ("gather", *spectral._gather_tables(*Q.rows)))
     assert np.abs(got - mixing_profile_dense(Q, 25)).max() <= 1e-14
 
 
@@ -755,7 +795,7 @@ def test_blocks_of_starts_each_count_on_the_shift_step(monkeypatch, width):
     Q = _jumped(dj.build_hypercube_walk(6), seed=width)
     monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", width * Q.n)
     monkeypatch.setattr(spectral, "_SHIFT_RATIO", 1)
-    step = ("shift", *spectral._jump_factor(Q.entries), Q.entries[0])
+    step = _shift_step(Q)
     got = spectral._worst_tv(Q.n, 25, np.arange(Q.n), step)
     assert np.abs(got - mixing_profile_dense(Q, 25)).max() <= 1e-14
 
@@ -838,24 +878,29 @@ def test_gemm_route_holds_two_matrices_above_the_chain(allocation_peak, label):
     n = 512
     if label == "dense symmetrized kernel":
         Q = dj.symmetrized_kernel(dj.build_lazy_cycle_walk(n), dj.random_permutation(n, 1))
+        built = 0  # Q's stored form is its dense array, which the route reads as it is
     else:
         Q = _union_of_permutations(n, [1, 2, 3, 1, 2, 3], 3)
-    assert spectral._jump_factor(Q.entries) is None
+        built = n * n * 8  # a rows table: only the GEMM route builds its dense array
+    assert spectral._jump_factor(*Q.rows) is None
     with allocation_peak() as peak:
         dj.mixing_profile(Q, 30)
     # X and the product it steps into, which holds the distances between steps,
-    # plus a few vectors of n
-    assert peak.bytes <= 2.01 * n * n * 8
+    # plus a few vectors of n, above the dense Q
+    assert peak.bytes <= built + 2.01 * n * n * 8
 
 
 def test_shift_route_holds_three_blocks_per_thread_above_the_chain(monkeypatch,
                                                                    allocation_peak):
     Q = _jumped(dj.build_lazy_cycle_walk(1024))  # 16 blocks of 64 starts
     _force_workers(monkeypatch, 2)
+    cols, weights = Q.rows
+    assert cols.shape == weights.shape == (Q.n, 3)  # the chain is O(n w), not n x n
     with allocation_peak() as peak:
         dj.mixing_profile(Q, 10)
     # X, Y and spare per thread, 2^16 doubles each, the distances in Y; plus s,
-    # its inverse, the starts and a few other vectors of n
+    # its inverse, the starts and a few other vectors of n. The factor check's
+    # scratch, a few tables of n x w, is freed before the blocks are made.
     blocks = 2 * 3 * spectral._BLOCK_ENTRIES * 8
     assert blocks <= peak.bytes <= blocks + 16 * Q.n * 8
 
@@ -869,7 +914,7 @@ def test_gather_route_repeats_bit_for_bit():
                          ids=["cycle512", "cube9"])
 def test_shift_route_repeats_bit_for_bit_and_refuses_single_start(P):
     Q = _jumped(P, seed=3)
-    assert spectral._jump_factor(Q.entries) is not None
+    assert spectral._jump_factor(*Q.rows) is not None
     assert dj.mixing_profile(Q, 20) == dj.mixing_profile(Q, 20)
     with pytest.raises(StructureError, match="translation-invariant"):
         dj.mixing_profile(Q, 20, single_start=True)
@@ -891,7 +936,7 @@ def test_mixing_profile_cap_admits_n_times_kmax_up_to_the_cap():
 
 def test_predecessor_table_pads_short_columns_with_zero_weight():
     a = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
-    pred, wt = spectral._predecessors(a)
+    pred, wt = spectral._gather_tables(*dj.TransitionMatrix(a).rows)
     assert pred.tolist() == [[0, 0, 1], [2, 2, 0]]
     assert wt.tolist() == [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]
 
