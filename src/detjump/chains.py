@@ -21,6 +21,7 @@ The standing assumptions checked by :func:`validate` are:
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,8 +31,11 @@ import numpy as np
 
 from .errors import BijectionError, CapacityError, StructureError
 
-# The most states a chain may have; every n x n array of a chain is made under it.
-MATRIX_SIZE_CAP = 4096
+# The two budgets. Every analysis estimates its work, in ns on a 2-vCPU VM (numpy with
+# OpenBLAS), and its peak bytes from its arguments, and ``_within_budget`` refuses an
+# estimate over either before anything is allocated.
+WORK_CAP = 1 << 36
+MEMORY_CAP = 1 << 30
 # Tolerance for row/column sums of stochastic matrices.
 STOCHASTIC_TOL = 1e-9
 # Tolerance on each row of the recurrence walk's marginals.
@@ -67,30 +71,47 @@ def _checked_rows(a: np.ndarray, tol: float, what: str,
     return a
 
 
-def _check_square(a: np.ndarray) -> None:
-    """Refuse ``a`` unless it is square with 1 <= n <= MATRIX_SIZE_CAP."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise StructureError(f"transition matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
+def _within_budget(what: str, knob: str, work: float, memory: float = 0.0) -> float:
+    """``work``, once ``what`` is refused with one CapacityError if over WORK_CAP or MEMORY_CAP.
+
+    ``work`` is in ns and ``memory`` in bytes; the message names the
+    estimate, the budget and ``knob``, the argument to make smaller.
+    """
+    for kind, value, name, cap, unit in (("work", work, "WORK_CAP", WORK_CAP, "ns"),
+                                          ("memory", memory, "MEMORY_CAP", MEMORY_CAP, "bytes")):
+        if value > cap:
+            raise CapacityError(f"{what}: estimated {kind} {value:.3g} {unit} is over "
+                                f"{name}={cap} {unit}; make {knob} smaller")
+    return work
+
+
+def _check_square(shape: tuple[int, ...]) -> None:
+    """Refuse an array of this shape unless it is square with at least one state."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise StructureError(f"transition matrix must be square, got shape {shape}")
+    if shape[0] == 0:
         raise StructureError("transition matrix must have at least one state")
-    if n > MATRIX_SIZE_CAP:
-        raise CapacityError(
-            f"n={n} exceeds the dense matrix cap MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
-        )
 
 
 def _dense_array(n: int, dtype=np.float64) -> np.ndarray:
-    """A zeroed n x n array, refused over MATRIX_SIZE_CAP.
+    """A zeroed n x n array, refused over MEMORY_CAP before it is made.
 
-    Every dense array of a chain (its ``entries``, the kernel's L, the
-    subset scans' atoms) is made here.
+    The dense arrays of a chain (its ``entries``, the GEMM route's Q,
+    the subset scans' atoms) are made here.
     """
-    if n > MATRIX_SIZE_CAP:
-        raise CapacityError(
-            f"an n x n array at n={n} is over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
-        )
+    _within_budget("an n x n array", "n", 0.1 * n * n, n * n * np.dtype(dtype).itemsize)
     return np.zeros((n, n), dtype=dtype)
+
+
+def _table_budget(what: str, knob: str, n: float, w: int) -> None:
+    """Refuse building a rows table of n x w entries over the budgets.
+
+    Building one and validating it hold about nine int64 or float64 arrays
+    of its n w entries at once: the table's 16 bytes per entry beside the
+    edge lists of :func:`validate`, 56 bytes per entry on the 16-cube.
+    Both take about 20 ns per entry.
+    """
+    _within_budget(what, knob, 20.0 * n * w, 72.0 * n * w)
 
 
 def _pack(n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,10 +164,10 @@ class TransitionMatrix:
     built on each access.
 
     Construction enforces only the structural contract (square shape,
-    at most MATRIX_SIZE_CAP states, entries in [0, 1], rows summing to 1
-    within ``STOCHASTIC_TOL``). The four standing chain assumptions are
-    checked separately by :func:`validate`, so that a malformed chain can
-    still be loaded and reported on. The constructor takes a dense array
+    entries in [0, 1], rows summing to 1 within ``STOCHASTIC_TOL``). The
+    four standing chain assumptions are checked separately by
+    :func:`validate`, so that a malformed chain can still be loaded and
+    reported on. The constructor takes a dense array
     and keeps nothing of it, so the caller may go on changing its own.
     """
 
@@ -154,7 +175,7 @@ class TransitionMatrix:
 
     def __init__(self, entries) -> None:
         a = np.asarray(entries, dtype=np.float64)
-        _check_square(a)
+        _check_square(a.shape)
         self._table = _checked_table(*_rows_table(a))
         self._dense = None
 
@@ -168,7 +189,7 @@ class TransitionMatrix:
     @classmethod
     def _of_dense(cls, a: np.ndarray) -> "TransitionMatrix":
         """Store a fresh C-order float64 square array that nothing else refers to, uncopied."""
-        _check_square(a)
+        _check_square(a.shape)
         m = object.__new__(cls)
         m._table, m._dense = None, _checked_rows(a, STOCHASTIC_TOL, "transition matrix")
         return m
@@ -282,21 +303,30 @@ class ValidationReport:
 
 
 def _bfs_levels(states: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Breadth-first levels from state 0 over the edges us -> vs; -1 if unreached."""
-    dist = np.full(states, -1, dtype=np.int64)
+    """Breadth-first levels from state 0 over the edges us -> vs; -1 if unreached.
+
+    The edges are grouped by their source once, so a level reads only the
+    edges of its frontier: O(edges) in all, beside about a dozen calls per
+    level. Reading every edge at every level took 0.61 s on the lazy
+    16384-cycle (8,192 levels) and grew as n^2. A state reached twice in
+    one level is kept once: ``slot`` keeps the last of its positions.
+    """
+    targets, count = vs[np.argsort(us, kind="stable")], np.bincount(us, minlength=states)
+    first = np.cumsum(count) - count
+    dist, slot = np.full(states, -1, dtype=np.int64), np.empty(states, dtype=np.intp)
     dist[0] = 0
-    frontier = np.zeros(states, dtype=bool)
-    frontier[0] = True
-    level = 0
-    while True:
+    frontier, level = np.zeros(1, dtype=np.intp), 0
+    while frontier.size:
         level += 1
-        reached = vs[frontier[us]]
+        c = count[frontier]
+        ends = np.cumsum(c)
+        reached = targets[np.repeat(first[frontier] + c - ends, c) + np.arange(ends[-1])]
         reached = reached[dist[reached] < 0]
-        if reached.size == 0:
-            return dist
-        dist[reached] = level
-        frontier = np.zeros(states, dtype=bool)
-        frontier[reached] = True
+        at = np.arange(reached.size)
+        slot[reached] = at
+        frontier = reached[slot[reached] == at]
+        dist[frontier] = level
+    return dist
 
 
 def _successor_period(states: int, us: np.ndarray, vs: np.ndarray) -> int:
@@ -375,8 +405,7 @@ def build_lazy_cycle_walk(n: int) -> TransitionMatrix:
     """Lazy walk on the n-cycle: stay, step left, or step right, each 1/3."""
     if n < 3:
         raise ValueError(f"lazy cycle walk needs n >= 3, got {n}")
-    if n > MATRIX_SIZE_CAP:
-        raise CapacityError(f"lazy cycle n={n} is over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}")
+    _table_budget("lazy cycle walk", "n", min(n, WORK_CAP), 3)
     idx = np.arange(n)
     cols = np.sort(np.stack([(idx - 1) % n, idx, (idx + 1) % n], axis=1), axis=1)
     return TransitionMatrix._of_rows(cols, np.full(cols.shape, 1.0 / 3.0))
@@ -390,10 +419,8 @@ def build_hypercube_walk(d: int) -> TransitionMatrix:
     """
     if d < 1:
         raise ValueError(f"hypercube walk needs d >= 1, got {d}")
-    if d > MATRIX_SIZE_CAP.bit_length() - 1:  # 2^d > MATRIX_SIZE_CAP, decided without 2^d
-        raise CapacityError(
-            f"hypercube d={d} has 2^{d} states, over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
-        )
+    e = min(d, 64)  # 2^64 states are over any budget, so 2^d itself is never computed
+    _table_budget("hypercube walk", "d", 2**e, e + 1)
     idx = np.arange(1 << d)
     cols = np.sort(np.stack([idx] + [idx ^ (1 << i) for i in range(d)], axis=1), axis=1)
     return TransitionMatrix._of_rows(cols, np.full(cols.shape, 1.0 / (d + 1)))
@@ -421,18 +448,7 @@ def compose(f: Permutation, P: TransitionMatrix) -> TransitionMatrix:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 2
-    return True
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
 
 
 def identity_permutation(n: int) -> Permutation:
@@ -516,24 +532,47 @@ def build_permutation(kind: str, n: int, *, a: int | None = None,
     return plain[kind](n)
 
 
+# Entries per block of rows parsed by ``load_matrix_csv``: 16 rows at n = 1024, where
+# a load took 0.049 s at a tracemalloc peak of 0.49 MiB, against 0.052 s and 9.0 MiB
+# parsing the whole file at once and 0.056 s and 4.2 MiB with blocks of 2^18 (2-vCPU VM).
+_CSV_BLOCK = 1 << 14
+
+
 def load_matrix_csv(path: str | Path) -> TransitionMatrix:
     """Load a transition matrix from CSV (n rows of n decimal entries) into a rows table.
 
-    Only the structural contract is checked; :func:`validate` reports
-    which standing assumptions the loaded chain satisfies.
+    The first row gives n. The budgets are checked then, on parsing n^2
+    cells (about 60 ns each) into a table as wide as a dense one; the
+    rest is parsed in blocks of about _CSV_BLOCK entries, each reduced
+    to its nonzeros, so no n x n array is made. Only the structural
+    contract is checked; :func:`validate` reports which standing
+    assumptions the loaded chain satisfies.
     """
     path = Path(path)
+    n, rows, parts = _CSV_BLOCK, 0, []
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "(loadtxt: input|Input line .*) contained no data")
+            while (block := np.loadtxt(fh, delimiter=",", ndmin=2,
+                                       max_rows=max(1, _CSV_BLOCK // n))).size:
+                if not rows:
+                    n = block.shape[1]
+                    _within_budget(f"matrix CSV {path}", "n", 60.0 * n * n, 48.0 * n * n)
+                elif block.shape[1] != n:
+                    raise StructureError(f"malformed matrix CSV {path}: the number of columns "
+                                         f"changed from {n} to {block.shape[1]} at row {rows + 1}")
+                i, j = np.nonzero(block)
+                parts.append((i + rows, j, block[i, j]))
+                rows += block.shape[0]
     except OSError as exc:
         raise StructureError(f"cannot read matrix file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise StructureError(f"malformed matrix CSV {path}: {exc}") from exc
-    if not raw.size:
+    except ValueError as exc:  # numpy counts a block's rows from 1: count them from the file's
+        msg = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + rows), str(exc))
+        raise StructureError(f"malformed matrix CSV {path}: {msg}") from exc
+    if not rows:
         raise StructureError(f"matrix CSV {path} holds no rows")
-    return TransitionMatrix(raw)
+    _check_square((rows, n))
+    return TransitionMatrix._of_rows(*_pack(n, *map(np.concatenate, zip(*parts))))
 
 
 def save_matrix_csv(path: str | Path, P: TransitionMatrix) -> None:

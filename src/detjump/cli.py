@@ -30,6 +30,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .chains import (
+    WORK_CAP,
     Permutation,
     TransitionMatrix,
     ValidationReport,
@@ -41,6 +42,7 @@ from .chains import (
     load_matrix_csv,
     load_permutation,
     min_positive_entry,
+    _within_budget,
     validate,
 )
 from .errors import (
@@ -59,6 +61,7 @@ from .fibonacci import (
     verify_uniform_ergodicity,
 )
 from .spectral import (
+    _check_kernel,
     expansion_tv_bound,
     mixing_profile,
     second_eigenvalue,
@@ -133,6 +136,8 @@ def _run_mixing(params: dict, P: TransitionMatrix, f: Permutation) -> str:
     if epsilon is not None:
         delta = min_positive_entry(P)
         expansion_tv_bound(n, epsilon, delta, 1)  # refuses a bad epsilon before any step
+    if want_spectral:
+        _check_kernel(n)  # refuses the kernel before the profile runs
     profile = mixing_profile(compose(f, P), params["kmax"])
     # Eigensolve after the profile: BLAS threads left spinning by it slow a profile.
     lam2 = second_eigenvalue(symmetrized_kernel(P, f)) if want_spectral else None
@@ -175,6 +180,8 @@ def _run_scan(params: dict, P: TransitionMatrix) -> str:
 
 def _run_fibonacci(params: dict) -> str:
     n, kmax, c = params["n"], params["kmax"], float(params["c"])
+    # one Fourier bound per k, O(k n) each: 4-5.5 ns per n kmax^2 in all on the 2-vCPU VM
+    _within_budget("Fourier bound column", "kmax", 5.0 * min(n, WORK_CAP) * min(kmax, WORK_CAP)**2)
     guarantee = mixing_guarantee(n, c) if n >= 22 else None
     horizon = max(kmax, guarantee.k) if guarantee else kmax
     tv = tv_distance(fibonacci_walk_marginals(n, horizon), np.full(n, 1.0 / n))

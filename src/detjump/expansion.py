@@ -6,7 +6,8 @@ named, and a 0/1 row where it is scanned: a block of sets is a (sets x n)
 E is a union homomorphism, so E(A) is the union of the supports of A's
 rows of P, and E(f(E(A))) is the support of ``rows @ M`` for the atom
 matrix M whose row i is E(f(E({i}))). A full scan over all subsets of size
-at most n/2 finishes in seconds up to the cap n = 24.
+at most n/2 takes about a second at n = 24 and doubles with each state; the
+work budget refuses it from n = 30 on.
 
 The quantity of interest for a chain P and bijection f is the worst ratio
 |E(f(E(A)))| / |A| over all A with |A| <= n/2, where E is the one-step
@@ -27,27 +28,21 @@ import numpy as np
 from .chains import (
     Permutation,
     TransitionMatrix,
+    WORK_CAP,
     _index_array,
     _dense_array,
     _nonzeros,
+    _within_budget,
     build_lazy_cycle_walk,
     doubling_permutation,
     random_permutation,
 )
-from .errors import CapacityError, InvariantError, StructureError
+from .errors import InvariantError, StructureError
 
-# Exhaustive subset enumeration cap (2^23 masks of size <= n/2 at n = 24).
-EXHAUSTIVE_CAP = 24
-# Cap for enumerating all 2^n candidate sets B in boundary counting.
-BOUNDARY_CAP = 16
-# Sampled subsets per scan; one draw costs about 15 us at n = 8 and 45 us at n = 1024.
-SAMPLE_CAP = 1 << 18
-# Work of a random-bijection scan, trials x (sets per trial + SCAN_TRIAL_SETS).
-# A trial's fixed cost (its bijection, its atom matrix) is about 120 us, the
-# time of some 1,300 set checks; SCAN_TRIAL_SETS stands for it, so that many
-# trials on a tiny chain are bounded too.
-SCAN_WORK_CAP = 1 << 29
-SCAN_TRIAL_SETS = 1 << 11
+# ns per set of a subset scan on the 2-vCPU VM, beside n^2 / 40 for its product with
+# the n x n atoms or kernel: 85-140 ns per set at n = 22-24. A sampled set's Python draw
+# costs about 8 us, and a scan trial's fixed cost (its bijection, its atoms) about 150 us.
+_SET_NS, _DRAW_NS, _TRIAL_NS = 120, 8_000, 150_000
 
 # Entries (sets x states) per block of rows: 10,922 sets at n = 24 and 256 at
 # n = 1024, so a block's rows and product stay near 1 MiB each for any n and
@@ -133,12 +128,21 @@ def mask_blocks(n: int) -> Iterator[np.ndarray]:
         yield np.arange(lo, min(lo + step, 1 << n), dtype=np.uint64)
 
 
-def _check_exhaustive_size(n: int, scan: str) -> None:
-    """Refuse a scan of every small subset of n states unless 2 <= n <= EXHAUSTIVE_CAP."""
+def _set_ns(n: int, sets: int, per_set: float = _SET_NS) -> float:
+    """Estimated ns of checking ``sets`` sets of n states, each a row times an n x n matrix."""
+    return sets * (per_set + n * n / 40)
+
+
+def _exhaustive_ns(n: int, scan: str) -> float:
+    """The estimated ns of ``scan`` over every A with 1 <= |A| <= n/2, refused over the budgets.
+
+    There are about 2^(n-1) such sets, so the work budget refuses a scan
+    long before n = 64, where the uint64 masks of ``mask_blocks`` end. A
+    chain with fewer than two states is refused first.
+    """
     if n < 2:
         raise StructureError(f"{scan} needs at least two states, got n={n}")
-    if n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"{scan} capped at n <= {EXHAUSTIVE_CAP}, got n={n}")
+    return _within_budget(scan, "n", _set_ns(n, 1 << min(n - 1, 64)))
 
 
 def small_set_blocks(n: int, dtype=np.float32) -> Iterator[np.ndarray]:
@@ -153,11 +157,8 @@ def sampled_blocks(n: int, num_samples: int, seed: int) -> Iterator[np.ndarray]:
 
     Draw t is ``choice(n, 1 + t % (n // 2), replace=False)``: the sizes
     1 .. n//2 in turn, uniform within a size. Drawing in blocks keeps the
-    call order, so the family does not depend on the block size. More than
-    SAMPLE_CAP draws raise CapacityError before the first one.
+    call order, so the family does not depend on the block size.
     """
-    if num_samples > SAMPLE_CAP:
-        raise CapacityError(f"{num_samples} sampled sets are over SAMPLE_CAP={SAMPLE_CAP}")
     rng = np.random.Generator(np.random.Philox(seed))
     step = _block_sets(n)
     for lo in range(0, num_samples, step):
@@ -258,16 +259,17 @@ def check_expansion(P: TransitionMatrix, f: Permutation, *,
                     include: Sequence[StateSet] = ()) -> ExpansionReport:
     """Scan subsets A for the worst |E(f(E(A)))|/|A| ratio.
 
-    Exhaustive mode visits every A with 1 <= |A| <= n/2 and needs
-    n <= EXHAUSTIVE_CAP. Sampled mode draws ``num_samples`` subsets,
-    spread as evenly as possible over the sizes 1 .. n//2 and uniform
+    Exhaustive mode visits every A with 1 <= |A| <= n/2. Sampled mode
+    draws ``num_samples`` subsets, spread as evenly as possible over the
+    sizes 1 .. n//2 and uniform
     within each size, using a seeded Philox stream; it is a
     lower-confidence mode whose epsilon_star can only overestimate the
     exhaustive value; exhaustive mode takes no ``num_samples`` or
     ``seed``. Sets in ``include`` are checked on top, except those
     whose size is outside 1 .. n/2, which are skipped.
     Each block of sets is counted by one product with the atom matrix M,
-    whose row i is E(f(E({i}))) (``_atom_matrix``).
+    whose row i is E(f(E({i}))) (``_atom_matrix``). The scan's estimated
+    work is checked against the budgets before M is built.
     """
     n = P.n
     if f.n != n:
@@ -278,11 +280,13 @@ def check_expansion(P: TransitionMatrix, f: Permutation, *,
     if mode == "exhaustive":
         if num_samples is not None or seed is not None:
             raise ValueError("exhaustive mode takes no num_samples or seed")
-        _check_exhaustive_size(n, "exhaustive expansion scan")
+        _exhaustive_ns(n, "exhaustive expansion scan")
         family = small_set_blocks(n)
     elif mode == "sampled":
         if num_samples is None or seed is None:
             raise ValueError("sampled mode needs num_samples and seed")
+        _within_budget("sampled expansion scan", "num_samples",
+                       _set_ns(n, min(num_samples, WORK_CAP), _DRAW_NS))
         family = sampled_blocks(n, num_samples, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -357,13 +361,11 @@ def boundary_histogram(P: TransitionMatrix) -> dict[int, int]:
 
     Enumerates all 2^n subsets B and buckets them by the mask of
     E(B) minus B, so ``.get(A.mask, 0)`` is the number of sets whose
-    external boundary is A. Capped at n <= BOUNDARY_CAP.
+    external boundary is A. The budgets are checked first: 2^n sets, and
+    up to 2^n distinct boundaries at about 128 bytes per dict entry.
     """
     n = P.n
-    if n > BOUNDARY_CAP:
-        raise CapacityError(
-            f"boundary enumeration capped at n <= {BOUNDARY_CAP}, got n={n}"
-        )
+    _within_budget("boundary enumeration", "n", _set_ns(n, 1 << min(n, 64)), 128 << min(n, 64))
     S = (P.entries > 0.0).astype(np.float32)
     hist: dict[int, int] = {}
     for masks in mask_blocks(n):
@@ -391,17 +393,12 @@ def scan_random_bijections(P: TransitionMatrix, epsilon: float, trials: int,
     With trials = 0 the fraction is undefined and reported as None.
     ``epsilon`` must be finite and nonnegative.
     """
-    _check_exhaustive_size(P.n, "random-bijection scan")
+    trial_ns = _exhaustive_ns(P.n, "random-bijection scan") + _TRIAL_NS
     if not 0 <= epsilon < math.inf:  # false for nan
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    sets = sum(math.comb(P.n, s) for s in range(1, P.n // 2 + 1))
-    if trials * (sets + SCAN_TRIAL_SETS) > SCAN_WORK_CAP:
-        raise CapacityError(
-            f"{trials} trials of {sets} sets each are over SCAN_WORK_CAP={SCAN_WORK_CAP} "
-            f"(each trial counts SCAN_TRIAL_SETS={SCAN_TRIAL_SETS} on top)"
-        )
+    _within_budget("random-bijection scan", "trials", min(trials, WORK_CAP) * trial_ns)
     rows: list[tuple[int, float, bool]] = []
     for t in range(trials):
         trial_seed = seed + t

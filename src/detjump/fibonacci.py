@@ -35,25 +35,18 @@ import numpy as np
 
 from .chains import (
     DISTRIBUTION_TOL,
-    MATRIX_SIZE_CAP,
     STOCHASTIC_TOL,
+    WORK_CAP,
     TransitionMatrix,
     _checked_rows,
     _index_array,
     _nonzeros,
     _successor_period,
+    _table_budget,
+    _within_budget,
     validate,
 )
-from .errors import BijectionError, CapacityError
-
-# Exact pair-chain evolution cap: one step gathers and averages n^2 doubles.
-PAIR_STATE_CAP = 1000
-# Stored marginals cap: fibonacci_walk_marginals keeps n * k_max doubles
-# (32 MiB). At n = 1000 that is 4194 pair steps, about 35 s.
-MARGINAL_ENTRY_CAP = 1 << 22
-# Register-chain cap (base 16, order 4): specs and verification hold
-# n^r-entry tables and n^r * deg successor edges, never an n^r-square matrix.
-REGISTER_STATE_CAP = 65536
+from .errors import BijectionError
 
 
 def _pair_index(n: int) -> np.ndarray:
@@ -86,22 +79,18 @@ def fibonacci_walk_marginals(n: int, k_max: int) -> np.ndarray:
     (0, 1) and writes the marginal of the current coordinate into row
     k - 1 of one float64 (k_max, n) array, returned read-only once every
     row is a probability vector within DISTRIBUTION_TOL (else
-    StructureError naming the row). The n * k_max stored entries are
-    capped at MARGINAL_ENTRY_CAP, checked before the first step.
+    StructureError naming the row). The budgets are checked before the
+    first step: a step gathers and averages the n^2 joint entries, about
+    8 ns each on the 2-vCPU VM, and the n x k_max laws are held beside
+    five arrays of n^2 doubles (the joint law, its gather, the index and
+    two sums).
     """
     if n < 2:
         raise ValueError(f"need modulus n >= 2, got {n}")
-    if n > PAIR_STATE_CAP:
-        raise CapacityError(
-            f"pair-chain evolution capped at n <= {PAIR_STATE_CAP}, got n={n}"
-        )
     if k_max < 1:
         raise ValueError(f"need k >= 1, got {k_max}")
-    if n * k_max > MARGINAL_ENTRY_CAP:
-        raise CapacityError(
-            f"n * k_max stored marginal entries over MARGINAL_ENTRY_CAP={MARGINAL_ENTRY_CAP} "
-            f"(n={n}, k_max={k_max})"
-        )
+    m, k = min(n, WORK_CAP), min(k_max, WORK_CAP)  # larger ones are over budget anyway
+    _within_budget("walk marginals", "kmax or n", 8.0 * k * m * m, 8.0 * m * (k + 5 * m))
     index = _pair_index(n)
     joint = np.zeros((n, n))
     joint[0, 1 % n] = 1.0
@@ -280,24 +269,23 @@ def mixing_guarantee(n: int, c: float) -> MixingGuarantee:
     )
 
 
-def _register_states(n: int, order: int) -> int:
-    """n^order after the argument checks, without building anything.
+def _register_states(base: TransitionMatrix, order: int) -> int:
+    """n^order after the argument checks and the budgets, without building anything.
 
-    Multiplies one factor at a time, so an order far over the cap fails
-    at once with CapacityError.
+    Specs and their verification hold tables of n^order entries and
+    n^order x w successor edges, w the base kernel's row width, as a
+    rows table does (``_table_budget``), never an n^r-square matrix.
+    n^order is computed exactly while order times the bits of n is at
+    most 64; past that it is at least 2^32 states, far over the memory
+    budget, and counted as 2^64.
     """
+    n = base.n
     if n < 2:
         raise ValueError(f"need base_n >= 2, got {n}")
     if order < 2:
         raise ValueError(f"need order >= 2, got {order}")
-    states = 1
-    for _ in range(order):
-        states *= n
-        if states > REGISTER_STATE_CAP:
-            raise CapacityError(
-                f"register chain has {n}^{order} states, "
-                f"over REGISTER_STATE_CAP={REGISTER_STATE_CAP}"
-            )
+    states = n**order if order * n.bit_length() <= 64 else 1 << 64
+    _table_budget(f"{n}^{order} register states", "order", states, base.rows[0].shape[1] + 1)
     return states
 
 
@@ -337,8 +325,8 @@ class HigherOrderChainSpec:
     integer sequence given; floats, bools and values outside [0, n) raise
     ValueError. For every fixed tail (x_2, ..., x_r) the map
     x_1 -> f(x_1, ..., x_r) must be a bijection on Z_n; violations are
-    rejected with a witness tail and colliding pair. At most
-    REGISTER_STATE_CAP states.
+    rejected with a witness tail and colliding pair. The budgets are
+    checked before the table is read.
     """
 
     order: int
@@ -347,7 +335,7 @@ class HigherOrderChainSpec:
 
     def __post_init__(self) -> None:
         n, r = self.base_n, self.order
-        states = _register_states(n, r)
+        states = _register_states(self.base_kernel, r)
         table = _index_array(self.update, n, ValueError, "update table")
         if table.shape[0] != states:
             raise ValueError(f"update table has {table.shape[0]} entries, expected {states}")
@@ -378,7 +366,7 @@ def higher_order_spec(base_kernel: TransitionMatrix, order: int = 2,
                       update: str | Sequence[int] = "additive") -> HigherOrderChainSpec:
     """Build a register-chain spec from a builtin update name or a table."""
     n = base_kernel.n
-    _register_states(n, order)
+    _register_states(base_kernel, order)
     if isinstance(update, str):
         if update not in _BUILTIN_UPDATES:
             raise ValueError(
@@ -394,13 +382,8 @@ def build_higher_order_chain(spec: HigherOrderChainSpec) -> TransitionMatrix:
     From state (x_1, ..., x_r): shift to (x_2, ..., x_r, f(x)), then take
     a base-kernel step in the last coordinate. Row u is base-kernel row
     update[u] moved to the columns (u mod n^(r-1)) * n + j. Doubly
-    stochastic whenever the base kernel is.
+    stochastic whenever the base kernel is. Its budgets are the spec's.
     """
-    N = spec.states
-    if N > MATRIX_SIZE_CAP:
-        raise CapacityError(
-            f"register chain has {N} states, over MATRIX_SIZE_CAP={MATRIX_SIZE_CAP}"
-        )
     return TransitionMatrix._of_rows(*_register_rows(spec))
 
 

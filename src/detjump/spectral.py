@@ -25,10 +25,10 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .chains import (Permutation, TransitionMatrix, _dense_array, _nonzeros, _pack,
-                     min_positive_entry)
-from .errors import CapacityError, InvariantError, StructureError
-from .expansion import StateSet, _check_exhaustive_size, min_ratio, small_set_blocks
+from .chains import (WORK_CAP, Permutation, TransitionMatrix, _dense_array, _nonzeros, _pack,
+                     _within_budget, min_positive_entry)
+from .errors import InvariantError, StructureError
+from .expansion import StateSet, _exhaustive_ns, min_ratio, small_set_blocks
 
 # Symmetry tolerance for kernels fed to the eigensolver.
 SYMMETRY_TOL = 1e-9
@@ -51,6 +51,17 @@ def _asymmetry(a: np.ndarray) -> float:
     return max(float(np.abs(a[I, J] - a[J, I].T).max()) for I, J in _block_pairs(a.shape[0]))
 
 
+def _check_kernel(n: int) -> None:
+    """Refuse the symmetrized kernel of an n-state chain and its eigensolve over the budgets.
+
+    On the 2-vCPU VM A @ A.T takes about 0.01 ns and ``eigvalsh`` 0.065 ns
+    (n = 1024, 2048) to 0.11 ns (n = 4096) per n^3; at most three n x n
+    arrays are alive: R, beside A, L or the eigensolver's copy of R,
+    and one more while R is symmetrized.
+    """
+    _within_budget("symmetrized kernel and its eigensolve", "n", 0.12 * n**3, 24 * n * n)
+
+
 def symmetrized_kernel(P: TransitionMatrix, f: Permutation) -> TransitionMatrix:
     """The doubly stochastic, symmetric PSD kernel attached to (P, f).
 
@@ -62,10 +73,12 @@ def symmetrized_kernel(P: TransitionMatrix, f: Permutation) -> TransitionMatrix:
     measures the asymmetry and symmetrizes a copy when there is any. L is
     dropped once A exists and A once R exists, and R is clipped to [0, 1]
     in place and stored as the returned matrix's dense array without a
-    copy, so at most two n x n arrays are alive at once.
+    copy, so at most two n x n arrays are alive at once. The budgets are
+    checked first (``_check_kernel``).
     """
     if f.n != P.n:
         raise ValueError(f"permutation on {f.n} states, matrix on {P.n}")
+    _check_kernel(P.n)
     i, c, p = _nonzeros(*P.rows)
     L = _dense_array(P.n)
     L[i, f.forward[c]] = p
@@ -155,9 +168,9 @@ def cheeger_constant(R: TransitionMatrix) -> tuple[float, StateSet]:
     deg the row sums of K: exact int64 values in units of 1/D on the
     integer kernel K of ``integer_kernel``, so ties are exact; for a
     kernel without one the scan runs in float64 on R itself (D = 1), and
-    ties hold only up to rounding. Exhaustive; capped at n <= EXHAUSTIVE_CAP.
+    ties hold only up to rounding. Exhaustive, and refused over the work budget.
     """
-    _check_exhaustive_size(R.n, "exact bottleneck search")
+    _exhaustive_ns(R.n, "exact bottleneck search")
     scaled = integer_kernel(R)
     K, D = scaled if scaled is not None else (R.entries, 1)
     deg, ones = K.sum(axis=1), np.ones(R.n)
@@ -228,25 +241,6 @@ def tv_distance(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return np.concatenate([half_l1(lo) for lo in range(0, max(1, len(mu)), step)])
 
 
-# Largest n * k_max of ``mixing_profile``: 2^20 state-steps, 17x the benchmark's
-# n = 1024, k_max = 60, and k_max = 209,715 on a 5-cycle.
-MIXING_STEP_CAP = 1 << 20
-# The predecessor gather beats one GEMM per step while w * _GATHER_RATIO <= n,
-# w the most predecessors of any state. Measured on a 2-vCPU shared VM
-# (OpenBLAS, 2 threads), all-starts profile of a union of w random
-# permutations: at n = 1024, kmax 60, the gather takes 0.73 s (w = 2),
-# 0.91 s (3), 1.6 s (8) and 2.1-3.0 s (10-16) against 1.7-2.4 s for GEMM;
-# at n = 256 the two tie at w = 3, and at n = 2048 (kmax 10) at w = 16.
-_GATHER_RATIO = 128
-# The shift step of a jump-factored chain (see ``_jump_factor``) beats one GEMM
-# per step while w * _SHIFT_RATIO <= n, w the nonzeros of row 0. Measured on
-# the same VM, all starts of compose(random permutation, circulant with w
-# random offsets), shift / GEMM time with distinct weights (equal weights):
-# n = 256, kmax 60: 0.87 (0.61) at w = 4, 1.28 (0.73) at 8, 2.65 (1.09) at 32;
-# n = 1024, kmax 20: 0.62 (0.42) at w = 16, 1.02 (0.67) at 32, 1.89 (1.11) at 64;
-# n = 2048, kmax 5: 0.60 (0.31) at w = 32, 1.31 (0.62) at 64, 2.24 (0.86) at 128.
-# At n = 64 GEMM is faster from w = 2 (1.24), where a profile takes 5 ms.
-_SHIFT_RATIO = 32
 # Starts per gathered block: about 2^16 doubles (512 KiB) per n x B array.
 # Blocks of 64 starts at n = 1024 and of 16 at n = 4096 were the fastest
 # tried (0.80 s and 2.1 s, one thread); one block of all starts took 1.6 s
@@ -294,8 +288,8 @@ def _carries(cols: np.ndarray, weights: np.ndarray, rows, diff: Callable,
             & np.all(weights[0][order] == weights[rows], axis=1))
 
 
-def _jump_factor(cols: np.ndarray,
-                 weights: np.ndarray) -> tuple[tuple[int, ...], np.ndarray] | None:
+def _jump_factor(cols: np.ndarray, weights: np.ndarray,
+                 search: bool = True) -> tuple[tuple[int, ...], np.ndarray] | None:
     """(moduli, s) with every row i of Q equal to row 0 translated by s_i, or None.
 
     Reads Q's rows table (cols, weights). Row i is Q[i, j] == Q[0, diff(j, s_i)]
@@ -308,8 +302,8 @@ def _jump_factor(cols: np.ndarray,
     count gives None at once; then every row's w entries are read
     (``_carries``), in blocks of _BLOCK_ENTRIES // w rows, O(n w) in all.
     s = identity, Q itself invariant, is tried first for any w; then
-    every row of Q^k is a permutation of row 0. Otherwise, when
-    w * _SHIFT_RATIO <= n, s_i is the first translation that moves a
+    every row of Q^k is a permutation of row 0. Otherwise, with
+    ``search``, s_i is the first translation that moves a
     nonzero of row 0, in increasing order, onto row i's first nonzero and
     carries row 0 onto row i. A chain with a periodic stencil has equal
     rows, so its s is no permutation whichever translation is taken.
@@ -327,7 +321,7 @@ def _jump_factor(cols: np.ndarray,
     for moduli, diff in groups:
         if all(_carries(cols, weights, rows, diff, identity[rows]).all() for rows in blocks):
             return moduli, identity
-    if w * _SHIFT_RATIO > n:
+    if not search:
         return None
     for moduli, diff in groups:
         s, found = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
@@ -463,6 +457,32 @@ def _shift_steps(X: np.ndarray, Y: np.ndarray, spare: np.ndarray, moduli: tuple[
 
 # Each route's step, and how many scratch arrays of X's shape it takes from the caller.
 _STEPS = {"gemm": (_gemm_steps, 1), "gather": (_gather_steps, 2), "shift": (_shift_steps, 2)}
+# The cost of each route on a 2-vCPU VM (OpenBLAS, 2 threads), re-measured by
+# tools/route_costs.py: ns per unit of work, where a unit is one start x state x weight of
+# a sparse step and one flop of GEMM (75 GFLOP/s); then, per step and block of starts, the
+# ns of the calls a step makes; last, for a sparse step the ns of calls per weight, and for
+# GEMM the least ns per entry of Q per step, which it streams however few its starts.
+_ROUTE_NS = {"shift": (0.7, 8_000, 1_500), "gather": (1.15, 10_000, 2_000),
+             "gemm": (1 / 75, 6_000, 0.17)}
+
+
+def _profile_cost(kind: str, n: int, starts: int, w: int, k_max: int) -> tuple[float, float]:
+    """The estimated (ns, peak bytes) of ``_worst_tv`` on route ``kind``, from _ROUTE_NS.
+
+    w is the most predecessors of any state. Each step costs at least 1 ns,
+    so k_max is counted up to WORK_CAP only. GEMM holds the dense Q and two
+    n x starts blocks; a sparse step holds three blocks per thread and
+    tables of n x w entries.
+    """
+    per_unit, per_call, last = _ROUTE_NS[kind]
+    steps = min(k_max, WORK_CAP) + 1
+    if kind == "gemm":
+        return (steps * (n * n * max(2 * starts * per_unit, last) + per_call),
+                8.0 * n * (n + 2 * starts))
+    width = max(1, min(starts, _BLOCK_ENTRIES // n))
+    blocks = -(-starts // width)
+    return (steps * (starts * n * w * per_unit + blocks * (per_call + last * w)),
+            8.0 * n * (3 * width * _worker_count(blocks) + 4 * w))
 
 
 def _column_sums(d: np.ndarray) -> np.ndarray:
@@ -549,8 +569,9 @@ def mixing_profile(Q: TransitionMatrix, k_max: int, *,
                    single_start: bool = False) -> list[tuple[int, float]]:
     """Worst-start distance to uniform after k steps, for k = 0 .. k_max.
 
-    The route follows properties checked exactly on Q's rows table by
-    ``_jump_factor``, not options; w is the largest number of
+    The starts follow properties checked exactly on Q's rows table by
+    ``_jump_factor``, not options, and the step is the route with the
+    lowest estimate (``_profile_cost``); w is the largest number of
     predecessors of any state. Only the GEMM route builds a dense Q.
 
     - starts: when Q is translation-invariant (circulant, or XOR-invariant
@@ -559,42 +580,45 @@ def mixing_profile(Q: TransitionMatrix, k_max: int, *,
       2^16 / n for the two sparse steps below. Those blocks run on one
       thread per CPU this process may use, at most one per block, and
       the profile is the same bit for bit with any number of threads.
-    - step: when every row of Q is row 0 translated by s_i, s a
-      permutation (compose(f, P) with P circulant or XOR-invariant), and
-      w * 32 <= n, a step permutes the rows of X by s^-1 and adds w
-      translates of the result with the weights of row 0. Otherwise, when
-      w * 128 <= n, a step gathers the w predecessors of every state;
-      otherwise it is one matrix product, bit-identical to the all-starts
-      M @ Q loop. Every route repeats bit for bit.
+    - step, the cheapest estimate of three: when every row of Q is row 0
+      translated by s_i, s a permutation (compose(f, P) with P circulant
+      or XOR-invariant), a step can permute the rows of X by s^-1 and add
+      w translates of the result with the weights of row 0; the search for
+      s runs only when this estimate is the lowest. A step can gather the
+      w predecessors of every state, or be one matrix product,
+      bit-identical to the all-starts M @ Q loop. Every route repeats bit
+      for bit.
 
     ``single_start`` asks for the one-start route and raises
     StructureError when Q is not translation-invariant, where start 0
     need not be the worst. The sequence must be nonincreasing; any
-    numerical violation beyond 1e-12 is raised, not smoothed over.
-    n * k_max is capped at MIXING_STEP_CAP (CapacityError).
+    numerical violation beyond 1e-12 is raised, not smoothed over. The
+    chosen route's estimate is checked against the budgets before any
+    block is made (CapacityError).
     """
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
     n = Q.n
-    if n * k_max > MIXING_STEP_CAP:
-        raise CapacityError(
-            f"mixing profile capped at n * kmax <= MIXING_STEP_CAP={MIXING_STEP_CAP}, "
-            f"got n={n}, kmax={k_max}"
-        )
     cols, weights = Q.rows
-    factor = _jump_factor(cols, weights)
-    one_start = factor is not None and bool(np.all(factor[1] == np.arange(n)))
-    if single_start and not one_start:
+    factor = _jump_factor(cols, weights, search=False)  # Q itself invariant, s = identity
+    if single_start and factor is None:
         raise StructureError(
             "single_start needs a translation-invariant chain (circulant, or XOR-invariant "
             "for n a power of two); start 0 need not be the worst start here"
         )
-    starts = np.zeros(1, dtype=np.intp) if one_start else np.arange(n)
+    starts = np.zeros(1, dtype=np.intp) if factor is not None else np.arange(n)
     w = int(np.bincount(cols[weights != 0], minlength=n).max())
-    if factor is not None and w * _SHIFT_RATIO <= n:
+    costs = {kind: _profile_cost(kind, n, starts.size, w, k_max) for kind in _ROUTE_NS}
+    if factor is None and costs["shift"][0] < min(costs["gather"][0], costs["gemm"][0]):
+        factor = _jump_factor(cols, weights)
+    if factor is None:
+        del costs["shift"]
+    kind = min(costs, key=lambda route: costs[route][0])
+    _within_budget("mixing profile", "kmax", *costs[kind])
+    if kind == "shift":
         nonzero = weights[0] != 0
         step = ("shift", *factor, cols[0][nonzero], weights[0][nonzero])
-    elif w * _GATHER_RATIO <= n:
+    elif kind == "gather":
         step = ("gather", *_gather_tables(cols, weights))
     else:
         del cols, weights  # a table built from a dense Q goes before the blocks come
@@ -646,9 +670,10 @@ def spectral_report(P: TransitionMatrix, f: Permutation, *,
                     expansion_epsilon: float | None = None) -> SpectralReport:
     """Compute the symmetrized kernel and summarize its spectrum.
 
-    A chain outside 2 <= n <= EXHAUSTIVE_CAP is refused before the kernel is built.
+    A chain with n < 2, or whose bottleneck search is over the work
+    budget, is refused before the kernel is built.
     """
-    _check_exhaustive_size(P.n, "exact bottleneck search")
+    _exhaustive_ns(P.n, "exact bottleneck search")
     R = symmetrized_kernel(P, f)
     lam2 = second_eigenvalue(R)
     phi, witness = cheeger_constant(R)

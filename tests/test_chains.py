@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detjump as dj
+from detjump import chains
 from detjump.errors import BijectionError, CapacityError, StructureError
 from oracles import dense_period, reachable_dense
 
@@ -208,18 +209,20 @@ def test_hypercube_d2_doubly_stochastic_and_symmetric():
 
 
 def test_hypercube_capacity_error():
-    with pytest.raises(CapacityError):
-        dj.build_hypercube_walk(13)  # 8192 states > cap
+    # the boundary moved from d = 12 (MATRIX_SIZE_CAP) to d = 19, the last rows table of
+    # 2^d x (d + 1) entries under MEMORY_CAP
+    with pytest.raises(CapacityError, match="hypercube walk: estimated memory .* make d smaller"):
+        dj.build_hypercube_walk(20)
 
 
 @pytest.mark.parametrize("build,size", [
-    (dj.build_lazy_cycle_walk, 10**7),    # an n x n request of 728 TiB
-    (dj.build_lazy_cycle_walk, 5000),     # 200 MB, allocated before the cap was checked
+    (dj.build_lazy_cycle_walk, 10**7),    # a rows table over MEMORY_CAP
+    (dj.build_lazy_cycle_walk, 10**12),   # and over WORK_CAP
     (dj.build_hypercube_walk, 10**20),    # 2^d itself too large to compute
 ])
 def test_builders_check_the_cap_before_allocating(build, size, allocation_peak):
     with allocation_peak() as peak:
-        with pytest.raises(CapacityError, match="MATRIX_SIZE_CAP"):
+        with pytest.raises(CapacityError, match="over (WORK|MEMORY)_CAP"):
             build(size)
     assert peak.bytes < 1 << 20
 
@@ -497,6 +500,34 @@ def test_loading_a_matrix_holds_one_copy_of_it(tmp_path, allocation_peak):
         report = dj.validate(P)
     assert report.ok and P.n == n
     assert peak.bytes <= 1.5 * n * n * 8
+
+
+def test_file_chains_load_in_row_blocks_without_an_n_by_n_array(tmp_path, allocation_peak):
+    n = 1024
+    path = tmp_path / "m.csv"
+    P = dj.compose(dj.random_permutation(n, 3), dj.build_lazy_cycle_walk(n))
+    dj.save_matrix_csv(path, P)
+    with allocation_peak() as peak:
+        Q = dj.load_matrix_csv(path)
+    # the rows table and one block of 2^14 parsed entries; an n x n array is 8 MiB
+    assert peak.bytes < 1 << 20
+    assert all(np.array_equal(a, b) for a, b in zip(Q.rows, P.rows))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,0\n0,1\n0.5\n", "the number of columns changed from 2 to 1 at row 3"),
+    ("1,0\n0,1\n0.5,x\n", "could not convert string 'x' to float64 at row 2, column 2."),
+    ("1,0\n0,1,0\n", "the number of columns changed from 2 to 3 at row 2"),
+])
+def test_a_malformed_row_is_named_by_its_row_in_the_file(tmp_path, monkeypatch, text, message):
+    # the messages of a whole-file parse, whichever block of rows the bad row falls in
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    for block in (2, 4, chains._CSV_BLOCK):
+        monkeypatch.setattr(chains, "_CSV_BLOCK", block)
+        with pytest.raises(StructureError) as err:
+            dj.load_matrix_csv(path)
+        assert str(err.value).startswith(f"malformed matrix CSV {path}: {message}")
 
 
 def test_loader_rejects_malformed_csv(tmp_path):

@@ -20,7 +20,7 @@ import detjump as dj
 from detjump import chains, cli, fibonacci, spectral
 from detjump.cli import load_config, main
 from detjump.errors import ConfigError
-from detjump.fibonacci import MARGINAL_ENTRY_CAP
+from detjump.chains import MEMORY_CAP, WORK_CAP
 from oracles import mixing_profile_dense
 
 
@@ -286,7 +286,7 @@ def test_expansion_capacity_exits_3(tmp_path, capsys):
         "analysis": [{"type": "expansion"}],
     })
     assert main(["expansion", "--config", cfg]) == 3
-    assert "n <= 24" in capsys.readouterr().err
+    assert "over WORK_CAP" in capsys.readouterr().err
 
 
 def test_scan_csv_payload(tmp_path):
@@ -367,12 +367,12 @@ def test_scan_config_rejects_an_int_epsilon_too_large_for_a_float(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--n", "50", "--kmax", "5", "--c", "1e300"],   # guarantee horizon near 1e302
     ["--n", "50", "--kmax", str(10**9)],
-    ["--n", "2", "--kmax", str(MARGINAL_ENTRY_CAP // 2 + 1)],
+    ["--n", "2", "--kmax", str(MEMORY_CAP // 16 + 1)],
 ])
 def test_fibonacci_horizon_over_the_marginal_cap_exits_3(argv, capsys):
     assert main(["fibonacci", *argv]) == 3
     err = capsys.readouterr().err
-    assert "MARGINAL_ENTRY_CAP" in err and "Traceback" not in err
+    assert "_CAP=" in err and "make kmax" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kmax", [10**9, 10**20])
@@ -383,7 +383,7 @@ def test_mix_kmax_over_the_step_cap_exits_3(tmp_path, capsys, command, kmax):
         ["compare", "--config-a", cfg, "--config-b", cfg]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert "MIXING_STEP_CAP" in err and "Traceback" not in err
+    assert "over WORK_CAP" in err and "make kmax smaller" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kmax", [10**9, 10**20])
@@ -395,7 +395,7 @@ def test_mix_kmax_over_the_step_cap_with_an_epsilon_exits_3(tmp_path, capsys, co
         ["compare", "--config-a", cfg, "--config-b", cfg]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert "MIXING_STEP_CAP" in err and "Traceback" not in err
+    assert "over WORK_CAP" in err and "make kmax smaller" in err and "Traceback" not in err
 
 
 def test_compare_jumped_column_is_byte_equal_to_mix(tmp_path):
@@ -542,7 +542,7 @@ def test_hof_register_cap_exits_3_without_building(tmp_path):
         "base_n": 2, "order": 40, "update": "additive", "base_kernel_csv": str(kernel)})
     code, err = _run_quietly(["hof", "--config", spec])
     assert code == 3
-    assert "REGISTER_STATE_CAP" in err
+    assert "2^40 register states" in err and "make order smaller" in err
 
 
 def _identity_chain_config(tmp_path, analysis):
@@ -1152,32 +1152,32 @@ def test_an_output_path_that_is_a_directory_exits_2_naming_it(tmp_path, command)
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith("artifacts")] == ["artifacts"]
 
 
-@pytest.mark.parametrize("chain,cap", [
-    ({"family": "lazy_cycle", "n": 10**7}, "MATRIX_SIZE_CAP"),
-    ({"family": "hypercube", "d": 10**20}, "MATRIX_SIZE_CAP"),
+@pytest.mark.parametrize("chain,knob", [
+    ({"family": "lazy_cycle", "n": 10**7}, "n"),
+    ({"family": "hypercube", "d": 10**20}, "d"),
 ])
-def test_oversized_chain_families_exit_3(tmp_path, chain, cap):
+def test_oversized_chain_families_exit_3(tmp_path, chain, knob):
     cfg = write_config(tmp_path, "cfg.json", {"chain": chain,
                                               "analysis": [{"type": "mixing", "kmax": 2}]})
     code, err = _run_quietly(["mix", "--config", cfg])
     assert code == 3
-    assert cap in err and "Traceback" not in err
+    assert f"_CAP=" in err and f"; make {knob} smaller" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,cap", [("expansion", "SAMPLE_CAP"), ("scan", "SCAN_WORK_CAP")])
-def test_sample_and_scan_work_just_over_their_caps_exit_3(tmp_path, command, cap):
+@pytest.mark.parametrize("command,knob", [("expansion", "num_samples"), ("scan", "trials")])
+def test_sample_and_scan_work_just_over_their_caps_exit_3(tmp_path, command, knob):
     from detjump import expansion
-    sets = sum(math.comb(8, s) for s in range(1, 5))
-    over = {"SAMPLE_CAP": expansion.SAMPLE_CAP + 1,
-            "SCAN_WORK_CAP": expansion.SCAN_WORK_CAP // (sets + expansion.SCAN_TRIAL_SETS) + 1}
-    analysis = {"expansion": {"type": "expansion", "mode": "sampled", "num_samples": over[cap],
+    per = {"num_samples": expansion._set_ns(8, 1, expansion._DRAW_NS),
+           "trials": expansion._exhaustive_ns(8, "scan") + expansion._TRIAL_NS}[knob]
+    over = int(WORK_CAP // per) + 1
+    analysis = {"expansion": {"type": "expansion", "mode": "sampled", "num_samples": over,
                               "seed": 1},
-                "scan": {"type": "scan", "epsilon": 0.5, "trials": over[cap], "seed": 1}}
+                "scan": {"type": "scan", "epsilon": 0.5, "trials": over, "seed": 1}}
     cfg = write_config(tmp_path, "cfg.json", {"chain": {"family": "lazy_cycle", "n": 8},
                                               "analysis": [analysis[command]]})
     code, err = _run_quietly([command, "--config", cfg])
     assert code == 3
-    assert cap in err
+    assert f"over WORK_CAP={WORK_CAP} ns; make {knob} smaller" in err
 
 
 _WILD = st.sampled_from([None, True, False, -1, 0, 10**7, 10**20, 1.5, float("inf"),

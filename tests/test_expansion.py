@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detjump as dj
-from detjump import expansion, spectral
+from detjump import chains, expansion, spectral
 from detjump.errors import CapacityError, StructureError
 from oracles import (
     brute_atoms,
@@ -197,9 +197,11 @@ def test_check_expansion_witness_achieves_the_ratio(chain_zoo):
 
 
 def test_one_size_rule_governs_every_exhaustive_scan(monkeypatch):
-    monkeypatch.setattr(expansion, "EXHAUSTIVE_CAP", 8)
+    # one estimate for every scan of all small sets: below n = 9's, above n = 8's
+    assert expansion._exhaustive_ns(8, "scan") < 20_000 < expansion._exhaustive_ns(9, "scan")
     P, f = dj.build_lazy_cycle_walk(9), dj.random_permutation(9, 1)
     R = dj.symmetrized_kernel(P, f)
+    monkeypatch.setattr(chains, "WORK_CAP", 20_000)
 
     def never(*args):
         raise AssertionError("symmetrized_kernel called")
@@ -210,14 +212,16 @@ def test_one_size_rule_governs_every_exhaustive_scan(monkeypatch):
              lambda: dj.cheeger_constant(R),
              lambda: dj.spectral_report(P, f))
     for scan in scans:
-        with pytest.raises(CapacityError, match="capped at n <= 8, got n=9"):
+        with pytest.raises(CapacityError, match="over WORK_CAP=20000 ns; make n smaller"):
             scan()
-    assert dj.check_expansion(P, f, mode="sampled", num_samples=16, seed=1).sets_checked == 16
+    assert dj.check_expansion(P, f, mode="sampled", num_samples=2, seed=1).sets_checked == 2
 
 
 def test_check_expansion_capacity_error():
+    # the boundary moved from n = 24 (EXHAUSTIVE_CAP) to n = 29, the last under WORK_CAP
+    assert expansion._exhaustive_ns(29, "scan") <= chains.WORK_CAP
     P = dj.build_lazy_cycle_walk(30)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="exhaustive expansion scan: estimated work"):
         dj.check_expansion(P, dj.identity_permutation(30))
 
 
@@ -335,8 +339,9 @@ def test_boundary_count_matches_oracle():
 
 
 def test_boundary_count_capacity():
-    with pytest.raises(CapacityError):
-        dj.boundary_histogram(dj.build_lazy_cycle_walk(20))
+    # the boundary moved from n = 16 (BOUNDARY_CAP) to n = 23: 2^n dict entries of 128 bytes
+    with pytest.raises(CapacityError, match="boundary enumeration: estimated memory"):
+        dj.boundary_histogram(dj.build_lazy_cycle_walk(24))
 
 
 def test_boundary_histogram_counting_bound_across_chains():
@@ -405,7 +410,7 @@ def test_scan_rejects_a_non_finite_or_negative_epsilon_before_the_first_trial(mo
 
 
 def test_scan_capacity():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="random-bijection scan: .* make n smaller"):
         dj.scan_random_bijections(dj.build_lazy_cycle_walk(30), 0.1, 5, 1)
 
 
@@ -415,29 +420,33 @@ def test_scan_work_over_the_cap_raises_before_the_first_trial(monkeypatch, n):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(expansion, "random_permutation", no_draws)
-    sets = sum(math.comb(n, s) for s in range(1, n // 2 + 1))
-    over = expansion.SCAN_WORK_CAP // (sets + expansion.SCAN_TRIAL_SETS) + 1
-    for trials in (over, 10**9):
-        with pytest.raises(CapacityError, match="SCAN_WORK_CAP"):
+    trial = expansion._exhaustive_ns(n, "scan") + expansion._TRIAL_NS
+    over = int(chains.WORK_CAP // trial) + 1
+    for trials in (over, 10**9, 10**30):
+        with pytest.raises(CapacityError, match="over WORK_CAP=.*; make trials smaller"):
             dj.scan_random_bijections(dj.build_lazy_cycle_walk(n), 0.5, trials, 1)
 
 
-def test_sampled_draws_over_the_cap_raise_before_drawing():
+def test_sampled_draws_over_the_cap_raise_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a set was drawn")
+
+    monkeypatch.setattr(expansion, "sampled_blocks", no_draws)
     P, f = dj.build_lazy_cycle_walk(8), dj.random_permutation(8, 1)
-    for num_samples in (expansion.SAMPLE_CAP + 1, 10**9):
-        with pytest.raises(CapacityError, match="SAMPLE_CAP"):
+    # the boundary moved from 2^18 draws (SAMPLE_CAP) to the first over WORK_CAP
+    over = int(chains.WORK_CAP // expansion._set_ns(8, 1, expansion._DRAW_NS)) + 1
+    for num_samples in (over, 10**9, 10**30):
+        with pytest.raises(CapacityError, match="over WORK_CAP=.*; make num_samples smaller"):
             dj.check_expansion(P, f, mode="sampled", num_samples=num_samples, seed=0)
 
 
-@pytest.mark.parametrize("n,rows", [(5, 1), (64, 7), (257, None), (1000, 64)])
-def test_atom_matrix_by_row_blocks_equals_the_whole_product(monkeypatch, n, rows):
+@pytest.mark.parametrize("n", [5, 64, 257, 1000])
+def test_atom_matrix_by_row_blocks_equals_the_whole_product(n):
     rng = np.random.default_rng(n)
     a = np.eye(n)
     for _ in range(3):
         a[np.arange(n), rng.permutation(n)] += 1.0
     P, f = dj.TransitionMatrix(a / a.sum(axis=1, keepdims=True)), dj.random_permutation(n, 2)
-    if rows is not None:
-        monkeypatch.setattr(expansion, "SUBSET_BLOCK", rows * n)
     S = (P.entries > 0.0).astype(np.float32)
     want = (S[:, np.asarray(f.inverse)] @ S > 0).astype(np.float32)
     got = expansion._atom_matrix(P, f)

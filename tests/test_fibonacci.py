@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 import detjump as dj
 from detjump import fibonacci
+from detjump.chains import MEMORY_CAP
 from detjump.cli import main
 from detjump.errors import BijectionError, CapacityError, StructureError
 from detjump.fibonacci import (
-    MARGINAL_ENTRY_CAP,
-    REGISTER_STATE_CAP,
     _fib_cos_factors,
     _fib_residues,
     _pair_index,
@@ -100,8 +99,8 @@ def test_walk_argument_validation():
         dj.fibonacci_walk_marginals(1, 3)
     with pytest.raises(ValueError):
         dj.fibonacci_walk_marginals(5, 0)
-    with pytest.raises(CapacityError):
-        dj.fibonacci_walk_marginals(1001, 3)
+    with pytest.raises(CapacityError, match="make kmax or n smaller"):
+        dj.fibonacci_walk_marginals(6000, 3)  # the joint law and its gathers, over MEMORY_CAP
 
 
 @pytest.mark.parametrize("n", BIT_IDENTITY_MODULI)
@@ -411,9 +410,17 @@ def test_guarantee_rejects_non_finite_c():
             dj.mixing_guarantee(30, c)
 
 
-def test_marginals_cap_checked_before_any_step():
-    with pytest.raises(CapacityError, match="MARGINAL_ENTRY_CAP"):
-        dj.fibonacci_walk_marginals(50, MARGINAL_ENTRY_CAP // 50 + 1)
+def test_marginals_cap_checked_before_any_step(monkeypatch):
+    def never(n):
+        raise AssertionError("a step was prepared")
+
+    monkeypatch.setattr(fibonacci, "_pair_index", never)
+    # the boundary moved from n * k_max = 2^22 (MARGINAL_ENTRY_CAP) to the stored laws
+    # and the five n^2 arrays beside them reaching MEMORY_CAP
+    with pytest.raises(CapacityError, match="estimated memory .* MEMORY_CAP"):
+        dj.fibonacci_walk_marginals(50, MEMORY_CAP // 400)
+    with pytest.raises(CapacityError, match="estimated work .* WORK_CAP"):
+        dj.fibonacci_walk_marginals(1000, 10**4)
 
 
 def test_guarantee_requires_n22():
@@ -594,29 +601,31 @@ def test_bijection_witness_matches_loop_scan(n, r, seed):
 
 def test_register_cap_checked_before_any_table():
     base = dj.build_lazy_cycle_walk(16)
-    with pytest.raises(CapacityError, match="REGISTER_STATE_CAP"):
-        dj.higher_order_spec(base, 5, "additive")
+    with pytest.raises(CapacityError, match=r"16\^6 register states: .* make order"):
+        dj.higher_order_spec(base, 6, "additive")
     two = dj.TransitionMatrix(np.full((2, 2), 0.5))
-    for order in (17, 40, 10**9):  # 2^17 is the first power of two over the cap
+    # the boundary moved from 2^16 states (REGISTER_STATE_CAP) to 2^22, the last
+    # n^order x (w + 1) table under MEMORY_CAP
+    assert fibonacci._register_states(two, 22) == 1 << 22
+    for order in (23, 40, 10**9):
         t0 = time.monotonic()
         with pytest.raises(CapacityError):
             dj.higher_order_spec(two, order, "additive")
         assert time.monotonic() - t0 < 1.0
     with pytest.raises(CapacityError):
         dj.HigherOrderChainSpec(order=40, update=(), base_kernel=two)
-    assert dj.higher_order_spec(two, 16, "additive").states == REGISTER_STATE_CAP
+    assert dj.higher_order_spec(two, 16, "additive").states == 1 << 16
 
 
 def test_verify_order_four_register_chain_at_the_cap():
-    # 65,536 states: far over MATRIX_SIZE_CAP, decided on the successor table
+    # 65,536 states, decided on the successor table; the chain itself is a rows table
     t0 = time.monotonic()
     spec = dj.higher_order_spec(dj.build_lazy_cycle_walk(16), 4, "additive")
     report = dj.verify_uniform_ergodicity(spec)
-    assert spec.states == REGISTER_STATE_CAP
+    assert spec.states == 1 << 16
     assert report.ergodic and report.uniform_stationary
     assert time.monotonic() - t0 < 5.0
-    with pytest.raises(CapacityError, match="MATRIX_SIZE_CAP"):
-        dj.build_higher_order_chain(spec)
+    assert dj.build_higher_order_chain(spec).rows[0].shape == (1 << 16, 3)
 
 
 def test_spec_rejects_out_of_range_table_values():
@@ -658,8 +667,7 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         dj.HigherOrderChainSpec(order=2, update=(0,) * 8, base_kernel=base)
     with pytest.raises(CapacityError):
-        dj.build_higher_order_chain(dj.higher_order_spec(dj.build_lazy_cycle_walk(17), 3,
-                                                         "additive"))
+        dj.higher_order_spec(dj.build_lazy_cycle_walk(17), 6, "additive")
 
 
 def test_verify_fibonacci_register_z3():

@@ -1,4 +1,4 @@
-"""The README against the code: the quick start, the "Caps and tolerances" table, the
+"""The README against the code: the quick start, the "Budgets and tolerances" table, the
 analysis parameter table, the hof spec example and the example configs."""
 
 import ast
@@ -19,7 +19,7 @@ _ROW = re.compile(r"^\| `(\w+)` \| ([^|]+?) \|")
 
 def _caps_rows():
     text = README.read_text(encoding="utf-8")
-    section = text.split("## Caps and tolerances", 1)[1].split("\n## ", 1)[0]
+    section = text.split("## Budgets and tolerances", 1)[1].split("\n## ", 1)[0]
     return [m.groups() for m in map(_ROW.match, section.splitlines()) if m]
 
 
@@ -66,8 +66,9 @@ def test_every_caps_row_names_a_constant_with_its_stated_value():
 
 
 def test_caps_table_names_exactly_the_caps_and_tolerances_of_the_modules():
-    # every *_CAP and *_TOL constant, SUBSET_BLOCK and SCAN_TRIAL_SETS, each with its value
-    named = re.compile(r"[A-Z][A-Z_]*_(CAP|TOL)|SUBSET_BLOCK|SCAN_TRIAL_SETS")
+    # every *_CAP and *_TOL constant (the two budgets, the exactness guard and the
+    # tolerances) and SUBSET_BLOCK, each with its value
+    named = re.compile(r"[A-Z][A-Z_]*_(CAP|TOL)|SUBSET_BLOCK")
     constants = {name: value
                  for m in pkgutil.iter_modules(detjump.__path__)
                  for name, value in vars(importlib.import_module(f"detjump.{m.name}")).items()

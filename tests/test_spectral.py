@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import detjump as dj
-from detjump import spectral
+from detjump import chains, spectral
 from detjump.errors import CapacityError, InvariantError, StructureError
 from oracles import (brute_cheeger, brute_cheeger_exact, jacobi_eigenvalues, mixing_profile_dense,
                      mixing_profile_exact)
@@ -68,6 +68,19 @@ def test_kernel_is_exactly_symmetric_as_the_product_forms_it(P):
     # so the kernel needs no symmetrizing pass of its own
     R = dj.symmetrized_kernel(P, dj.random_permutation(P.n, 1)).entries
     assert np.array_equal(R, R.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), width=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_kernel_written_from_the_rows_matches_the_dense_formula(n, width, seed):
+    # R is (L L)(L L)^T with L = P, columns permuted by f^-1, on sparse and dense chains
+    weights = [1 + (seed >> k) % 3 for k in range(min(width, n))]
+    P = _union_of_permutations(n, weights, seed)
+    f = dj.random_permutation(n, seed)
+    L = P.entries[:, f.inverse]
+    A = L @ L
+    got = dj.symmetrized_kernel(P, f).entries
+    assert np.abs(got - np.clip(A @ A.T, 0.0, 1.0)).max() <= 1e-15
 
 
 # --- second eigenvalue ------------------------------------------------------
@@ -488,14 +501,12 @@ def _jumped(P, seed=2):
 
 
 def _assert_jumped_matches_dense(Q, k_max, periodic):
-    """Q = compose(f, P) at every shift ratio: factored unless P's stencil is periodic."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_SHIFT_RATIO", 1)  # let the shift step run below n = 32 w
-        factor = spectral._jump_factor(*Q.rows)
-        assert factor is not None or periodic
-        if factor is not None:
-            assert np.bincount(factor[1], minlength=Q.n).max() == 1
-        _assert_matches_dense(Q, k_max, np.arange(Q.n))
+    """Q = compose(f, P) on every step: factored unless P's stencil is periodic."""
+    factor = spectral._jump_factor(*Q.rows)
+    assert factor is not None or periodic
+    if factor is not None:
+        assert np.bincount(factor[1], minlength=Q.n).max() == 1
+    _assert_matches_dense(Q, k_max, np.arange(Q.n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -517,12 +528,13 @@ def test_shift_step_matches_the_dense_oracle_on_jumped_xor_chains(d, data, seed,
     _assert_jumped_matches_dense(_jumped(_xor_invariant(r), seed), k_max, periodic)
 
 
-# Route ratios (_SHIFT_RATIO, _GATHER_RATIO) that send a chain of any w to each route.
-_FORCED_ROUTES = {"shift": (1, 1), "gather": (10**9, 1), "gemm": (10**9, 10**9)}
+def _force_route(mp, route):
+    """Make ``route`` the one estimate of no cost, so a profile takes it wherever it can."""
+    mp.setattr(spectral, "_profile_cost", lambda kind, *args: (float(kind != route), 0.0))
 
 
 @settings(max_examples=90, deadline=None)
-@given(route=st.sampled_from(sorted(_FORCED_ROUTES)), jumped=st.booleans(),
+@given(route=st.sampled_from(sorted(spectral._ROUTE_NS)), jumped=st.booleans(),
        stencil=_STENCIL.filter(any), weights=_WEIGHTS, seed=st.integers(0, 2**32 - 1),
        k_max=st.integers(0, 20))
 def test_rows_form_profiles_match_the_dense_oracle_on_every_route(route, jumped, stencil,
@@ -542,8 +554,7 @@ def test_rows_form_profiles_match_the_dense_oracle_on_every_route(route, jumped,
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_worst_tv", spy)
-        mp.setattr(spectral, "_SHIFT_RATIO", _FORCED_ROUTES[route][0])
-        mp.setattr(spectral, "_GATHER_RATIO", _FORCED_ROUTES[route][1])
+        _force_route(mp, route)
         got = [tv for _, tv in dj.mixing_profile(Q, k_max)]
     assert seen == [route]
     assert np.abs(np.array(got) - mixing_profile_dense(Q, k_max)).max() <= 1e-14
@@ -566,10 +577,8 @@ def test_jumped_chains_factor_and_a_swap_after_composing_falls_back(P):
     Q = _jumped(P, seed=4)
     _assert_jumped_matches_dense(Q, 30, periodic=False)
     swapped = _swap_rows_0_1(Q)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_SHIFT_RATIO", 1)
-        assert spectral._jump_factor(*swapped.rows) is None
-        _assert_matches_dense(swapped, 30, np.arange(P.n))
+    assert spectral._jump_factor(*swapped.rows) is None
+    _assert_matches_dense(swapped, 30, np.arange(P.n))
 
 
 def test_translation_invariance_fires_on_cycles_and_cubes():
@@ -599,7 +608,7 @@ def test_groups_declare_axis_moduli_and_the_index_difference(n, moduli):
             assert np.array_equal(d, (dj_ - dc) % mod)
 
 
-# float.hex of the shift step's profiles, kmax 12 with _SHIFT_RATIO = 1, frozen from
+# float.hex of the shift step's profiles, kmax 12 on the forced shift step, frozen from
 # the implementation that folds the rows of a block for its column sums;
 # test_shift_route_profiles_are_within_4e16_of_exact_rationals holds them to the
 # exact profile. xor8 moves several cube axes per offset.
@@ -636,7 +645,7 @@ _SHIFT_CHAINS = pytest.mark.parametrize("name, P", [
 @_SHIFT_CHAINS
 def test_shift_route_profiles_are_pinned_bit_for_bit(monkeypatch, name, P):
     Q = _jumped(P)
-    monkeypatch.setattr(spectral, "_SHIFT_RATIO", 1)
+    _force_route(monkeypatch, "shift")
     step = _shift_step(Q)
     assert [tv.hex() for tv in spectral._worst_tv(Q.n, 12, np.arange(Q.n), step)] == \
         SHIFT_PROFILES[name]
@@ -646,7 +655,7 @@ def test_shift_route_profiles_are_pinned_bit_for_bit(monkeypatch, name, P):
 @_SHIFT_CHAINS
 def test_shift_route_profiles_are_within_4e16_of_exact_rationals(monkeypatch, name, P):
     Q = _jumped(P)
-    monkeypatch.setattr(spectral, "_SHIFT_RATIO", 1)
+    _force_route(monkeypatch, "shift")
     exact = mixing_profile_exact(Q, 12)
     got = dj.mixing_profile(Q, 12)
     assert max(abs(Fraction(tv) - want) for (_, tv), want in zip(got, exact)) <= 4e-16
@@ -723,9 +732,7 @@ def test_folded_column_sums_are_within_the_pairwise_bound_of_fsum(n, b, seed):
 def test_translation_invariance_misses_a_near_miss_with_one_swap(Q):
     a = Q.entries
     assert np.allclose(a.sum(axis=0), 1.0) and np.allclose(a.sum(axis=1), 1.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_SHIFT_RATIO", 1)
-        assert spectral._jump_factor(*Q.rows) is None
+    assert spectral._jump_factor(*Q.rows) is None
     with pytest.raises(StructureError):
         dj.mixing_profile(Q, 4, single_start=True)
     want = mixing_profile_dense(Q, 40)
@@ -742,9 +749,7 @@ def test_a_row_with_one_more_nonzero_than_row_0_is_no_translate(P):
     a = P.entries.copy()
     a[5, np.flatnonzero(a[5] == 0)[-1]] = 1e-12
     Q = dj.TransitionMatrix(a)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_SHIFT_RATIO", 1)
-        assert spectral._jump_factor(*Q.rows) is None
+    assert spectral._jump_factor(*Q.rows) is None
     _assert_matches_dense(Q, 20, np.arange(Q.n))
 
 
@@ -794,7 +799,6 @@ def test_blocks_of_starts_each_count(monkeypatch, width):
 def test_blocks_of_starts_each_count_on_the_shift_step(monkeypatch, width):
     Q = _jumped(dj.build_hypercube_walk(6), seed=width)
     monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", width * Q.n)
-    monkeypatch.setattr(spectral, "_SHIFT_RATIO", 1)
     step = _shift_step(Q)
     got = spectral._worst_tv(Q.n, 25, np.arange(Q.n), step)
     assert np.abs(got - mixing_profile_dense(Q, 25)).max() <= 1e-14
@@ -921,16 +925,23 @@ def test_shift_route_repeats_bit_for_bit_and_refuses_single_start(P):
 
 
 @pytest.mark.parametrize("k_max", [10**9, 10**20])
-def test_mixing_profile_caps_n_times_kmax_before_allocating(k_max):
-    with pytest.raises(CapacityError, match="MIXING_STEP_CAP"):
-        dj.mixing_profile(dj.build_lazy_cycle_walk(5), k_max)
+def test_mixing_profile_caps_n_times_kmax_before_allocating(k_max, allocation_peak):
+    Q = dj.build_lazy_cycle_walk(5)
+    with allocation_peak() as peak:
+        with pytest.raises(CapacityError, match="mixing profile: estimated work .* over "
+                                                "WORK_CAP=.*; make kmax smaller"):
+            dj.mixing_profile(Q, k_max)
+    assert peak.bytes < 1 << 20
 
 
-def test_mixing_profile_cap_admits_n_times_kmax_up_to_the_cap():
+def test_mixing_profile_cap_admits_n_times_kmax_up_to_the_cap(monkeypatch):
+    # the boundary moved from n * kmax = 2^20 (MIXING_STEP_CAP) to the route's estimate:
+    # at most WORK_CAP, so about 4.7 million one-start steps of the plain 1024-cycle
     Q = dj.build_lazy_cycle_walk(1024)
-    k_max = spectral.MIXING_STEP_CAP // Q.n
+    k_max = 1024
+    monkeypatch.setattr(chains, "WORK_CAP", spectral._profile_cost("shift", Q.n, 1, 3, k_max)[0])
     assert len(dj.mixing_profile(Q, k_max)) == k_max + 1
-    with pytest.raises(CapacityError, match=str(spectral.MIXING_STEP_CAP)):
+    with pytest.raises(CapacityError, match=f"over WORK_CAP={chains.WORK_CAP!r}"):
         dj.mixing_profile(Q, k_max + 1)
 
 
@@ -961,7 +972,7 @@ def test_spectral_report_refuses_a_chain_over_the_cap_before_building_the_kernel
     n = 1024
     P, f = dj.build_lazy_cycle_walk(n), dj.random_permutation(n, 1)
     with allocation_peak() as peak:
-        with pytest.raises(CapacityError, match="bottleneck search capped"):
+        with pytest.raises(CapacityError, match="exact bottleneck search: estimated work"):
             dj.spectral_report(P, f)
     # the symmetrized kernel alone would be an 8 MiB array
     assert peak.bytes < 1 << 20
