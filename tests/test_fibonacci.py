@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import detjump as dj
 from detjump import fibonacci
-from detjump.chains import MEMORY_CAP
+from detjump.chains import MEMORY_CAP, _successor_period
 from detjump.cli import main
 from detjump.errors import BijectionError, CapacityError, StructureError
 from detjump.fibonacci import (
@@ -17,7 +17,6 @@ from detjump.fibonacci import (
     _fib_residues,
     _pair_index,
     _pair_step,
-    _successor_period,
     _window_table,
 )
 from oracles import (

@@ -426,20 +426,16 @@ def _swap_rows_0_1(Q):
     return _with_one_swap(Q, (0, 1), (c1, c2), min(a[0, c1], a[1, c2]) / 2)
 
 
-def _shift_step(Q):
-    """The shift step of a factored Q: its factor, then row 0's nonzero columns and weights."""
-    cols, weights = Q.rows
-    nonzero = weights[0] != 0
-    return ("shift", *spectral._jump_factor(cols, weights), cols[0][nonzero],
-            weights[0][nonzero])
+def _route(Q, k_max):
+    """(number of starts, step kind) of the plan ``mixing_profile`` takes on Q."""
+    starts, step = spectral._plan(Q, k_max)
+    return starts.size, step[0]
 
 
 def _steps(Q):
     """Every step the profile can take on Q: the shift step only when Q factors."""
-    steps = [("gather", *spectral._gather_tables(*Q.rows)), ("gemm", Q.entries)]
-    if spectral._jump_factor(*Q.rows) is not None:
-        steps.append(_shift_step(Q))
-    return steps
+    routes = ["gather", "gemm"] + ["shift"] * (spectral._jump_factor(*Q.rows) is not None)
+    return [spectral._step(Q, route) for route in routes]
 
 
 def _assert_matches_dense(Q, k_max, starts):
@@ -467,7 +463,7 @@ def test_both_steps_match_the_dense_oracle_on_sparse_chains(n, weights, seed, k_
     Q = _union_of_permutations(n, weights, seed)
     _assert_matches_dense(Q, k_max, np.arange(n))
     # all starts by GEMM is the oracle's own M @ Q loop, bit for bit
-    assert spectral._worst_tv(n, k_max, np.arange(n), ("gemm", Q.entries)).tolist() == \
+    assert spectral._worst_tv(n, k_max, np.arange(n), spectral._step(Q, "gemm")).tolist() == \
         mixing_profile_dense(Q, k_max)
 
 
@@ -528,11 +524,6 @@ def test_shift_step_matches_the_dense_oracle_on_jumped_xor_chains(d, data, seed,
     _assert_jumped_matches_dense(_jumped(_xor_invariant(r), seed), k_max, periodic)
 
 
-def _force_route(mp, route):
-    """Make ``route`` the one estimate of no cost, so a profile takes it wherever it can."""
-    mp.setattr(spectral, "_profile_cost", lambda kind, *args: (float(kind != route), 0.0))
-
-
 @settings(max_examples=90, deadline=None)
 @given(route=st.sampled_from(sorted(spectral._ROUTE_NS)), jumped=st.booleans(),
        stencil=_STENCIL.filter(any), weights=_WEIGHTS, seed=st.integers(0, 2**32 - 1),
@@ -545,19 +536,9 @@ def test_rows_form_profiles_match_the_dense_oracle_on_every_route(route, jumped,
     else:
         Q = _union_of_permutations(len(stencil), weights, seed)
     assume(route != "shift" or spectral._jump_factor(*Q.rows) is not None)
-    seen = []
-    real = spectral._worst_tv
-
-    def spy(n, k_max_, starts, step):
-        seen.append(step[0])
-        return real(n, k_max_, starts, step)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_worst_tv", spy)
-        _force_route(mp, route)
-        got = [tv for _, tv in dj.mixing_profile(Q, k_max)]
-    assert seen == [route]
-    assert np.abs(np.array(got) - mixing_profile_dense(Q, k_max)).max() <= 1e-14
+    starts, _ = spectral._plan(Q, k_max)
+    got = spectral._worst_tv(Q.n, k_max, starts, spectral._step(Q, route))
+    assert np.abs(got - mixing_profile_dense(Q, k_max)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("stencil", [[1, 0, 1, 0], [1, 1, 0, 1, 1, 0], [2, 1, 2, 1, 2, 1, 2, 1]])
@@ -643,22 +624,20 @@ _SHIFT_CHAINS = pytest.mark.parametrize("name, P", [
 
 
 @_SHIFT_CHAINS
-def test_shift_route_profiles_are_pinned_bit_for_bit(monkeypatch, name, P):
+def test_shift_route_profiles_are_pinned_bit_for_bit(name, P):
     Q = _jumped(P)
-    _force_route(monkeypatch, "shift")
-    step = _shift_step(Q)
-    assert [tv.hex() for tv in spectral._worst_tv(Q.n, 12, np.arange(Q.n), step)] == \
-        SHIFT_PROFILES[name]
-    assert [tv.hex() for _, tv in dj.mixing_profile(Q, 12)] == SHIFT_PROFILES[name]
+    starts, _ = spectral._plan(Q, 12)
+    assert starts.size == Q.n
+    assert [tv.hex() for tv in spectral._worst_tv(Q.n, 12, starts, spectral._step(Q, "shift"))] \
+        == SHIFT_PROFILES[name]
 
 
 @_SHIFT_CHAINS
-def test_shift_route_profiles_are_within_4e16_of_exact_rationals(monkeypatch, name, P):
+def test_shift_route_profiles_are_within_4e16_of_exact_rationals(name, P):
     Q = _jumped(P)
-    _force_route(monkeypatch, "shift")
     exact = mixing_profile_exact(Q, 12)
-    got = dj.mixing_profile(Q, 12)
-    assert max(abs(Fraction(tv) - want) for (_, tv), want in zip(got, exact)) <= 4e-16
+    got = spectral._worst_tv(Q.n, 12, np.arange(Q.n), spectral._step(Q, "shift")).tolist()
+    assert max(abs(Fraction(tv) - want) for tv, want in zip(got, exact)) <= 4e-16
 
 
 # float.hex of profiles whose starts' states are contiguous (one start, and the
@@ -696,17 +675,9 @@ CONTIGUOUS_PROFILES = {
     ("union of 6 permutations", _union_of_permutations(256, [1, 2, 3, 1, 2, 3], 3),
      (256, "gemm")),
 ])
-def test_one_start_and_gemm_profiles_are_pinned_bit_for_bit(monkeypatch, label, Q, route):
-    seen = []
-    real = spectral._worst_tv
-
-    def spy(n, k_max, starts, step):
-        seen.append((starts.size, step[0]))
-        return real(n, k_max, starts, step)
-
-    monkeypatch.setattr(spectral, "_worst_tv", spy)
+def test_one_start_and_gemm_profiles_are_pinned_bit_for_bit(label, Q, route):
+    assert _route(Q, 12) == route, label
     assert [tv.hex() for _, tv in dj.mixing_profile(Q, 12)] == CONTIGUOUS_PROFILES[label]
-    assert seen == [route], label
 
 
 @settings(max_examples=60, deadline=None)
@@ -736,7 +707,7 @@ def test_translation_invariance_misses_a_near_miss_with_one_swap(Q):
     with pytest.raises(StructureError):
         dj.mixing_profile(Q, 4, single_start=True)
     want = mixing_profile_dense(Q, 40)
-    start0 = spectral._worst_tv(Q.n, 40, np.zeros(1, dtype=np.intp), ("gemm", a))
+    start0 = spectral._worst_tv(Q.n, 40, np.zeros(1, dtype=np.intp), spectral._step(Q, "gemm"))
     assert max(w - s for w, s in zip(want, start0)) > 1e-3  # start 0 is not the worst
     _assert_matches_dense(Q, 40, np.arange(Q.n))
 
@@ -772,18 +743,13 @@ def test_a_row_with_one_more_nonzero_than_row_0_is_no_translate(P):
     ("jumped 1024-cycle with one swap", _swap_rows_0_1(_jumped(dj.build_lazy_cycle_walk(1024))),
      1024, "gather"),
 ])
-def test_mixing_profile_route_follows_the_checked_properties(monkeypatch, label, Q, starts,
-                                                             step):
-    seen = []
-    real = spectral._worst_tv
-
-    def spy(n, k_max, starts_, step_):
-        seen.append((starts_.size, step_[0]))
-        return real(n, k_max, starts_, step_)
-
-    monkeypatch.setattr(spectral, "_worst_tv", spy)
-    dj.mixing_profile(Q, 2)
-    assert seen == [(starts, step)], label
+def test_mixing_profile_route_follows_the_checked_properties(label, Q, starts, step):
+    # the chain as built, as a rows table made from its dense array, and stored dense:
+    # the same plan and the same profile bit for bit
+    forms = [Q, dj.TransitionMatrix(Q.entries), dj.TransitionMatrix._of_dense(Q.entries.copy())]
+    assert [_route(form, 2) for form in forms] == [(starts, step)] * 3, label
+    profiles = [[tv.hex() for _, tv in dj.mixing_profile(form, 12)] for form in forms]
+    assert profiles[1] == profiles[0] and profiles[2] == profiles[0], label
 
 
 @pytest.mark.parametrize("width", [1, 5, 47, 48])
@@ -791,7 +757,7 @@ def test_blocks_of_starts_each_count(monkeypatch, width):
     n = 48
     Q = _union_of_permutations(n, [1, 2, 1], seed=width)
     monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", width * n)
-    got = spectral._worst_tv(n, 25, np.arange(n), ("gather", *spectral._gather_tables(*Q.rows)))
+    got = spectral._worst_tv(n, 25, np.arange(n), spectral._step(Q, "gather"))
     assert np.abs(got - mixing_profile_dense(Q, 25)).max() <= 1e-14
 
 
@@ -799,8 +765,7 @@ def test_blocks_of_starts_each_count(monkeypatch, width):
 def test_blocks_of_starts_each_count_on_the_shift_step(monkeypatch, width):
     Q = _jumped(dj.build_hypercube_walk(6), seed=width)
     monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", width * Q.n)
-    step = _shift_step(Q)
-    got = spectral._worst_tv(Q.n, 25, np.arange(Q.n), step)
+    got = spectral._worst_tv(Q.n, 25, np.arange(Q.n), spectral._step(Q, "shift"))
     assert np.abs(got - mixing_profile_dense(Q, 25)).max() <= 1e-14
 
 
@@ -823,14 +788,7 @@ def _force_workers(monkeypatch, workers):
     ("jumped 1000-cycle", _jumped(dj.build_lazy_cycle_walk(1000)), "shift", 12),
 ])
 def test_profiles_are_bit_identical_for_any_worker_count(monkeypatch, label, Q, step, k_max):
-    seen = []
-    real = spectral._worst_tv
-
-    def spy(n, k_max_, starts, step_):
-        seen.append(step_[0])
-        return real(n, k_max_, starts, step_)
-
-    monkeypatch.setattr(spectral, "_worst_tv", spy)
+    assert _route(Q, k_max)[1] == step, label
     want = mixing_profile_dense(Q, k_max)
     profiles = []
     for workers in (1, 2, 3):
@@ -838,7 +796,6 @@ def test_profiles_are_bit_identical_for_any_worker_count(monkeypatch, label, Q, 
         got = [tv for _, tv in dj.mixing_profile(Q, k_max)]
         assert np.abs(np.array(got) - want).max() <= 1e-14, workers
         profiles.append([tv.hex() for tv in got])
-    assert seen == [step] * 3, label
     assert profiles[1] == profiles[0] and profiles[2] == profiles[0], label
 
 

@@ -5,7 +5,8 @@ Run from a checkout (about 20 s on 2 vCPUs):
     python3 tools/route_costs.py
 
 At n = 256, 1024 and 2048 it evolves all n starts of two chains with w
-nonzeros per row through each step ``mixing_profile`` can take:
+nonzeros per row through each step ``mixing_profile`` can take, each made
+by ``detjump.spectral._step``:
 
 - a lazy union of random permutations (the identity and w - 1 random
   permutations, equal weights), which does not factor: the gather step and
@@ -16,9 +17,9 @@ nonzeros per row through each step ``mixing_profile`` can take:
 Each line gives the measured ns per start x state x weight x step of the
 two sparse steps and the GFLOP/s of GEMM, with the model's constants
 (``detjump.spectral._ROUTE_NS``) in brackets; then the route the model picks
-for the union and the faster of the two measured on it. Wall times are the
-best of two profiles. The last lines give the model's break-even w between
-the gather step and GEMM at each n.
+for the union (the step of ``detjump.spectral._plan``) and the faster of the
+two measured on it. Wall times are the best of two profiles. The last lines
+give the model's break-even w between the gather step and GEMM at each n.
 """
 
 from __future__ import annotations
@@ -53,30 +54,14 @@ def jumped_circulant(n: int, w: int, rng: np.random.Generator) -> dj.TransitionM
     return dj.compose(dj.random_permutation(n, int(rng.integers(2**31))), dj.TransitionMatrix(a))
 
 
-def step(Q: dj.TransitionMatrix, kind: str) -> tuple:
-    cols, weights = Q.rows
-    if kind == "gemm":
-        return ("gemm", Q.entries)
-    if kind == "gather":
-        return ("gather", *spectral._gather_tables(cols, weights))
-    nonzero = weights[0] != 0
-    return ("shift", *spectral._jump_factor(cols, weights), cols[0][nonzero],
-            weights[0][nonzero])
-
-
 def seconds(Q: dj.TransitionMatrix, kind: str, k_max: int) -> float:
-    s = step(Q, kind)
+    s = spectral._step(Q, kind)
     best = np.inf
     for _ in range(2):
         t0 = time.perf_counter()
         spectral._worst_tv(Q.n, k_max, np.arange(Q.n), s)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def predecessors(Q: dj.TransitionMatrix) -> int:
-    cols, weights = Q.rows
-    return int(np.bincount(cols[weights != 0], minlength=Q.n).max())
 
 
 def main() -> None:
@@ -87,18 +72,16 @@ def main() -> None:
     for n, k_max in SIZES.items():
         for w in WIDTHS:
             union, jumped = lazy_union(n, w, rng), jumped_circulant(n, w, rng)
-            wp = predecessors(union)
+            wp = spectral._step(union, "gather")[1].shape[0]  # the most predecessors
             t = {"shift": seconds(jumped, "shift", k_max),
                  "gather": seconds(union, "gather", k_max), "gemm": seconds(union, "gemm", k_max)}
-            costs = {kind: spectral._profile_cost(kind, n, n, wp, k_max)[0]
-                     for kind in ("gather", "gemm")}
             print(f"n={n:5d} w={w:3d} (w={wp:2d} union) kmax={k_max:3d} | "
                   f"shift {t['shift'] / (n * n * w * k_max) * 1e9:5.2f} ns "
                   f"[{model['shift']:.2f}] | "
                   f"gather {t['gather'] / (n * n * wp * k_max) * 1e9:5.2f} ns "
                   f"[{model['gather']:.2f}] | "
                   f"GEMM {2.0 * n**3 * k_max / t['gemm'] / 1e9:5.0f} GFLOP/s "
-                  f"[{1 / model['gemm']:.0f}] | union: model {min(costs, key=costs.get)}, "
+                  f"[{1 / model['gemm']:.0f}] | union: model {spectral._plan(union, k_max)[1][0]}, "
                   f"measured {min(('gather', 'gemm'), key=t.get)} "
                   f"({t['gather']:.3f} s against {t['gemm']:.3f} s)")
     for n, k_max in SIZES.items():
